@@ -12,8 +12,8 @@ from .containment import (
     sl2_witness,
 )
 from .exprs import ExprSyntaxError, parse_expr, poly_to_expr
-from .freealg import Poly, bracket, mul, nested, verify_identity
-from .linalg import GradedSubspace, contains, insert, is_subspace
+from .freealg import Poly, bracket, nested, verify_identity
+from .linalg import GradedSubspace
 from .lyndon import (
     PbwExpansion,
     lyndon_words,
@@ -60,18 +60,14 @@ __all__ = [
     "conjecture_2k_sweep",
     "conjectured_2k_index",
     "containment_index",
-    "contains",
     "decompose_pure",
     "free_permute",
     "generators_S",
-    "insert",
-    "is_subspace",
     "iso_check",
     "l_span",
     "lyndon_words",
     "m_span",
     "metabelian_check",
-    "mul",
     "n_dims",
     "nested",
     "parse_expr",

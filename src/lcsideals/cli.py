@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .containment import (
@@ -43,14 +41,8 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
 HARD_DEGREE_CAP = 10
-THREADS_ENV = "LCSIDEALS_THREADS"
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
+# the largest component the degree cap allows with n <= 3
+HARD_SIZE_CAP = 3**HARD_DEGREE_CAP
 
 
 def canonical_json(obj) -> str:
@@ -88,17 +80,24 @@ def wrap_report(args, result, n=None, cutoff=None, started=None) -> dict:
     }
 
 
-def _check_degree_cap(degree: int, force: bool) -> None:
-    if degree > HARD_DEGREE_CAP and not force:
+def _check_degree_cap(n: int, degree: int, force: bool) -> None:
+    if force:
+        return
+    if degree > HARD_DEGREE_CAP:
         raise SystemExit(
             f"degree {degree} exceeds the safety cap {HARD_DEGREE_CAP}; "
             "pass --force to override"
+        )
+    if n ** max(degree, 0) > HARD_SIZE_CAP:
+        raise SystemExit(
+            f"component size {n}^{degree} exceeds the safety cap "
+            f"3^{HARD_DEGREE_CAP}; pass --force to override"
         )
 
 
 def cmd_dims(args) -> int:
     started = time.monotonic()
-    _check_degree_cap(args.max_degree, args.force)
+    _check_degree_cap(args.n, args.max_degree, args.force)
     specs = [IdealSpec.parse(s, args.n) for s in args.ideal]
     table = dim_table(specs, args.max_degree)
     report = wrap_report(
@@ -112,19 +111,7 @@ def cmd_containment(args) -> int:
     started = time.monotonic()
     indices = _parse_tuple(args.tuple)
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff(indices)
-    _check_degree_cap(cutoff, args.force)
-    workers = thread_count()
-    if workers > 1:
-        # per-degree target pieces are independent; warm the span caches in
-        # a pool before the sequential report pass collects the results
-        total, k = sum(indices), len(indices)
-        cells = [
-            (s, d)
-            for d in range(total, cutoff + 1)
-            for s in range(2, total - k + 3)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda sd: m_span(args.n, sd[0], sd[1]), cells))
+    _check_degree_cap(args.n, cutoff, args.force)
     report_obj = containment_index(args.n, indices, cutoff)
     report = wrap_report(
         args, report_obj.to_json_obj(), n=args.n, cutoff=cutoff, started=started
@@ -138,7 +125,7 @@ def cmd_witness(args) -> int:
     indices = _parse_tuple(args.tuple)
     w = pbw_witness(args.n, indices)
     degree = w.degree()
-    _check_degree_cap(degree, args.force)
+    _check_degree_cap(args.n, degree, args.force)
     target = sum(indices) - len(indices) + 2
     inside = m_span(args.n, target, degree).contains(w)
     result = {
@@ -172,29 +159,38 @@ def cmd_membership(args) -> int:
     if spec.kind == "N":
         print("error: membership applies to L, M, or product ideals", file=sys.stderr)
         return EXIT_USAGE
-    degree = args.degree if args.degree is not None else p.degree()
-    _check_degree_cap(degree, args.force)
-    component = p.homogeneous_component(degree)
-    if component != p:
-        print(
-            f"note: testing the degree-{degree} homogeneous component",
-            file=sys.stderr,
-        )
+    if args.degree is None:
+        # ideals are graded: p is a member iff each component is
+        degree, parts = p.degree(), p.homogeneous_components()
+    else:
+        degree = args.degree
+        parts = {degree: p.homogeneous_component(degree)}
+        if parts[degree] != p:
+            print(
+                f"note: testing the degree-{degree} homogeneous component",
+                file=sys.stderr,
+            )
+    _check_degree_cap(args.n, degree, args.force)
     from .series import l_span, product_span
 
-    if spec.kind == "L":
-        space = l_span(args.n, spec.index, degree)
-    elif spec.kind == "M":
-        space = m_span(args.n, spec.index, degree)
-    else:
-        space = product_span(args.n, spec.factors, degree)
-    member = space.contains(component)
+    def space(d):
+        if spec.kind == "L":
+            return l_span(args.n, spec.index, d)
+        if spec.kind == "M":
+            return m_span(args.n, spec.index, d)
+        return product_span(args.n, spec.factors, d)
+
+    per_degree = [
+        {"degree": d, "contained": space(d).contains(c)} for d, c in parts.items()
+    ]
     result = {
-        "expr": poly_to_expr(component),
+        "expr": poly_to_expr(p if args.degree is None else parts[degree]),
         "ideal": spec.label(),
         "degree": degree,
-        "contained": member,
+        "contained": all(r["contained"] for r in per_degree),
     }
+    if args.degree is None:
+        result["per_degree"] = per_degree
     report = wrap_report(args, result, n=args.n, cutoff=degree, started=started)
     emit(report, args, args.format)
     return EXIT_OK
@@ -202,7 +198,7 @@ def cmd_membership(args) -> int:
 
 def cmd_generators(args) -> int:
     started = time.monotonic()
-    _check_degree_cap(args.max_degree, args.force)
+    _check_degree_cap(2, args.max_degree, args.force)
     gens = generators_S(args.index, args.max_degree)
     result: dict = {
         "index": args.index,
@@ -246,7 +242,7 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_quotient_dims(args) -> int:
     started = time.monotonic()
-    _check_degree_cap(args.max_degree, args.force)
+    _check_degree_cap(args.n, args.max_degree, args.force)
     i, j = _parse_tuple(args.mod, expected=2)
     spec = QuotientSpec(args.n, i, j)
     rows = [
@@ -266,7 +262,8 @@ def cmd_quotient_dims(args) -> int:
 
 def cmd_structure_check(args) -> int:
     started = time.monotonic()
-    _check_degree_cap(args.max_degree, args.force)
+    n = args.n if args.which == "r22" else 2
+    _check_degree_cap(n, args.max_degree, args.force)
     ok = True
     if args.which == "r22":
         spec = QuotientSpec(args.n, 2, 2)
@@ -312,8 +309,8 @@ def cmd_structure_check(args) -> int:
 
 def cmd_conjecture_sweep(args) -> int:
     started = time.monotonic()
-    cap = 2 * args.k_max + 2
-    _check_degree_cap(cap, args.force)
+    cap = args.cutoff or default_cutoff((2,) * args.k_max)
+    _check_degree_cap(args.n_max, cap, args.force)
     if args.n_max >= 4 and args.k_max >= 2 and not args.force:
         raise SystemExit(
             "n_max >= 4 with k_max >= 2 is expensive; pass --force to proceed"

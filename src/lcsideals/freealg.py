@@ -174,15 +174,6 @@ class Poly:
                 f"generator-count mismatch: {self.n} vs {other.n}"
             )
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        """Terms in degree-then-lexicographic word order (deterministic)."""
-        return sorted(self.terms.items(), key=lambda kv: word_key(kv[0]))
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    """Concatenation product, extended bilinearly."""
-    return p * q
-
 
 def bracket(p: Poly, q: Poly) -> Poly:
     """Commutator pq - qp."""

@@ -245,19 +245,6 @@ class GradedSubspace:
         )
 
 
-def insert(S: GradedSubspace, p: Poly) -> GradedSubspace:
-    return S.insert(p)
-
-
-def contains(S: GradedSubspace, p: Poly) -> bool:
-    return S.contains(p)
-
-
-def is_subspace(S: GradedSubspace, T: GradedSubspace) -> bool:
-    """True iff every row of S reduces to zero against T."""
-    return S.is_subspace_of(T)
-
-
 def extension_dim(base: GradedSubspace, rows: Iterable[IntRow | Poly]) -> int:
     """dim(span(base ∪ rows)) - dim(base), without copying base."""
     side = GradedSubspace(base.n, base.degree)

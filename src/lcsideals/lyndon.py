@@ -5,6 +5,12 @@ Lyndon words (ordered lexicographically); nondecreasing products of those
 bracketings form a PBW basis of A_n.  straighten() rewrites any element in
 that basis and pbw_degree() reads off the maximal factor count, the
 filtration degree in the enveloping algebra.
+
+The basis is triangular: the standard bracketing b_w of a Lyndon word w is
+w plus lexicographically larger words of the same degree (Reutenauer, Free
+Lie Algebras, ch. 5).  A Lie element is therefore written in the basis by
+peeling: take the smallest word w left, which must be Lyndon, record its
+coefficient c, subtract c*b_w, and repeat until nothing is left.
 """
 
 from __future__ import annotations
@@ -105,7 +111,6 @@ class PbwExpansion:
 
 _lock = threading.Lock()
 _bracketing_cache: dict[tuple[int, Word], Poly] = {}
-_solver_cache: dict[tuple[int, int], "_LyndonSolver"] = {}
 _pair_cache: dict[tuple[int, Word, Word], dict[Word, Fraction]] = {}
 _word_cache: dict[tuple[int, Word], dict[PbwMonomial, Fraction]] = {}
 
@@ -113,7 +118,6 @@ _word_cache: dict[tuple[int, Word], dict[PbwMonomial, Fraction]] = {}
 def clear_caches() -> None:
     with _lock:
         _bracketing_cache.clear()
-        _solver_cache.clear()
         _pair_cache.clear()
         _word_cache.clear()
 
@@ -128,73 +132,26 @@ def _bracketing_cached(n: int, w: Word) -> Poly:
     return got
 
 
-class _LyndonSolver:
-    """Expresses degree-d Lie elements in the standard-bracketing basis.
+def _lyndon_coefficients(n: int, p: Poly) -> dict[Word, Fraction]:
+    """Coefficients of the Lie element p in the standard-bracketing basis.
 
-    Augmented row echelon over the word basis: reducing a query against the
-    rows accumulates the coefficient vector in the Lyndon basis.
+    Peels off the smallest word w left: it must be Lyndon, and as b_w is w
+    plus larger words, its coefficient c is the coefficient of b_w.
     """
-
-    def __init__(self, n: int, d: int):
-        self.n = n
-        self.d = d
-        self.rows: dict[Word, tuple[dict[Word, Fraction], dict[Word, Fraction]]] = {}
-        for lw in lyndon_words(n, d):
-            if len(lw) != d:
-                continue
-            poly = _bracketing_cached(n, lw)
-            self._insert(dict(poly.terms), {lw: Fraction(1)})
-
-    def _insert(self, vec: dict[Word, Fraction], combo: dict[Word, Fraction]) -> None:
-        vec, combo = self._reduce(vec, combo)
-        if not vec:
-            return
-        pivot = max(vec)
-        lead = vec[pivot]
-        vec = {w: c / lead for w, c in vec.items()}
-        combo = {w: c / lead for w, c in combo.items()}
-        self.rows[pivot] = (vec, combo)
-
-    def _reduce(
-        self, vec: dict[Word, Fraction], combo: dict[Word, Fraction]
-    ) -> tuple[dict[Word, Fraction], dict[Word, Fraction]]:
-        while vec:
-            pivot = max(vec)
-            row = self.rows.get(pivot)
-            if row is None:
-                return vec, combo
-            c = vec[pivot]
-            rvec, rcombo = row
-            for w, v in rvec.items():
-                s = vec.get(w, 0) - c * v
-                if s:
-                    vec[w] = s
-                else:
-                    vec.pop(w, None)
-            for w, v in rcombo.items():
-                s = combo.get(w, 0) - c * v
-                if s:
-                    combo[w] = s
-                else:
-                    combo.pop(w, None)
-        return vec, combo
-
-    def solve(self, p: Poly) -> dict[Word, Fraction]:
-        """Coefficients of p in the Lyndon basis; p must be a Lie element."""
-        vec, combo = self._reduce(dict(p.terms), {})
-        if vec:
+    rest = dict(p.terms)
+    out: dict[Word, Fraction] = {}
+    while rest:
+        w = min(rest)
+        if not is_lyndon(w):
             raise ValueError("element is not in the free Lie algebra component")
-        return {w: -c for w, c in combo.items()}
-
-
-def _solver(n: int, d: int) -> _LyndonSolver:
-    key = (n, d)
-    got = _solver_cache.get(key)
-    if got is None:
-        got = _LyndonSolver(n, d)
-        with _lock:
-            _solver_cache[key] = got
-    return got
+        c = out[w] = rest[w]
+        for v, b in _bracketing_cached(n, w).terms.items():
+            s = rest.get(v, 0) - c * b
+            if s:
+                rest[v] = s
+            else:
+                rest.pop(v, None)
+    return out
 
 
 def _swap_pair(n: int, u: Word, v: Word) -> dict[Word, Fraction]:
@@ -202,8 +159,9 @@ def _swap_pair(n: int, u: Word, v: Word) -> dict[Word, Fraction]:
     key = (n, u, v)
     got = _pair_cache.get(key)
     if got is None:
-        p = bracket(_bracketing_cached(n, u), _bracketing_cached(n, v))
-        got = {} if p.is_zero() else _solver(n, len(u) + len(v)).solve(p)
+        got = _lyndon_coefficients(
+            n, bracket(_bracketing_cached(n, u), _bracketing_cached(n, v))
+        )
         with _lock:
             _pair_cache[key] = got
     return got

@@ -1,6 +1,8 @@
 import json
 
-from lcsideals.cli import main
+import pytest
+
+from lcsideals.cli import _check_degree_cap, main
 from lcsideals.series import SpanIdeal, generators_S, m_span
 
 
@@ -126,6 +128,14 @@ def test_degree_cap_requires_force(capsys):
     assert "cap" in err
 
 
+def test_sweep_cap_checks_the_cutoff(capsys):
+    code, _, err = run(
+        capsys, "conjecture-sweep", "--n-max", "2", "--k-max", "1", "--cutoff", "11"
+    )
+    assert code == 1
+    assert "cap" in err
+
+
 def test_quotient_dims_command(capsys):
     code, out, _ = run(
         capsys,
@@ -153,17 +163,38 @@ def test_open_elements_command(capsys):
     assert all(r["contained"] for r in json.loads(out)["result"])
 
 
-def test_thread_fanout_gives_identical_report(capsys, monkeypatch):
-    code, sequential, _ = run(
-        capsys, "containment", "--n", "2", "--tuple", "2,2", "--cutoff", "5"
+def test_membership_tests_every_component(capsys):
+    # x1 is not in M2 although its degree-2 companion is
+    code, out, _ = run(
+        capsys, "membership", "--n", "2", "--expr", "x1 + [x1,x2]", "--ideal", "M2"
     )
     assert code == 0
-    monkeypatch.setenv("LCSIDEALS_THREADS", "2")
-    code, threaded, _ = run(
-        capsys, "containment", "--n", "2", "--tuple", "2,2", "--cutoff", "5"
+    doc = json.loads(out)["result"]
+    assert doc["contained"] is False
+    assert doc["expr"] == "x1 + x1*x2 - x2*x1"
+    assert doc["per_degree"] == [
+        {"degree": 1, "contained": False},
+        {"degree": 2, "contained": True},
+    ]
+
+
+def test_membership_inhomogeneous_member(capsys):
+    code, out, _ = run(
+        capsys,
+        "membership", "--n", "2", "--ideal", "M2",
+        "--expr", "[x1,x2] + x1*[x1,x2]*x2",
     )
     assert code == 0
-    a, b = json.loads(sequential), json.loads(threaded)
-    a["meta"].pop("wall_time_seconds")
-    b["meta"].pop("wall_time_seconds")
-    assert a == b
+    doc = json.loads(out)["result"]
+    assert doc["contained"] is True
+    assert doc["degree"] == 4
+    assert [r["degree"] for r in doc["per_degree"]] == [2, 4]
+
+
+def test_size_cap_limits_component_size():
+    for n, degree in ((9, 10), (4, 8)):
+        with pytest.raises(SystemExit, match="cap"):
+            _check_degree_cap(n, degree, force=False)
+        _check_degree_cap(n, degree, force=True)
+    for n, degree in ((3, 10), (2, 10)):
+        _check_degree_cap(n, degree, force=False)

@@ -7,7 +7,6 @@ from lcsideals.freealg import (
     Poly,
     adjoint_power,
     bracket,
-    mul,
     nested,
     verify_identity,
 )
@@ -32,7 +31,7 @@ def test_mul_examples():
 
 def test_mul_generator_mismatch():
     with pytest.raises(ValueError):
-        mul(Poly.gen(2, 1), Poly.gen(3, 1))
+        Poly.gen(2, 1) * Poly.gen(3, 1)
 
 
 def test_bracket_examples():

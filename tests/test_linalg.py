@@ -5,10 +5,7 @@ import pytest
 from lcsideals.freealg import Poly, bracket
 from lcsideals.linalg import (
     GradedSubspace,
-    contains,
     extension_dim,
-    insert,
-    is_subspace,
     poly_to_introw,
     rank_word,
     word_rank,
@@ -27,11 +24,11 @@ def test_rank_round_trip():
 def test_insert_examples():
     w = bracket(Poly.gen(2, 1), Poly.gen(2, 2))
     S = GradedSubspace(2, 2)
-    insert(S, w)
+    S.insert(w)
     assert S.dim == 1
-    insert(S, w)
+    S.insert(w)
     assert S.dim == 1  # idempotent
-    insert(S, Poly.zero(2))
+    S.insert(Poly.zero(2))
     assert S.dim == 1
 
 
@@ -44,9 +41,9 @@ def test_insert_degree_mismatch():
 def test_contains_examples():
     w = bracket(Poly.gen(2, 1), Poly.gen(2, 2))
     S = GradedSubspace(2, 2).insert(w).freeze()
-    assert contains(S, w.scale(2))
-    assert not contains(S, Poly.monomial(2, (1, 2)))
-    assert contains(S, Poly.zero(2))
+    assert S.contains(w.scale(2))
+    assert not S.contains(Poly.monomial(2, (1, 2)))
+    assert S.contains(Poly.zero(2))
 
 
 def test_contains_sum_of_rows():
@@ -65,9 +62,9 @@ def test_is_subspace_examples():
     S = GradedSubspace(2, 2).insert(w).freeze()
     T = GradedSubspace(2, 2).insert(Poly.monomial(2, (1, 2))).freeze()
     empty = GradedSubspace(2, 2).freeze()
-    assert is_subspace(S, S)
-    assert is_subspace(empty, T)
-    assert not is_subspace(T, S)
+    assert S.is_subspace_of(S)
+    assert empty.is_subspace_of(T)
+    assert not T.is_subspace_of(S)
 
 
 def test_dim_growth_and_membership_agree():
@@ -119,7 +116,7 @@ def test_mutual_subspace_means_equal_dim():
         B.insert(p)
     A.freeze()
     B.freeze()
-    assert is_subspace(A, B) and is_subspace(B, A)
+    assert A.is_subspace_of(B) and B.is_subspace_of(A)
     assert A.dim == B.dim
 
 

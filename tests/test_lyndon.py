@@ -5,6 +5,7 @@ import pytest
 
 from lcsideals.freealg import Poly, bracket, nested
 from lcsideals.lyndon import (
+    _lyndon_coefficients,
     is_lyndon,
     lyndon_words,
     pbw_degree,
@@ -123,3 +124,35 @@ def test_pbw_degree_against_filtration_oracle():
         assert filtration_space(2, claimed, d).contains(p)
         if claimed > 1:
             assert not filtration_space(2, claimed - 1, d).contains(p)
+
+
+def test_bracketing_leading_word_is_the_lyndon_word():
+    # triangularity that _lyndon_coefficients peels along
+    for n, d_max in ((2, 10), (3, 7)):
+        for w in lyndon_words(n, d_max):
+            b = standard_bracketing(w, n)
+            assert min(b.terms) == w
+            assert b.terms[w] == 1
+
+
+def test_peeling_recovers_lyndon_coefficients():
+    rng = Random(11)
+    for n, d_max in ((2, 9), (3, 7)):
+        for d in range(1, d_max + 1):
+            words = [w for w in lyndon_words(n, d) if len(w) == d]
+            for _ in range(3):
+                chosen = rng.sample(words, min(len(words), 4))
+                want = {
+                    w: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                    for w in chosen
+                }
+                p = Poly.zero(n)
+                for w, c in want.items():
+                    p = p + standard_bracketing(w, n).scale(c)
+                assert _lyndon_coefficients(n, p) == want
+
+
+def test_peeling_rejects_non_lie_elements():
+    with pytest.raises(ValueError, match="not in the free Lie algebra"):
+        _lyndon_coefficients(2, Poly.monomial(2, (1, 2)))
+    assert _lyndon_coefficients(2, Poly.zero(2)) == {}

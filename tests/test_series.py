@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from lcsideals.freealg import Poly, all_words, bracket, nested_word_chain
-from lcsideals.linalg import is_subspace
 from lcsideals.series import (
     DimTable,
     IdealSpec,
@@ -137,8 +136,8 @@ def test_filtration_inclusions():
     for n in (2, 3):
         for k in (1, 2, 3):
             for d in range(6):
-                assert is_subspace(m_span(n, k + 1, d), m_span(n, k, d))
-                assert is_subspace(l_span(n, k + 1, d), l_span(n, k, d))
+                assert m_span(n, k + 1, d).is_subspace_of(m_span(n, k, d))
+                assert l_span(n, k + 1, d).is_subspace_of(l_span(n, k, d))
 
 
 def test_n_dims_first_layer_is_polynomial_ring():
@@ -353,6 +352,6 @@ def test_conjecture_layer_reported_not_asserted():
                         S.insert(bracket(mp, Poly.monomial(n, w)))
             S.freeze()
             L = l_span(n, k + 1, d)
-            assert is_subspace(L, S)  # L_{k+1} = [L_1, L_k] ⊆ [M_k, L_1]
+            assert L.is_subspace_of(S)  # L_{k+1} = [L_1, L_k] ⊆ [M_k, L_1]
             rows.append((k, d, S.dim, L.dim))
     print("\n[M_k,L_1] vs L_{k+1} dims (k, d, bracket-span, L):", rows)
