@@ -302,7 +302,7 @@ def cmd_structure_check(args) -> int:
                 }
             )
         result = {"quotient": spec.label(), "rows": rows}
-    report = wrap_report(args, result, n=args.n, cutoff=args.max_degree, started=started)
+    report = wrap_report(args, result, n=n, cutoff=args.max_degree, started=started)
     emit(report, args, args.format)
     return EXIT_OK if ok else EXIT_MISMATCH
 

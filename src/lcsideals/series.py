@@ -2,12 +2,14 @@
 
 All subspaces are exact echelonized graded pieces, built recursively and
 cached per (n, kind, index, degree).  L_1 is the whole algebra; L_k is
-spanned by brackets of monomials against L_{k-1}; M_k pads L_k by monomial
-multiples on both sides; product ideals multiply M-components over degree
-compositions.  Generation is optimized (single-letter brackets for L_2,
-one-letter padding for M and span closures) but spans the same subspaces
-as the defining spanning sets, which the test suite cross-checks against
-brute-force oracles.
+spanned by brackets of monomials against L_{k-1}.  M_k = A·L_k·A is built as
+the left ideal M_k(d) = V·M_k(d-1) + [V, L_{k-1}(d-1)], V the span of the
+generators, so it never needs L_k at its own degree (see m_span); span
+closures of explicit generators grow the same way, by left padding plus
+new rows.  Product ideals multiply M-components over degree compositions.
+Generation is optimized (single-letter brackets for L_2 and M, one-letter
+padding) but spans the same subspaces as the defining spanning sets, which
+the test suite cross-checks against brute-force oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
 from .freealg import Poly, Word, all_words, bracket, nested_word_chain
-from .linalg import GradedSubspace, IntRow, row_canonical
+from .linalg import GradedSubspace, IntRow, poly_to_introw, row_canonical
 
 # Right-normed pure commutator, given by its letters; length 1 = generator.
 Chain = tuple[int, ...]
@@ -70,40 +72,71 @@ def l_span(n: int, k: int, d: int) -> GradedSubspace:
 
 
 def _l_candidates(n: int, k: int, d: int) -> Iterator[IntRow]:
-    if k == 2:
-        # [letter, word]: same span as all monomial brackets by telescoping
-        # m1 m2 - m2 m1 across one-letter rotations.
-        top = n ** (d - 1)
-        for i in range(n):
-            base = i * top
-            for ru in range(top):
-                a = base + ru
-                b = ru * n + i
-                if a != b:
-                    yield {a: 1, b: -1}
-        return
-    for e in range(1, d - k + 2):
-        ds = d - e
-        sub = l_span(n, k - 1, ds)
-        shift = n**ds
-        rshift = n**e
-        for rm in range(n**e):
-            left_base = rm * shift
-            for srow in sub.int_rows():
-                vec: IntRow = {left_base + r: c for r, c in srow.items()}
-                for r, c in srow.items():
-                    key2 = r * rshift + rm
-                    s = vec.get(key2, 0) - c
-                    if s:
-                        vec[key2] = s
-                    else:
-                        vec.pop(key2, None)
-                if vec:
-                    yield vec
+    # L_2 = [V, A]: letter brackets span all monomial brackets by telescoping
+    # m1 m2 - m2 m1 across one-letter rotations.
+    for e in range(1, 2 if k == 2 else d - k + 2):
+        yield from _bracket_rows(n, l_span(n, k - 1, d - e), e)
+
+
+def _bracket_rows(n: int, sub: GradedSubspace, e: int) -> Iterator[IntRow]:
+    """The nonzero brackets [m, l] of degree-e monomials m with the rows l of sub."""
+    shift = n**sub.degree
+    rshift = n**e
+    for rm in range(n**e):
+        left_base = rm * shift
+        for srow in sub.int_rows():
+            vec: IntRow = {left_base + r: c for r, c in srow.items()}
+            for r, c in srow.items():
+                key2 = r * rshift + rm
+                s = vec.get(key2, 0) - c
+                if s:
+                    vec[key2] = s
+                else:
+                    vec.pop(key2, None)
+            if vec:
+                yield vec
+
+
+def _left_ideal_step(
+    n: int, d: int, prev: GradedSubspace, extra_rows: Iterable[IntRow]
+) -> GradedSubspace:
+    """Echelon basis of V·prev + span(extra_rows) at degree d, prev frozen.
+
+    The left pads x_i·b of prev's reduced rows are again reduced, with
+    distinct pivots i·n^(d-1) + pivot(b), so they go in without elimination.
+    One descending pass clears their pivots from an extra row, since a
+    reduced row brings in no other pivot; only these residues are
+    echelonized, in a side space, before the two row sets are merged and
+    frozen.  The extra rows are consumed.
+    """
+    S = GradedSubspace(n, d)
+    rows = S._rows
+    top = n ** (d - 1)
+    for i in range(n):
+        base = i * top
+        for p, row in prev._rows.items():
+            rows[base + p] = {base + r: c for r, c in row.items()}
+    side = GradedSubspace(n, d)
+    for vec in extra_rows:
+        for r in sorted((r for r in vec if r in rows), reverse=True):
+            GradedSubspace._eliminate(vec, rows[r], r, vec[r])
+        if vec:
+            side.insert_row(vec)
+    rows.update(side._rows)
+    return S.freeze()
 
 
 def m_span(n: int, k: int, d: int) -> GradedSubspace:
-    """Degree-d component of the two-sided ideal M_k = A·L_k·A."""
+    """Degree-d component of the two-sided ideal M_k = A·L_k·A.
+
+    For k >= 2 it is built as M_k(d) = V·M_k(d-1) + [V, L_{k-1}(d-1)].  Call
+    the right side R(d).  R is a left ideal by construction, and a right
+    ideal by induction on d: [y,l]·x = x·[y,l] - [x,[y,l]] with
+    [y,l] in L_k ⊆ L_{k-1}.  R lies in M_k, and it contains [V, L_{k-1}],
+    which generates M_k as a two-sided ideal because L_k is spanned by
+    brackets [a,l] of monomials a with l in L_{k-1}, and
+    [ab,l] = a[b,l] + [a,l]b.  Hence R = M_k.
+    """
     if k < 1:
         raise ValueError("ideal index must be >= 1")
     if d < 0:
@@ -118,15 +151,9 @@ def m_span(n: int, k: int, d: int) -> GradedSubspace:
         elif d < k:
             S = _empty(n, d)
         else:
-            rows: list[IntRow] = [dict(r) for r in l_span(n, k, d).int_rows()]
-            prev = m_span(n, k, d - 1)
-            top = n ** (d - 1)
-            for row in prev.int_rows():
-                for i in range(n):
-                    base = i * top
-                    rows.append({base + r: c for r, c in row.items()})
-                    rows.append({r * n + i: c for r, c in row.items()})
-            S = GradedSubspace.from_rows(n, d, rows)
+            S = _left_ideal_step(
+                n, d, m_span(n, k, d - 1), _bracket_rows(n, l_span(n, k - 1, d - 1), 1)
+            )
         _span_cache[key] = S
         return S
 
@@ -455,8 +482,8 @@ def generators_S(i: int, d_max: int) -> list[Poly]:
 class SpanIdeal:
     """Graded pieces of the ideal closure of explicit homogeneous generators.
 
-    two_sided pads generators by monomials on both sides; otherwise only on
-    the left.
+    Degree d is V·span(d-1) plus the degree-d generators; two_sided also
+    adds the right pads span(d-1)·V.
     """
 
     def __init__(self, n: int, generators: Iterable[Poly], two_sided: bool = True):
@@ -478,15 +505,14 @@ class SpanIdeal:
         if d < 0:
             S = _empty(self.n, d)
         else:
-            rows: list[IntRow | Poly] = list(self.by_degree.get(d, []))
-            if d > 0:
-                prev = self.span(d - 1)
-                top = self.n ** (d - 1)
-                for row in prev.int_rows():
-                    for i in range(self.n):
-                        rows.append({i * top + r: c for r, c in row.items()})
-                        if self.two_sided:
-                            rows.append({r * self.n + i: c for r, c in row.items()})
-            S = GradedSubspace.from_rows(self.n, d, rows)
+            prev = self.span(d - 1)
+            rows = [poly_to_introw(g, self.n, d) for g in self.by_degree.get(d, [])]
+            if self.two_sided:
+                rows += [
+                    {r * self.n + i: c for r, c in row.items()}
+                    for row in prev.int_rows()
+                    for i in range(self.n)
+                ]
+            S = _left_ideal_step(self.n, d, prev, rows)
         self._memo[d] = S
         return S

@@ -4,16 +4,19 @@ Everything here is deliberately independent of the optimized span
 construction in the package: spans are generated from the defining
 spanning sets (all monomial brackets, all two-sided monomial paddings),
 counts come from first principles (rotation tests, necklace classes,
-commutative monomials).
+commutative monomials).  The one exception is padded_m_span, which closes
+the package's own l_span under two-sided one-letter padding.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 from math import comb
 from random import Random
 
 from lcsideals.freealg import Poly, all_words, nested_word_chain
 from lcsideals.linalg import GradedSubspace
+from lcsideals.series import l_span
 
 
 def spanning_chains(n: int, k: int, d: int):
@@ -66,6 +69,22 @@ def oracle_m_span(n: int, k: int, d: int) -> GradedSubspace:
                     pu = Poly.monomial(n, u)
                     for v in all_words(n, b):
                         rows.append(pu * s * Poly.monomial(n, v))
+    return GradedSubspace.from_rows(n, d, rows)
+
+
+@cache
+def padded_m_span(n: int, k: int, d: int) -> GradedSubspace:
+    """M_k degree-d piece echelonized from scratch out of L_k(d) and the
+    one-letter pads x_i·b, b·x_i of every row b of M_k(d-1): the two-sided
+    step, the reference for the left-ideal build of series.m_span."""
+    if d < k:
+        return GradedSubspace(n, max(d, 0)).freeze()
+    rows = [dict(r) for r in l_span(n, k, d).int_rows()]
+    top = n ** (d - 1)
+    for row in padded_m_span(n, k, d - 1).int_rows():
+        for i in range(n):
+            rows.append({i * top + r: c for r, c in row.items()})
+            rows.append({r * n + i: c for r, c in row.items()})
     return GradedSubspace.from_rows(n, d, rows)
 
 

@@ -157,6 +157,16 @@ def test_structure_check_r22(capsys):
     assert all(r["equal"] for r in json.loads(out)["result"]["rows"])
 
 
+def test_structure_check_r23_reports_the_n_it_computes_on(capsys):
+    # R_{2,3} is checked on A_2 whatever --n says
+    code, out, _ = run(
+        capsys, "structure-check", "--which", "r23", "--n", "3", "--r", "5",
+        "--max-degree", "6",
+    )
+    assert code == 0
+    assert json.loads(out)["meta"]["n"] == 2
+
+
 def test_open_elements_command(capsys):
     code, out, _ = run(capsys, "open-elements", "--cutoff", "6")
     assert code == 0

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lcsideals import series
 from lcsideals.freealg import Poly, all_words, bracket, nested_word_chain
 from lcsideals.series import (
     DimTable,
@@ -27,6 +28,7 @@ from helpers import (
     oracle_l_span,
     oracle_m_span,
     oracle_product_span,
+    padded_m_span,
     subspaces_equal,
 )
 
@@ -67,6 +69,21 @@ def test_m_span_complement_is_polynomial_ring():
 def test_m_span_matches_bruteforce_oracle():
     for n, k, d in [(2, 2, 3), (2, 2, 4), (2, 3, 5), (3, 2, 3), (3, 3, 4)]:
         assert subspaces_equal(m_span(n, k, d), oracle_m_span(n, k, d))
+
+
+def test_m_span_left_ideal_build_matches_two_sided_padding():
+    for n, d_max in ((2, 9), (3, 6)):
+        for k in range(2, 7):
+            for d in range(d_max + 1):
+                a, b = m_span(n, k, d), padded_m_span(n, k, d)
+                assert a.pivot_words() == b.pivot_words(), (n, k, d)
+                assert a.row_polys() == b.row_polys(), (n, k, d)
+
+
+def test_m_span_builds_no_l_at_its_own_degree():
+    series.clear_caches()
+    m_span(3, 6, 7)
+    assert not [key for key in series._span_cache if key[0] == "L" and key[3] == 7]
 
 
 def test_reduced_echelon_is_canonical_across_generation_orders():
