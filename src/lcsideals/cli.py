@@ -163,6 +163,8 @@ def cmd_membership(args) -> int:
         # ideals are graded: p is a member iff each component is
         degree, parts = p.degree(), p.homogeneous_components()
     else:
+        if args.degree < 0:
+            raise ValueError("--degree must be >= 0")
         degree = args.degree
         parts = {degree: p.homogeneous_component(degree)}
         if parts[degree] != p:

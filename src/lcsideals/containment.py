@@ -18,7 +18,7 @@ from .exprs import poly_to_expr
 from .freealg import Poly, bracket
 from .linalg import IntRow, rank_word
 from .lyndon import standard_bracketing
-from .series import chain_poly, m_span, product_generators
+from .series import chain_poly, m_span, product_generators, product_span
 
 Matrix = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
@@ -131,11 +131,10 @@ def containment_index(
 
     per_degree: dict[int, int] = {}
     for d in range(total, cutoff + 1):
-        gens = product_generators(n, t, d)
+        P = product_span(n, t, d)
         s_max = 1
         for s in range(2, s_cap + 1):
-            target = m_span(n, s, d)
-            if all(target.contains_row(g) for g in gens):
+            if P.is_subspace_of(m_span(n, s, d)):
                 s_max = s
             else:
                 break
@@ -165,7 +164,12 @@ def containment_index(
 def _search_witness(
     n: int, t: tuple[int, ...], index: int, cutoff: int
 ) -> tuple[Poly, int]:
-    """Fallback: scan product generators for one outside M_{index+1}."""
+    """Fallback: scan product generators for one outside M_{index+1}.
+
+    P(d) = V·P(d-1) + product_generators(d) and M_{index+1} is a left ideal,
+    so if P leaves M_{index+1} by the cutoff, some generator does, and the
+    first one found at ascending degree lies in P but not in M_{index+1}.
+    """
     for d in range(sum(t), cutoff + 1):
         target = m_span(n, index + 1, d)
         for g in product_generators(n, t, d):

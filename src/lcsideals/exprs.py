@@ -6,7 +6,7 @@ Grammar accepted by parse_expr (n is the generator count of the result):
     term    := factor ('*'? factor)*          juxtaposition multiplies
     factor  := NUMBER | GEN | '(' expr ')' | '[' expr (',' expr)* ']'
     NUMBER  := digits ('/' digits)?           a rational literal
-    GEN     := 'x' digit                      one of x1..x9
+    GEN     := 'x' digit                      one of x1..x9, no digit after it
 
 Brackets denote right-normed commutator chains.  The canonical printer
 emits expressions this grammar parses back to the same element.
@@ -104,6 +104,8 @@ class _Parser:
             if not d.isdigit() or d == "0":
                 raise ExprSyntaxError("expected generator index 1..9 after 'x'", self.pos)
             self.pos += 1
+            if self.text[self.pos : self.pos + 1].isdigit():
+                raise ExprSyntaxError("generator index must be one digit 1..9", self.pos)
             idx = int(d)
             if idx > self.n:
                 raise ExprSyntaxError(

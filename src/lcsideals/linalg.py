@@ -92,8 +92,9 @@ class GradedSubspace:
 
     @classmethod
     def from_rows(
-        cls, n: int, degree: int, rows: Iterable[IntRow | Poly], freeze: bool = True
+        cls, n: int, degree: int, rows: Iterable[IntRow | Poly]
     ) -> "GradedSubspace":
+        """Frozen echelon span of rows (IntRows or degree-d Polys)."""
         out = cls(n, degree)
         seen: set[tuple[tuple[int, int], ...]] = set()
         for r in rows:
@@ -106,9 +107,7 @@ class GradedSubspace:
                 continue
             seen.add(key)
             out.insert_row(dict(r))
-        if freeze:
-            out.freeze()
-        return out
+        return out.freeze()
 
     # -- core reduction -------------------------------------------------
 

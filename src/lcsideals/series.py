@@ -1,15 +1,17 @@
 """Graded spanning sets for L_k, M_k, product ideals, and generator sets.
 
 All subspaces are exact echelonized graded pieces, built recursively and
-cached per (n, kind, index, degree).  L_1 is the whole algebra; L_k is
-spanned by brackets of monomials against L_{k-1}.  M_k = A·L_k·A is built as
-the left ideal M_k(d) = V·M_k(d-1) + [V, L_{k-1}(d-1)], V the span of the
-generators, so it never needs L_k at its own degree (see m_span); span
-closures of explicit generators grow the same way, by left padding plus
-new rows.  Product ideals multiply M-components over degree compositions.
-Generation is optimized (single-letter brackets for L_2 and M, one-letter
-padding) but spans the same subspaces as the defining spanning sets, which
-the test suite cross-checks against brute-force oracles.
+cached per (n, kind, indices, degree).  L_1 is the whole algebra; L_k is
+spanned by brackets of monomials against L_{k-1}.  M_k = A·L_k·A is the
+one-factor product ideal, and every product P = M_{i1}···M_{ik} is built
+as a left ideal, P(d) = V·P(d-1) + product_generators(d), V the span of the
+generators: for M_k the new rows are [V, L_{k-1}(d-1)], so M_k never needs
+L_k at its own degree (see m_span); for longer products they are
+[V, L_{i1-1}]·R with R the product of the other factors (see product_span).
+Span closures of explicit generators grow the same way, by left padding
+plus new rows.  Generation is optimized (single-letter brackets) but spans
+the same subspaces as the defining spanning sets, which the test suite
+cross-checks against brute-force oracles.
 """
 
 from __future__ import annotations
@@ -21,21 +23,19 @@ from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
 from .freealg import Poly, Word, all_words, bracket, nested_word_chain
-from .linalg import GradedSubspace, IntRow, poly_to_introw, row_canonical
+from .linalg import GradedSubspace, IntRow, poly_to_introw
 
 # Right-normed pure commutator, given by its letters; length 1 = generator.
 Chain = tuple[int, ...]
 
 _lock = threading.RLock()
 _span_cache: dict[tuple, GradedSubspace] = {}
-_gen_cache: dict[tuple, list[IntRow]] = {}
 _chain_poly_cache: dict[tuple[int, Chain], Poly] = {}
 
 
 def clear_caches() -> None:
     with _lock:
         _span_cache.clear()
-        _gen_cache.clear()
         _chain_poly_cache.clear()
 
 
@@ -129,95 +129,84 @@ def _left_ideal_step(
 def m_span(n: int, k: int, d: int) -> GradedSubspace:
     """Degree-d component of the two-sided ideal M_k = A·L_k·A.
 
-    For k >= 2 it is built as M_k(d) = V·M_k(d-1) + [V, L_{k-1}(d-1)].  Call
-    the right side R(d).  R is a left ideal by construction, and a right
-    ideal by induction on d: [y,l]·x = x·[y,l] - [x,[y,l]] with
-    [y,l] in L_k ⊆ L_{k-1}.  R lies in M_k, and it contains [V, L_{k-1}],
-    which generates M_k as a two-sided ideal because L_k is spanned by
-    brackets [a,l] of monomials a with l in L_{k-1}, and
-    [ab,l] = a[b,l] + [a,l]b.  Hence R = M_k.
+    For k >= 2 it is the one-factor product ideal, built as
+    M_k(d) = V·M_k(d-1) + [V, L_{k-1}(d-1)].  Call the right side R(d).  R is
+    a left ideal by construction, and a right ideal by induction on d:
+    [y,l]·x = x·[y,l] - [x,[y,l]] with [y,l] in L_k ⊆ L_{k-1}.  R lies in
+    M_k, and it contains [V, L_{k-1}], which generates M_k as a two-sided
+    ideal because L_k is spanned by brackets [a,l] of monomials a with l in
+    L_{k-1}, and [ab,l] = a[b,l] + [a,l]b.  Hence R = M_k.
     """
     if k < 1:
         raise ValueError("ideal index must be >= 1")
-    if d < 0:
-        return _empty(n, d)
-    key = ("M", n, k, d)
-    with _lock:
-        got = _span_cache.get(key)
-        if got is not None:
-            return got
-        if k == 1:
-            S = _full_component(n, d)
-        elif d < k:
-            S = _empty(n, d)
-        else:
-            S = _left_ideal_step(
-                n, d, m_span(n, k, d - 1), _bracket_rows(n, l_span(n, k - 1, d - 1), 1)
-            )
-        _span_cache[key] = S
-        return S
+    return l_span(n, 1, d) if k == 1 else product_span(n, (k,), d)
 
 
 def product_generators(n: int, indices: Sequence[int], d: int) -> list[IntRow]:
-    """Spanning rows of M_{i1}···M_{ik} at degree d: products of basis rows
-    of the factors over all degree compositions."""
+    """The rows that M_{i1}···M_{ik} adds at degree d to the left pads
+    V·P(d-1), as a list of fresh rows (see _generator_rows)."""
     indices = tuple(indices)
     if not indices:
         raise ValueError("need at least one factor")
-    key = ("PG", n, indices, d)
-    with _lock:
-        got = _gen_cache.get(key)
-        if got is not None:
-            return got
-        if len(indices) == 1:
-            rows = [dict(r) for r in m_span(n, indices[0], d).int_rows()]
-        else:
-            head, rest = indices[0], indices[1:]
-            rows = []
-            seen: set[tuple[tuple[int, int], ...]] = set()
-            rest_min = sum(rest)
-            for d1 in range(head, d - rest_min + 1):
-                shift = n ** (d - d1)
-                heads = list(m_span(n, head, d1).int_rows())
-                if not heads:
-                    continue
-                tails = product_generators(n, rest, d - d1)
-                for ra in heads:
-                    for rb in tails:
-                        vec = {
-                            ka * shift + kb: va * vb
-                            for ka, va in ra.items()
-                            for kb, vb in rb.items()
-                        }
-                        ckey = row_canonical(vec)
-                        if ckey not in seen:
-                            seen.add(ckey)
-                            rows.append(vec)
-        _gen_cache[key] = rows
-        return rows
+    return list(_generator_rows(n, indices, d))
+
+
+def _generator_rows(n: int, indices: tuple[int, ...], d: int) -> Iterator[IntRow]:
+    """The new rows of P = M_{i1}···M_{ik} at degree d (see product_span).
+
+    One factor k: the brackets [x, l], x a generator, l in L_{k-1}(d-1).
+    More factors (i,)+rest: the products [x, l]·r, l in L_{i-1}(d1-1) and r
+    a basis row of the product ideal of rest at degree d - d1, with d1 = 2
+    only when i = 2.  The builders take the rows lazily: held as a list,
+    they raised the peak memory of a containment question by a tenth.
+    """
+    head, rest = indices[0], indices[1:]
+    if not rest:
+        yield from _bracket_rows(n, l_span(n, head - 1, d - 1), 1)
+        return
+    top = d - sum(rest)
+    last = min(top, 2) if head == 2 else top
+    for d1 in range(head, last + 1):
+        tails = list(product_span(n, rest, d - d1).int_rows())
+        shift = n ** (d - d1)
+        for ra in _bracket_rows(n, l_span(n, head - 1, d1 - 1), 1):
+            for rb in tails:
+                yield {
+                    ka * shift + kb: va * vb
+                    for ka, va in ra.items()
+                    for kb, vb in rb.items()
+                }
 
 
 def product_span(n: int, indices: Sequence[int], d: int) -> GradedSubspace:
-    """Degree-d component of the product ideal M_{i1}···M_{ik}."""
+    """Degree-d component of the product ideal M_{i1}···M_{ik}.
+
+    Built as the left ideal P(d) = V·P(d-1) + product_generators(d).  Write
+    P = M_i·R with R = M_{i2}···M_{ik}, a two-sided ideal of minimal degree
+    |R| = i2 + ... + ik.  Then P = A·L_i·A·R = A·L_i·R.  L_i is spanned by
+    brackets [ab, l] of monomials with l in L_{i-1}, and
+    [ab, l]·r = a·[b, l]·r + [a, l]·(b r) with b r in R, so by induction on
+    the degree of the monomial P = A·[V, L_{i-1}]·R, that is
+
+        P(d) = V·P(d-1) + Σ_{d1=i}^{d-|R|} [V, L_{i-1}(d1-1)]·R(d-d1).
+
+    For i = 2 only d1 = 2 is needed, because
+    [x, y m]·r = [x, y]·(m r) + y·[x, m]·r with m r in R.  With one factor
+    (R = A) only d1 = d is needed, by the right-ideal argument of m_span.
+    """
     indices = tuple(indices)
-    for i in indices:
-        if i < 2:
-            raise ValueError("product ideal indices must be >= 2")
-    if len(indices) == 1:
-        return m_span(n, indices[0], d)
-    if d < 0:
+    if not indices or min(indices) < 2:
+        raise ValueError("product ideal indices must be >= 2")
+    if d < sum(indices):
         return _empty(n, d)
     key = ("P", n, indices, d)
     with _lock:
         got = _span_cache.get(key)
-        if got is not None:
-            return got
-        if d < sum(indices):
-            S = _empty(n, d)
-        else:
-            S = GradedSubspace.from_rows(n, d, product_generators(n, indices, d))
-        _span_cache[key] = S
-        return S
+        if got is None:
+            got = _span_cache[key] = _left_ideal_step(
+                n, d, product_span(n, indices, d - 1), _generator_rows(n, indices, d)
+            )
+        return got
 
 
 # -- ideal specifications ------------------------------------------------

@@ -4,8 +4,9 @@ Everything here is deliberately independent of the optimized span
 construction in the package: spans are generated from the defining
 spanning sets (all monomial brackets, all two-sided monomial paddings),
 counts come from first principles (rotation tests, necklace classes,
-commutative monomials).  The one exception is padded_m_span, which closes
-the package's own l_span under two-sided one-letter padding.
+commutative monomials).  The exceptions are padded_m_span, which closes
+the package's own l_span under two-sided one-letter padding, and
+composed_product_span, which multiplies the package's own m_span bases.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from random import Random
 
 from lcsideals.freealg import Poly, all_words, nested_word_chain
 from lcsideals.linalg import GradedSubspace
-from lcsideals.series import l_span
+from lcsideals.series import l_span, m_span
 
 
 def spanning_chains(n: int, k: int, d: int):
@@ -86,6 +87,32 @@ def padded_m_span(n: int, k: int, d: int) -> GradedSubspace:
             rows.append({i * top + r: c for r, c in row.items()})
             rows.append({r * n + i: c for r, c in row.items()})
     return GradedSubspace.from_rows(n, d, rows)
+
+
+def composed_product_span(n: int, indices: tuple[int, ...], d: int) -> GradedSubspace:
+    """Product ideal piece echelonized from scratch out of the products of
+    the full m_span bases of the factors over all degree compositions: the
+    reference for the left-ideal build of series.product_span."""
+    def rows_for(idx: tuple[int, ...], deg: int) -> list[dict[int, int]]:
+        if len(idx) == 1:
+            return list(m_span(n, idx[0], deg).int_rows())
+        out = []
+        rest = idx[1:]
+        for d1 in range(idx[0], deg - sum(rest) + 1):
+            shift = n ** (deg - d1)
+            tails = rows_for(rest, deg - d1)
+            for ra in m_span(n, idx[0], d1).int_rows():
+                for rb in tails:
+                    out.append(
+                        {
+                            ka * shift + kb: va * vb
+                            for ka, va in ra.items()
+                            for kb, vb in rb.items()
+                        }
+                    )
+        return out
+
+    return GradedSubspace.from_rows(n, d, rows_for(indices, d))
 
 
 def oracle_product_span(n: int, indices: tuple[int, ...], d: int) -> GradedSubspace:

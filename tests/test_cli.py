@@ -72,6 +72,25 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_multi_digit_generator_is_a_parse_error(capsys):
+    code, out, err = run(
+        capsys, "membership", "--n", "3", "--expr", "x10", "--ideal", "M2"
+    )
+    assert code == 1
+    assert out == ""
+    assert "generator index" in err
+
+
+def test_membership_rejects_negative_degree(capsys):
+    code, out, err = run(
+        capsys, "membership", "--n", "3", "--expr", "x1", "--ideal", "M2",
+        "--degree", "-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "--degree" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["containment", "--n", "2"]) == 1  # missing --tuple
     capsys.readouterr()

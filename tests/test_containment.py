@@ -20,7 +20,7 @@ from lcsideals.containment import (
 )
 from lcsideals.freealg import Poly, bracket
 from lcsideals.lyndon import is_lyndon, pbw_degree
-from lcsideals.series import l_span, m_span
+from lcsideals.series import l_span, m_span, product_span
 
 
 def test_headline_example_a2_22():
@@ -91,6 +91,7 @@ def test_search_witness_scans_generators():
 
     w, d = _search_witness(4, (2, 2), 2, 5)
     assert w.degree() == d
+    assert product_span(4, (2, 2), d).contains(w)
     assert not m_span(4, 3, d).contains(w)
 
 

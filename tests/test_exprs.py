@@ -55,6 +55,15 @@ def test_generator_out_of_range():
         parse_expr("x3", 2)
 
 
+def test_digit_after_generator_index_is_an_error():
+    # x10 once parsed as x1*0 and x12 as 2*x1
+    for text in ("x10", "x12", "[x1,x23]"):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, 3)
+        assert text[err.value.pos].isdigit() and text[err.value.pos - 2] == "x"
+    assert parse_expr("x1 2", 3) == parse_expr("2*x1", 3)
+
+
 def test_printer_examples():
     assert poly_to_expr(Poly.zero(2)) == "0"
     assert poly_to_expr(Poly.one(2)) == "1"

@@ -24,6 +24,7 @@ from lcsideals.series import (
 
 from helpers import (
     commutative_monomial_count,
+    composed_product_span,
     necklace_count,
     oracle_l_span,
     oracle_m_span,
@@ -78,6 +79,16 @@ def test_m_span_left_ideal_build_matches_two_sided_padding():
                 a, b = m_span(n, k, d), padded_m_span(n, k, d)
                 assert a.pivot_words() == b.pivot_words(), (n, k, d)
                 assert a.row_polys() == b.row_polys(), (n, k, d)
+
+
+def test_product_span_left_ideal_build_matches_composed_products():
+    tuples = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2)]
+    for n, d_max in ((2, 9), (3, 6)):
+        for t in tuples:
+            for d in range(d_max + 1):
+                a, b = product_span(n, t, d), composed_product_span(n, t, d)
+                assert a.pivot_words() == b.pivot_words(), (n, t, d)
+                assert a.row_polys() == b.row_polys(), (n, t, d)
 
 
 def test_m_span_builds_no_l_at_its_own_degree():
@@ -293,6 +304,7 @@ def test_ideals_are_one_sided():
 def test_latyshev_and_odd_rule_on_a2():
     for m, l in [(2, 2), (2, 3), (3, 3)]:
         for d in range(m + l, 8):
+            assert product_span(2, (m, l), d).is_subspace_of(m_span(2, m + l - 2, d))
             gens = product_generators(2, (m, l), d)
             assert all(m_span(2, m + l - 2, d).contains_row(g) for g in gens)
             if m % 2 or l % 2:
