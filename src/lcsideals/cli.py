@@ -34,7 +34,7 @@ from .quotients import (
     r23_structure_dims,
     structure_basis_r22,
 )
-from .series import IdealSpec, SpanIdeal, dim_table, generators_S, m_span
+from .series import IdealSpec, SpanIdeal, dim_table, generators_S, m_span, spec_span
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -146,6 +146,7 @@ def cmd_pbw_degree(args) -> int:
     if p.is_zero():
         print("error: zero element has no PBW degree", file=sys.stderr)
         return EXIT_USAGE
+    _check_degree_cap(args.n, p.degree(), args.force)
     result = {"expr": poly_to_expr(p), "pbw_degree": pbw_degree(p)}
     report = wrap_report(args, result, n=args.n, started=started)
     emit(report, args, args.format)
@@ -173,17 +174,9 @@ def cmd_membership(args) -> int:
                 file=sys.stderr,
             )
     _check_degree_cap(args.n, degree, args.force)
-    from .series import l_span, product_span
-
-    def space(d):
-        if spec.kind == "L":
-            return l_span(args.n, spec.index, d)
-        if spec.kind == "M":
-            return m_span(args.n, spec.index, d)
-        return product_span(args.n, spec.factors, d)
-
     per_degree = [
-        {"degree": d, "contained": space(d).contains(c)} for d, c in parts.items()
+        {"degree": d, "contained": spec_span(spec, d).contains(c)}
+        for d, c in parts.items()
     ]
     result = {
         "expr": poly_to_expr(p if args.degree is None else parts[degree]),

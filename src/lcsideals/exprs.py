@@ -6,7 +6,8 @@ Grammar accepted by parse_expr (n is the generator count of the result):
     term    := factor ('*'? factor)*          juxtaposition multiplies
     factor  := NUMBER | GEN | '(' expr ')' | '[' expr (',' expr)* ']'
     NUMBER  := digits ('/' digits)?           a rational literal
-    GEN     := 'x' digit                      one of x1..x9, no digit after it
+    GEN     := 'x' digit                      one of x1..x9, no space inside,
+                                              no digit after it
 
 Brackets denote right-normed commutator chains.  The canonical printer
 emits expressions this grammar parses back to the same element.
@@ -100,7 +101,7 @@ class _Parser:
         if ch == "x":
             start = self.pos
             self.pos += 1
-            d = self._peek()
+            d = self.text[self.pos : self.pos + 1]
             if not d.isdigit() or d == "0":
                 raise ExprSyntaxError("expected generator index 1..9 after 'x'", self.pos)
             self.pos += 1

@@ -4,9 +4,16 @@ A GradedSubspace holds a row echelon basis of a subspace of the degree-d
 component, with pivot = maximal word in lexicographic order.  Rows are
 stored as sparse integer vectors (content-stripped, positive leading
 coefficient); the rational rows with leading coefficient 1 are recovered on
-demand.  Freezing back-eliminates to the unique reduced echelon form and
-makes the subspace immutable, after which membership tests reduce in a
-single descending pass.
+demand.
+
+Against reduced rows, one descending pass over the pivots of a vector
+clears them all, because a reduced row brings in no other pivot.  That one
+pass (_clear) is the only elimination against a reduced basis: freezing
+runs it on each row in ascending pivot order, which yields the unique
+reduced echelon form and makes the subspace immutable; membership runs it
+on a frozen subspace; and residues(rows) runs it on each new row and
+echelonizes what is left, which builds every span (from_rows), extension
+(extension_dim) and left-ideal step.
 """
 
 from __future__ import annotations
@@ -68,11 +75,6 @@ def _strip(row: IntRow) -> IntRow:
     return row
 
 
-def row_canonical(row: IntRow) -> tuple[tuple[int, int], ...]:
-    """Hashable canonical form for deduplicating spanning candidates."""
-    return tuple(sorted(_strip(dict(row)).items()))
-
-
 class GradedSubspace:
     """Span of homogeneous degree-d elements, as an echelonized basis.
 
@@ -95,37 +97,27 @@ class GradedSubspace:
         cls, n: int, degree: int, rows: Iterable[IntRow | Poly]
     ) -> "GradedSubspace":
         """Frozen echelon span of rows (IntRows or degree-d Polys)."""
-        out = cls(n, degree)
-        seen: set[tuple[tuple[int, int], ...]] = set()
-        for r in rows:
-            if isinstance(r, Poly):
-                r = poly_to_introw(r, n, degree)
-            if not r:
-                continue
-            key = row_canonical(r)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.insert_row(dict(r))
-        return out.freeze()
+        return cls(n, degree).residues(rows).freeze()
 
     # -- core reduction -------------------------------------------------
 
-    def _reduce(self, vec: IntRow) -> IntRow:
-        """Eliminate pivot coordinates of vec against the stored rows.
+    def _clear(self, vec: IntRow, own: int = -1) -> IntRow:
+        """Eliminate every pivot of vec except own, in one descending pass.
 
         Exact up to a positive scalar, which is all membership and rank
-        need.  On a frozen subspace a single descending pass suffices.
+        need.  Valid only against reduced rows, which bring in no other
+        pivot.
         """
         rows = self._rows
+        for r in sorted((r for r in vec if r != own and r in rows), reverse=True):
+            self._eliminate(vec, rows[r], r, vec[r])
+        return vec
+
+    def _reduce(self, vec: IntRow) -> IntRow:
+        """Eliminate pivot coordinates of vec against the stored rows."""
         if self._frozen:
-            hits = sorted((r for r in vec if r in rows), reverse=True)
-            for r in hits:
-                c = vec.get(r)
-                if not c:
-                    continue
-                self._eliminate(vec, rows[r], r, c)
-            return vec
+            return self._clear(vec)
+        rows = self._rows
         while vec:
             m = max(vec)
             row = rows.get(m)
@@ -174,16 +166,25 @@ class GradedSubspace:
             return self
         rows = self._rows
         for pivot in sorted(rows):
-            vec = rows[pivot]
-            hits = sorted((r for r in vec if r != pivot and r in rows), reverse=True)
-            for r in hits:
-                c = vec.get(r)
-                if not c:
-                    continue
-                self._eliminate(vec, rows[r], r, c)
-            rows[pivot] = _strip(vec)
+            rows[pivot] = _strip(self._clear(rows[pivot], pivot))
         self._frozen = True
         return self
+
+    def residues(self, rows: Iterable[IntRow | Poly]) -> "GradedSubspace":
+        """Unfrozen echelon span of the residues of rows modulo this basis.
+
+        The stored rows must be reduced (frozen, or reduced by
+        construction).  rows are IntRows or degree-d Polys; each is copied,
+        so the rows of a cached span can be passed.
+        """
+        side = GradedSubspace(self.n, self.degree)
+        for r in rows:
+            if isinstance(r, Poly):
+                r = poly_to_introw(r, self.n, self.degree)
+            vec = self._clear(dict(r))
+            if vec:
+                side.insert_row(vec)
+        return side
 
     # -- queries ----------------------------------------------------------
 
@@ -191,20 +192,12 @@ class GradedSubspace:
     def dim(self) -> int:
         return len(self._rows)
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def contains_row(self, vec: IntRow) -> bool:
         return not self._reduce(dict(vec))
 
     def contains(self, p: Poly) -> bool:
         """Exact membership of a degree-d homogeneous element."""
         return self.contains_row(poly_to_introw(p, self.n, self.degree))
-
-    def residue_row(self, vec: IntRow) -> IntRow:
-        """Reduction of vec against the basis (canonical up to scale)."""
-        return _strip(self._reduce(dict(vec)))
 
     def is_subspace_of(self, other: "GradedSubspace") -> bool:
         if self.n != other.n or self.degree != other.degree:
@@ -246,11 +239,6 @@ class GradedSubspace:
 
 def extension_dim(base: GradedSubspace, rows: Iterable[IntRow | Poly]) -> int:
     """dim(span(base ∪ rows)) - dim(base), without copying base."""
-    side = GradedSubspace(base.n, base.degree)
-    for r in rows:
-        if isinstance(r, Poly):
-            r = poly_to_introw(r, base.n, base.degree)
-        rem = base.residue_row(r)
-        if rem:
-            side.insert_row(rem)
-    return side.dim
+    if not base._frozen:
+        raise ValueError("extension_dim needs a frozen base")
+    return base.residues(rows).dim

@@ -104,10 +104,9 @@ def _left_ideal_step(
 
     The left pads x_i·b of prev's reduced rows are again reduced, with
     distinct pivots i·n^(d-1) + pivot(b), so they go in without elimination.
-    One descending pass clears their pivots from an extra row, since a
-    reduced row brings in no other pivot; only these residues are
-    echelonized, in a side space, before the two row sets are merged and
-    frozen.  The extra rows are consumed.
+    Only the residues of the extra rows modulo the pads are echelonized
+    (GradedSubspace.residues, which leaves the extra rows unchanged) before
+    the two row sets are merged and frozen.
     """
     S = GradedSubspace(n, d)
     rows = S._rows
@@ -116,13 +115,7 @@ def _left_ideal_step(
         base = i * top
         for p, row in prev._rows.items():
             rows[base + p] = {base + r: c for r, c in row.items()}
-    side = GradedSubspace(n, d)
-    for vec in extra_rows:
-        for r in sorted((r for r in vec if r in rows), reverse=True):
-            GradedSubspace._eliminate(vec, rows[r], r, vec[r])
-        if vec:
-            side.insert_row(vec)
-    rows.update(side._rows)
+    rows.update(S.residues(extra_rows)._rows)
     return S.freeze()
 
 
@@ -258,14 +251,21 @@ class IdealSpec:
         return f"{self.kind}{self.index}"
 
 
-def spec_dim(spec: IdealSpec, d: int) -> int:
+def spec_span(spec: IdealSpec, d: int) -> GradedSubspace:
+    """Degree-d piece of an L, M or P spec; an N spec names a quotient."""
     if spec.kind == "L":
-        return l_span(spec.n, spec.index, d).dim
+        return l_span(spec.n, spec.index, d)
     if spec.kind == "M":
-        return m_span(spec.n, spec.index, d).dim
+        return m_span(spec.n, spec.index, d)
+    if spec.kind == "P":
+        return product_span(spec.n, spec.factors, d)
+    raise ValueError(f"{spec.label()} is a quotient, not a span")
+
+
+def spec_dim(spec: IdealSpec, d: int) -> int:
     if spec.kind == "N":
         return m_span(spec.n, spec.index, d).dim - m_span(spec.n, spec.index + 1, d).dim
-    return product_span(spec.n, spec.factors, d).dim
+    return spec_span(spec, d).dim
 
 
 @dataclass
@@ -429,8 +429,9 @@ def free_permute(
 # -- generator sets of M-ideals on two generators --------------------------
 
 
-def shapes_for_index(i: int) -> list[tuple[int, ...]]:
-    """Length tuples (i_1..i_q), entries >= 2, with sum - q + 1 = i."""
+def shapes_for_index(i: int, max_parts: int | None = None) -> list[tuple[int, ...]]:
+    """Length tuples (i_1..i_q), entries >= 2, with sum - q + 1 = i, and
+    q <= max_parts if given."""
     if i < 2:
         raise ValueError("index must be >= 2")
     out: list[tuple[int, ...]] = []
@@ -443,7 +444,7 @@ def shapes_for_index(i: int) -> list[tuple[int, ...]]:
         for v in range(2, remaining_sum - 2 * (parts - 1) + 1):
             build(remaining_sum - v, parts - 1, prefix + (v,))
 
-    for q in range(1, i):
+    for q in range(1, i if max_parts is None else min(i, max_parts + 1)):
         build(i + q - 1, q, ())
     return sorted(out, key=lambda t: (len(t), t))
 
@@ -454,9 +455,8 @@ def generators_S(i: int, d_max: int) -> list[Poly]:
     n = 2
     polys: list[Poly] = []
     seen: set[Poly] = set()
-    for shape in shapes_for_index(i):
-        if sum(shape) > d_max:
-            continue
+    # a shape with q parts has degree i + q - 1
+    for shape in shapes_for_index(i, d_max - i + 1):
         per_factor = [
             [c for c in iter_product(range(1, n + 1), repeat=l)] for l in shape
         ]

@@ -81,6 +81,23 @@ def test_multi_digit_generator_is_a_parse_error(capsys):
     assert "generator index" in err
 
 
+def test_space_inside_generator_is_a_parse_error(capsys):
+    code, out, err = run(
+        capsys, "membership", "--n", "2", "--expr", "x 1*x2 - x2*x 1", "--ideal", "M2"
+    )
+    assert code == 1
+    assert out == ""
+    assert "generator index" in err
+
+
+def test_pbw_degree_checks_the_size_cap(capsys):
+    word = "*".join(["x1", "x2", "x3"] * 3 + ["x1", "x2"])  # degree 11
+    code, out, err = run(capsys, "pbw-degree", "--n", "3", "--expr", word)
+    assert code == 1
+    assert out == ""
+    assert "--force" in err
+
+
 def test_membership_rejects_negative_degree(capsys):
     code, out, err = run(
         capsys, "membership", "--n", "3", "--expr", "x1", "--ideal", "M2",

@@ -64,6 +64,15 @@ def test_digit_after_generator_index_is_an_error():
     assert parse_expr("x1 2", 3) == parse_expr("2*x1", 3)
 
 
+def test_space_inside_generator_is_an_error():
+    # "x 1" once parsed as x1
+    for text in ("x 1", "[x1 , x 2]", "x\t2"):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, 2)
+        assert text[err.value.pos - 1] == "x"
+    assert parse_expr(" [ x1 , x2 ] ", 2) == parse_expr("[x1,x2]", 2)
+
+
 def test_printer_examples():
     assert poly_to_expr(Poly.zero(2)) == "0"
     assert poly_to_expr(Poly.one(2)) == "1"

@@ -1,6 +1,9 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsideals.freealg import Poly, bracket
 from lcsideals.linalg import (
@@ -128,6 +131,49 @@ def test_extension_dim():
     assert (
         extension_dim(S, [Poly.monomial(2, (1, 2)), Poly.monomial(2, (2, 1))]) == 1
     )
+    with pytest.raises(ValueError):
+        extension_dim(GradedSubspace(2, 2).insert(w), [w])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    st.sampled_from([(2, 3), (2, 4), (3, 3)]),
+    st.randoms(use_true_random=False),
+    st.integers(0, 8),
+    st.integers(0, 8),
+)
+def test_extension_dim_is_the_growth_of_the_joint_span(cell, rng, n_base, n_rows):
+    n, d = cell
+    B = GradedSubspace.from_rows(
+        n, d, [random_homogeneous(rng, n, d) for _ in range(n_base)]
+    )
+    rows = []
+    for _ in range(n_rows):
+        # half of the rows are members of B, half are perturbed members
+        p = sum(
+            (q.scale(rng.randint(-2, 2)) for q in B.row_polys()), Poly.zero(n)
+        )
+        if rng.random() < 0.5:
+            p = p + random_homogeneous(rng, n, d, terms=2)
+        rows.append(poly_to_introw(p, n, d))
+    joint = GradedSubspace.from_rows(n, d, list(B.int_rows()) + rows)
+    assert extension_dim(B, rows) == joint.dim - B.dim
+
+
+def test_from_rows_ignores_repeated_rows():
+    rng = Random(16)
+    polys = [random_homogeneous(rng, 2, 4, terms=5) for _ in range(6)]
+    rows = [poly_to_introw(p, 2, 4) for p in polys]
+    noisy = [{}, Poly.zero(2)]
+    for p, row in zip(polys, rows):
+        noisy += [row, dict(row), {k: -v for k, v in row.items()}]
+        noisy += [{k: 6 * v for k, v in row.items()}, p.scale(Fraction(-3, 2))]
+    kept = [dict(r) if isinstance(r, dict) else r for r in noisy]
+    plain = GradedSubspace.from_rows(2, 4, rows)
+    repeated = GradedSubspace.from_rows(2, 4, noisy)
+    assert repeated.pivot_words() == plain.pivot_words()
+    assert repeated.row_polys() == plain.row_polys()
+    assert noisy == kept  # the offered rows are left as they were
 
 
 def test_poly_to_introw_clears_denominators():

@@ -11,7 +11,7 @@ from lcsideals.quotients import (
     structure_basis_r22,
     two_row_module_dim,
 )
-from lcsideals.series import l_span, m_span
+from lcsideals.series import l_span, m_span, product_span
 
 
 def test_spec_validation():
@@ -43,6 +43,16 @@ def test_quotient_dims_never_exceed_free_dims():
     for r in (1, 2, 3):
         for d in range(7):
             assert quotient_dim(spec, "M", r, d) <= m_span(2, r, d).dim
+
+
+def test_quotient_dim_leaves_cached_spans_unchanged():
+    spec = QuotientSpec(2, 2, 2)
+    spans = [l_span(2, 3, 6), m_span(2, 3, 6), product_span(2, (2, 2), 6)]
+    before = [[dict(r) for r in S.int_rows()] for S in spans]
+    for kind in ("L", "M", "N", "B"):
+        quotient_dim(spec, kind, 3, 6)
+    assert l_span(2, 3, 6) is spans[0] and m_span(2, 3, 6) is spans[1]
+    assert [[dict(r) for r in S.int_rows()] for S in spans] == before
 
 
 def test_quotient_dim_validation():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from lcsideals.series import (
     pure_product_poly,
     shapes_for_index,
     spec_dim,
+    spec_span,
 )
 
 from helpers import (
@@ -191,6 +193,9 @@ def test_ideal_spec_parse_and_dims():
     assert IdealSpec.parse("P2,2", 2).factors == (2, 2)
     assert IdealSpec.parse("M2*M3", 2).factors == (2, 3)
     assert spec_dim(IdealSpec.parse("N1", 2), 4) == 5
+    assert spec_span(IdealSpec.parse("M2*M3", 2), 6) is product_span(2, (2, 3), 6)
+    with pytest.raises(ValueError):
+        spec_span(IdealSpec.parse("N1", 2), 4)
     with pytest.raises(ValueError):
         IdealSpec.parse("X3", 2)
     with pytest.raises(ValueError):
@@ -271,6 +276,19 @@ def test_shapes_for_index():
     assert shapes_for_index(2) == [(2,)]
     assert shapes_for_index(3) == [(3,), (2, 2)]
     assert set(shapes_for_index(4)) == {(4,), (2, 3), (3, 2), (2, 2, 2)}
+    for q in range(8):
+        assert shapes_for_index(7, q) == [s for s in shapes_for_index(7) if len(s) <= q]
+
+
+def test_generators_S_enumerates_only_shapes_within_the_degree():
+    # index 20 has 2^18 shapes, all of degree >= 20
+    tracemalloc.start()
+    try:
+        assert generators_S(20, 8) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_generators_S_two_sided_span_equals_ideal():
