@@ -7,7 +7,9 @@ structure checks, the conjecture sweep, and the degree-6 open elements.
 Exit codes: 0 success, 1 usage or parse error, 2 a verification-style check
 failed.  Reports are JSON (canonical: sorted keys, rationals in lowest
 terms) or CSV for dimension tables; every report carries n, the cutoff,
-the tool version, and wall-clock time.
+the tool version, and wall-clock time.  main stamps the start time and
+each verb hands its result to emit() once, which alone builds that envelope;
+refusals raise SystemExit(message), which main reports with exit code 1.
 """
 
 from __future__ import annotations
@@ -49,35 +51,31 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def emit(report: dict, args, fmt: str = "json", csv_text: str | None = None) -> None:
-    text = csv_text if (fmt == "csv" and csv_text is not None) else canonical_json(report)
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-        meta = report.get("meta", {})
-        print(
-            f"{meta.get('command', args.verb)}: report written to {out_path} "
-            f"({meta.get('wall_time_seconds', 0)}s)"
-        )
-    else:
-        sys.stdout.write(text)
-
-
-def wrap_report(args, result, n=None, cutoff=None, started=None) -> dict:
-    return {
+def emit(args, result, n=None, cutoff=None, csv_text: str | None = None) -> None:
+    """Wrap result in the report envelope; write it, or csv_text for
+    --format csv where the verb has one, to stdout or --out."""
+    wall = round(time.monotonic() - args.started, 6)
+    report = {
         "meta": {
             "tool": "lcsideals",
             "version": __version__,
             "command": args.verb,
             "n": n,
             "cutoff": cutoff,
-            "wall_time_seconds": round(time.monotonic() - started, 6)
-            if started is not None
-            else None,
+            "wall_time_seconds": wall,
         },
         "result": result,
     }
+    if args.format == "csv" and csv_text is not None:
+        text = csv_text
+    else:
+        text = canonical_json(report)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        print(f"{args.verb}: report written to {args.out} ({wall}s)")
+    else:
+        sys.stdout.write(text)
 
 
 def _check_degree_cap(n: int, degree: int, force: bool) -> None:
@@ -96,32 +94,24 @@ def _check_degree_cap(n: int, degree: int, force: bool) -> None:
 
 
 def cmd_dims(args) -> int:
-    started = time.monotonic()
     _check_degree_cap(args.n, args.max_degree, args.force)
     specs = [IdealSpec.parse(s, args.n) for s in args.ideal]
     table = dim_table(specs, args.max_degree)
-    report = wrap_report(
-        args, table.to_json_obj(), n=args.n, cutoff=args.max_degree, started=started
-    )
-    emit(report, args, args.format, csv_text=table.to_csv())
+    result, csv_text = table.to_json_obj(), table.to_csv()
+    emit(args, result, n=args.n, cutoff=args.max_degree, csv_text=csv_text)
     return EXIT_OK
 
 
 def cmd_containment(args) -> int:
-    started = time.monotonic()
     indices = _parse_tuple(args.tuple)
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff(indices)
     _check_degree_cap(args.n, cutoff, args.force)
-    report_obj = containment_index(args.n, indices, cutoff)
-    report = wrap_report(
-        args, report_obj.to_json_obj(), n=args.n, cutoff=cutoff, started=started
-    )
-    emit(report, args, args.format)
+    report = containment_index(args.n, indices, cutoff)
+    emit(args, report.to_json_obj(), n=args.n, cutoff=cutoff)
     return EXIT_OK
 
 
 def cmd_witness(args) -> int:
-    started = time.monotonic()
     indices = _parse_tuple(args.tuple)
     w = pbw_witness(args.n, indices)
     degree = w.degree()
@@ -135,31 +125,24 @@ def cmd_witness(args) -> int:
         "target_ideal": f"M{target}",
         "contained": inside,
     }
-    report = wrap_report(args, result, n=args.n, cutoff=degree, started=started)
-    emit(report, args, args.format)
+    emit(args, result, n=args.n, cutoff=degree)
     return EXIT_MISMATCH if inside else EXIT_OK
 
 
 def cmd_pbw_degree(args) -> int:
-    started = time.monotonic()
     p = parse_expr(args.expr, args.n)
     if p.is_zero():
-        print("error: zero element has no PBW degree", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit("zero element has no PBW degree")
     _check_degree_cap(args.n, p.degree(), args.force)
-    result = {"expr": poly_to_expr(p), "pbw_degree": pbw_degree(p)}
-    report = wrap_report(args, result, n=args.n, started=started)
-    emit(report, args, args.format)
+    emit(args, {"expr": poly_to_expr(p), "pbw_degree": pbw_degree(p)}, n=args.n)
     return EXIT_OK
 
 
 def cmd_membership(args) -> int:
-    started = time.monotonic()
     p = parse_expr(args.expr, args.n)
     spec = IdealSpec.parse(args.ideal, args.n)
     if spec.kind == "N":
-        print("error: membership applies to L, M, or product ideals", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit("membership applies to L, M, or product ideals")
     if args.degree is None:
         # ideals are graded: p is a member iff each component is
         degree, parts = p.degree(), p.homogeneous_components()
@@ -186,13 +169,11 @@ def cmd_membership(args) -> int:
     }
     if args.degree is None:
         result["per_degree"] = per_degree
-    report = wrap_report(args, result, n=args.n, cutoff=degree, started=started)
-    emit(report, args, args.format)
+    emit(args, result, n=args.n, cutoff=degree)
     return EXIT_OK
 
 
 def cmd_generators(args) -> int:
-    started = time.monotonic()
     _check_degree_cap(2, args.max_degree, args.force)
     gens = generators_S(args.index, args.max_degree)
     result: dict = {
@@ -201,42 +182,30 @@ def cmd_generators(args) -> int:
         "count": len(gens),
         "generators": [poly_to_expr(g) for g in gens],
     }
-    status = EXIT_OK
+    rows = []
     if args.verify:
         ideal = SpanIdeal(2, gens, two_sided=True)
-        rows = []
-        ok = True
         for d in range(args.max_degree + 1):
-            want = m_span(2, args.index, d).dim
-            got = ideal.span(d).dim
-            equal = want == got and ideal.span(d).is_subspace_of(
-                m_span(2, args.index, d)
+            want, got = m_span(2, args.index, d), ideal.span(d)
+            equal = want.dim == got.dim and got.is_subspace_of(want)
+            rows.append(
+                {"degree": d, "span_dim": got.dim, "ideal_dim": want.dim, "equal": equal}
             )
-            ok = ok and equal
-            rows.append({"degree": d, "span_dim": got, "ideal_dim": want, "equal": equal})
         result["verification"] = rows
-        if not ok:
-            status = EXIT_MISMATCH
-    report = wrap_report(args, result, n=2, cutoff=args.max_degree, started=started)
-    emit(report, args, args.format)
-    return status
+    emit(args, result, n=2, cutoff=args.max_degree)
+    return EXIT_OK if all(r["equal"] for r in rows) else EXIT_MISMATCH
 
 
 def cmd_verify_identities(args) -> int:
-    started = time.monotonic()
-    rows = []
-    ok = True
-    for name in IDENTITY_NAMES:
-        holds = verify_identity(name, args.n)
-        ok = ok and holds
-        rows.append({"identity": name, "holds": holds})
-    report = wrap_report(args, rows, n=args.n, started=started)
-    emit(report, args, args.format)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    rows = [
+        {"identity": name, "holds": verify_identity(name, args.n)}
+        for name in IDENTITY_NAMES
+    ]
+    emit(args, rows, n=args.n)
+    return EXIT_OK if all(r["holds"] for r in rows) else EXIT_MISMATCH
 
 
 def cmd_quotient_dims(args) -> int:
-    started = time.monotonic()
     _check_degree_cap(args.n, args.max_degree, args.force)
     i, j = _parse_tuple(args.mod, expected=2)
     spec = QuotientSpec(args.n, i, j)
@@ -250,79 +219,54 @@ def cmd_quotient_dims(args) -> int:
         for d in range(args.max_degree + 1)
     ]
     result = {"quotient": spec.label(), "rows": rows}
-    report = wrap_report(args, result, n=args.n, cutoff=args.max_degree, started=started)
-    emit(report, args, args.format)
+    emit(args, result, n=args.n, cutoff=args.max_degree)
     return EXIT_OK
 
 
 def cmd_structure_check(args) -> int:
-    started = time.monotonic()
     n = args.n if args.which == "r22" else 2
     _check_degree_cap(n, args.max_degree, args.force)
-    ok = True
+    degrees = range(args.max_degree + 1)
     if args.which == "r22":
-        spec = QuotientSpec(args.n, 2, 2)
-        rows = []
-        for r in range(2, args.r_max + 1):
-            for d in range(args.max_degree + 1):
-                predicted = structure_basis_r22(args.n, r, d)
-                computed = quotient_dim(spec, "N", r, d)
-                equal = predicted == computed
-                ok = ok and equal
-                rows.append(
-                    {
-                        "r": r,
-                        "degree": d,
-                        "basis_count": predicted,
-                        "computed_dim": computed,
-                        "equal": equal,
-                    }
-                )
-        result = {"quotient": spec.label(), "rows": rows}
+        spec, key = QuotientSpec(n, 2, 2), "basis_count"
+        cells = [
+            (r, d, structure_basis_r22(n, r, d))
+            for r in range(2, args.r_max + 1)
+            for d in degrees
+        ]
     else:
-        spec = QuotientSpec(2, 2, 3)
-        predicted = r23_structure_dims(args.r, args.max_degree)
-        rows = []
-        for d in range(args.max_degree + 1):
-            computed = quotient_dim(spec, "N", args.r, d)
-            equal = predicted[d] == computed
-            ok = ok and equal
-            rows.append(
-                {
-                    "r": args.r,
-                    "degree": d,
-                    "formula_dim": predicted[d],
-                    "computed_dim": computed,
-                    "equal": equal,
-                }
-            )
-        result = {"quotient": spec.label(), "rows": rows}
-    report = wrap_report(args, result, n=n, cutoff=args.max_degree, started=started)
-    emit(report, args, args.format)
-    return EXIT_OK if ok else EXIT_MISMATCH
+        spec, key = QuotientSpec(n, 2, 3), "formula_dim"
+        formula = r23_structure_dims(args.r, args.max_degree)
+        cells = [(args.r, d, formula[d]) for d in degrees]
+    rows = []
+    for r, d, predicted in cells:
+        computed = quotient_dim(spec, "N", r, d)
+        rows.append(
+            {
+                "r": r,
+                "degree": d,
+                key: predicted,
+                "computed_dim": computed,
+                "equal": predicted == computed,
+            }
+        )
+    result = {"quotient": spec.label(), "rows": rows}
+    emit(args, result, n=n, cutoff=args.max_degree)
+    return EXIT_OK if all(r["equal"] for r in rows) else EXIT_MISMATCH
 
 
 def cmd_conjecture_sweep(args) -> int:
-    started = time.monotonic()
-    cap = args.cutoff or default_cutoff((2,) * args.k_max)
+    cap = default_cutoff((2,) * args.k_max) if args.cutoff is None else args.cutoff
     _check_degree_cap(args.n_max, cap, args.force)
-    if args.n_max >= 4 and args.k_max >= 2 and not args.force:
-        raise SystemExit(
-            "n_max >= 4 with k_max >= 2 is expensive; pass --force to proceed"
-        )
     rows = conjecture_2k_sweep(args.n_max, args.k_max, args.cutoff)
-    report = wrap_report(args, rows, n=args.n_max, cutoff=args.cutoff, started=started)
-    emit(report, args, args.format)
+    emit(args, rows, n=args.n_max, cutoff=args.cutoff)
     return EXIT_OK
 
 
 def cmd_open_elements(args) -> int:
-    started = time.monotonic()
     rows = check_open_elements(args.cutoff)
-    report = wrap_report(args, rows, n=3, cutoff=args.cutoff, started=started)
-    emit(report, args, args.format)
-    all_in = all(r["contained"] for r in rows)
-    return EXIT_OK if all_in else EXIT_MISMATCH
+    emit(args, rows, n=3, cutoff=args.cutoff)
+    return EXIT_OK if all(r["contained"] for r in rows) else EXIT_MISMATCH
 
 
 def _parse_tuple(text: str, expected: int | None = None) -> tuple[int, ...]:
@@ -343,12 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, fmt=True):
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--force", action="store_true", help="override safety caps")
-
     p = sub.add_parser("dims", help="dimension table for graded ideal pieces")
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
@@ -358,26 +296,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="ideal spec like L2, M3, N2, or P2,2 (repeatable)",
     )
     p.add_argument("--max-degree", type=int, default=8)
-    common(p)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("containment", help="containment index report for a tuple")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tuple", required=True, help="comma-separated indices, each >= 2")
     p.add_argument("--cutoff", type=int)
-    common(p)
     p.set_defaults(func=cmd_containment)
 
     p = sub.add_parser("witness", help="non-containment witness for a tuple")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tuple", required=True)
-    common(p)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("pbw-degree", help="PBW filtration degree of an expression")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--expr", required=True)
-    common(p)
     p.set_defaults(func=cmd_pbw_degree)
 
     p = sub.add_parser("membership", help="graded ideal membership of an expression")
@@ -385,19 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True)
     p.add_argument("--ideal", required=True, help="L<k>, M<k>, or P<i1,i2,...>")
     p.add_argument("--degree", type=int)
-    common(p)
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("generators", help="generator set of an M-ideal on A_2")
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="compare spans degreewise")
-    common(p)
     p.set_defaults(func=cmd_generators)
 
     p = sub.add_parser("verify-identities", help="check the built-in identities")
     p.add_argument("--n", type=int, default=3)
-    common(p)
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("quotient-dims", help="series dimensions inside R_{i,j}")
@@ -406,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", choices=("L", "M", "N", "B"), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=8)
-    common(p)
     p.set_defaults(func=cmd_quotient_dims)
 
     p = sub.add_parser("structure-check", help="structure formulas vs computed dims")
@@ -415,21 +345,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=5, help="layer for r23")
     p.add_argument("--r-max", type=int, default=5, help="largest layer for r22")
     p.add_argument("--max-degree", type=int, default=7)
-    common(p)
     p.set_defaults(func=cmd_structure_check)
 
     p = sub.add_parser("conjecture-sweep", help="observed vs conjectured (2,...,2)")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--k-max", type=int, default=2)
     p.add_argument("--cutoff", type=int)
-    common(p)
     p.set_defaults(func=cmd_conjecture_sweep)
 
     p = sub.add_parser("open-elements", help="degree-6 membership checks in M_5(A_3)")
     p.add_argument("--cutoff", type=int, default=6)
-    common(p)
     p.set_defaults(func=cmd_open_elements)
 
+    # the report flags that emit() and the size caps read, last on every verb
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", help="write the report to this path")
+        p.add_argument("--force", action="store_true", help="override safety caps")
     return parser
 
 
@@ -439,6 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args.started = time.monotonic()
     try:
         return args.func(args)
     except (ExprSyntaxError, ValueError) as exc:

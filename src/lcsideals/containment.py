@@ -15,7 +15,7 @@ from math import ceil
 from typing import Sequence
 
 from .exprs import poly_to_expr
-from .freealg import Poly, bracket
+from .freealg import Poly, adjoint_power
 from .linalg import IntRow, rank_word
 from .lyndon import standard_bracketing
 from .series import chain_poly, m_span, product_generators, product_span
@@ -244,11 +244,7 @@ def sl2_witness(i: int, j: int, n: int) -> tuple[Matrix, Fraction]:
 
 def ad_string_poly(n: int, i: int, core: int) -> Poly:
     """ad^{i-1}(x2) applied to the given generator, as an element of A_n."""
-    out = Poly.gen(n, core)
-    x2 = Poly.gen(n, 2)
-    for _ in range(i - 1):
-        out = bracket(x2, out)
-    return out
+    return adjoint_power(Poly.gen(n, 2), i - 1, Poly.gen(n, core))
 
 
 # -- open degree-6 elements on three generators ----------------------------
@@ -320,7 +316,7 @@ def conjecture_2k_sweep(
     for n in range(2, n_max + 1):
         for k in range(1, k_max + 1):
             t = (2,) * k
-            report = containment_index(n, t, cutoff or default_cutoff(t))
+            report = containment_index(n, t, cutoff)
             conj = conjectured_2k_index(n, k)
             rows.append(
                 {

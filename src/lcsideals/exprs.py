@@ -19,6 +19,9 @@ from fractions import Fraction
 
 from .freealg import Poly, nested, word_key
 
+# str.isdigit also accepts non-ASCII digits such as '٣' and '²'
+DIGITS = frozenset("0123456789")
+
 
 class ExprSyntaxError(ValueError):
     """Malformed element expression; carries the offending position."""
@@ -78,7 +81,7 @@ class _Parser:
             if ch == "*":
                 self.pos += 1
                 acc = acc * self.parse_factor()
-            elif ch and (ch.isdigit() or ch == "x" or ch in "(["):
+            elif ch in DIGITS or ch in ("x", "(", "["):
                 acc = acc * self.parse_factor()
             else:
                 return acc
@@ -102,10 +105,10 @@ class _Parser:
             start = self.pos
             self.pos += 1
             d = self.text[self.pos : self.pos + 1]
-            if not d.isdigit() or d == "0":
+            if d not in DIGITS or d == "0":
                 raise ExprSyntaxError("expected generator index 1..9 after 'x'", self.pos)
             self.pos += 1
-            if self.text[self.pos : self.pos + 1].isdigit():
+            if self.text[self.pos : self.pos + 1] in DIGITS:
                 raise ExprSyntaxError("generator index must be one digit 1..9", self.pos)
             idx = int(d)
             if idx > self.n:
@@ -113,11 +116,11 @@ class _Parser:
                     f"generator x{idx} exceeds configured n={self.n}", start
                 )
             return Poly.gen(self.n, idx)
-        if ch.isdigit():
+        if ch in DIGITS:
             num = self._read_digits()
             if self._peek() == "/":
                 self.pos += 1
-                if not self._peek().isdigit():
+                if self._peek() not in DIGITS:
                     raise ExprSyntaxError("expected denominator digits", self.pos)
                 den = self._read_digits()
                 if den == 0:
@@ -129,7 +132,7 @@ class _Parser:
     def _read_digits(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
             self.pos += 1
         return int(self.text[start : self.pos])
 

@@ -15,8 +15,9 @@ coefficient c, subtract c*b_w, and repeat until nothing is left.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import cache
+
 from .freealg import Poly, Word, bracket
 
 # A PBW monomial is a nondecreasing tuple of Lyndon words.
@@ -109,27 +110,15 @@ class PbwExpansion:
 
 # -- caches ------------------------------------------------------------
 
-_lock = threading.Lock()
-_bracketing_cache: dict[tuple[int, Word], Poly] = {}
-_pair_cache: dict[tuple[int, Word, Word], dict[Word, Fraction]] = {}
-_word_cache: dict[tuple[int, Word], dict[PbwMonomial, Fraction]] = {}
-
 
 def clear_caches() -> None:
-    with _lock:
-        _bracketing_cache.clear()
-        _pair_cache.clear()
-        _word_cache.clear()
+    for f in (_bracketing_cached, _swap_pair, _straighten_word):
+        f.cache_clear()
 
 
+@cache
 def _bracketing_cached(n: int, w: Word) -> Poly:
-    key = (n, w)
-    got = _bracketing_cache.get(key)
-    if got is None:
-        got = standard_bracketing(w, n)
-        with _lock:
-            _bracketing_cache[key] = got
-    return got
+    return standard_bracketing(w, n)
 
 
 def _lyndon_coefficients(n: int, p: Poly) -> dict[Word, Fraction]:
@@ -154,25 +143,16 @@ def _lyndon_coefficients(n: int, p: Poly) -> dict[Word, Fraction]:
     return out
 
 
+@cache
 def _swap_pair(n: int, u: Word, v: Word) -> dict[Word, Fraction]:
     """Lyndon-basis coefficients of [b_u, b_v], cached."""
-    key = (n, u, v)
-    got = _pair_cache.get(key)
-    if got is None:
-        got = _lyndon_coefficients(
-            n, bracket(_bracketing_cached(n, u), _bracketing_cached(n, v))
-        )
-        with _lock:
-            _pair_cache[key] = got
-    return got
+    return _lyndon_coefficients(
+        n, bracket(_bracketing_cached(n, u), _bracketing_cached(n, v))
+    )
 
 
+@cache
 def _straighten_word(n: int, word: Word) -> dict[PbwMonomial, Fraction]:
-    key = (n, word)
-    got = _word_cache.get(key)
-    if got is not None:
-        return got
-
     done: dict[PbwMonomial, Fraction] = {}
     # Each letter is a Lyndon word, so a word is a factor sequence already.
     work: dict[PbwMonomial, Fraction] = {tuple((l,) for l in word): Fraction(1)}
@@ -203,9 +183,6 @@ def _straighten_word(n: int, word: Word) -> dict[PbwMonomial, Fraction]:
                 work[merged] = s
             else:
                 work.pop(merged, None)
-
-    with _lock:
-        _word_cache[key] = done
     return done
 
 

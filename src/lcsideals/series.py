@@ -19,9 +19,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
+from .exprs import DIGITS
 from .freealg import Poly, Word, all_words, bracket, nested_word_chain
 from .linalg import GradedSubspace, IntRow, poly_to_introw
 
@@ -30,13 +32,12 @@ Chain = tuple[int, ...]
 
 _lock = threading.RLock()
 _span_cache: dict[tuple, GradedSubspace] = {}
-_chain_poly_cache: dict[tuple[int, Chain], Poly] = {}
 
 
 def clear_caches() -> None:
     with _lock:
         _span_cache.clear()
-        _chain_poly_cache.clear()
+    chain_poly.cache_clear()
 
 
 def _full_component(n: int, d: int) -> GradedSubspace:
@@ -232,17 +233,24 @@ class IdealSpec:
 
     @classmethod
     def parse(cls, text: str, n: int) -> "IdealSpec":
+        """Read Lk, Mk, Nk, Pi,j,... or Mi*Mj*... (any case, ASCII digits)."""
         t = text.strip().upper()
+
+        def index(s: str) -> int:
+            if not s or not DIGITS.issuperset(s):
+                raise ValueError(f"cannot parse ideal spec {text!r}")
+            return int(s)
+
         if t.startswith("P"):
-            factors = tuple(int(x) for x in t[1:].split(","))
+            factors = tuple(index(x.strip()) for x in t[1:].split(","))
             return cls("P", n, factors=factors)
         if "*" in t:
-            factors = tuple(int(part[1:]) for part in t.split("*"))
-            if not all(part.startswith("M") for part in t.split("*")):
+            parts = t.split("*")
+            if not all(part.startswith("M") for part in parts):
                 raise ValueError(f"cannot parse ideal spec {text!r}")
-            return cls("P", n, factors=factors)
-        if t and t[0] in "LMN" and t[1:].isdigit():
-            return cls(t[0], n, index=int(t[1:]))
+            return cls("P", n, factors=tuple(index(p[1:].strip()) for p in parts))
+        if t[:1] in ("L", "M", "N"):
+            return cls(t[0], n, index=index(t[1:]))
         raise ValueError(f"cannot parse ideal spec {text!r}")
 
     def label(self) -> str:
@@ -329,15 +337,10 @@ def l_span_chains(n: int, k: int, d: int) -> Iterator[tuple[Word, ...]]:
                 yield (m,) + chain
 
 
+@cache
 def chain_poly(n: int, chain: Chain) -> Poly:
     """The element of a right-normed pure commutator with the given letters."""
-    key = (n, chain)
-    got = _chain_poly_cache.get(key)
-    if got is None:
-        got = nested_word_chain(n, [(l,) for l in chain])
-        with _lock:
-            _chain_poly_cache[key] = got
-    return got
+    return nested_word_chain(n, [(l,) for l in chain])
 
 
 def pure_product_poly(n: int, factors: Sequence[Chain]) -> Poly:

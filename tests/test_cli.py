@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from lcsideals import __version__
 from lcsideals.cli import _check_degree_cap, main
 from lcsideals.series import SpanIdeal, generators_S, m_span
 
@@ -244,3 +246,101 @@ def test_size_cap_limits_component_size():
         _check_degree_cap(n, degree, force=True)
     for n, degree in ((3, 10), (2, 10)):
         _check_degree_cap(n, degree, force=False)
+
+
+# one invocation per verb, with the n and cutoff its report envelope carries
+ENVELOPES = [
+    ("dims --n 2 --ideal M3 --max-degree 4", 2, 4),
+    ("containment --n 2 --tuple 2,2 --cutoff 6", 2, 6),
+    ("witness --n 3 --tuple 2,4", 3, 6),
+    ("pbw-degree --n 2 --expr [x1,x2]*[x1,x2]", 2, None),
+    ("membership --n 2 --expr x1*[x1,x2]*x2 --ideal M2", 2, 4),
+    ("generators --index 3 --max-degree 5 --verify", 2, 5),
+    ("verify-identities", 3, None),
+    ("quotient-dims --n 2 --mod 2,3 --series N --r 5 --max-degree 6", 2, 6),
+    ("structure-check --which r22 --n 3 --r-max 3 --max-degree 5", 3, 5),
+    ("conjecture-sweep --n-max 2 --k-max 2", 2, None),
+    ("open-elements --cutoff 6", 3, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "line,n,cutoff", ENVELOPES, ids=[e[0].split()[0] for e in ENVELOPES]
+)
+def test_report_envelope(capsys, line, n, cutoff):
+    argv = line.split()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    meta = json.loads(out)["meta"]
+    wall = meta.pop("wall_time_seconds")
+    assert isinstance(wall, float) and wall >= 0
+    assert meta == {
+        "command": argv[0],
+        "cutoff": cutoff,
+        "n": n,
+        "tool": "lcsideals",
+        "version": __version__,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["pbw-degree", "--n", "2", "--expr", "x1 - x1"], "zero element has no PBW degree"),
+        (
+            ["membership", "--n", "2", "--expr", "x1", "--ideal", "N2"],
+            "membership applies to L, M, or product ideals",
+        ),
+    ],
+)
+def test_refusal_message_and_exit_code(capsys, tmp_path, argv, message):
+    report = tmp_path / "r.json"
+    code, out, err = run(capsys, *argv, "--out", str(report))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("fmt,name", [("json", "r.json"), ("csv", "r.csv")])
+def test_out_writes_the_report_and_one_line(capsys, tmp_path, fmt, name):
+    argv = ["dims", "--n", "2", "--ideal", "M2", "--max-degree", "3", "--format", fmt]
+    _, stdout_report, _ = run(capsys, *argv)
+    path = tmp_path / name
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, err) == (0, "")
+    line = rf"dims: report written to {re.escape(str(path))} \([0-9.e-]+s\)\n"
+    assert re.fullmatch(line, out)
+    text = path.read_text()
+    if fmt == "csv":
+        assert text == stdout_report == "spec,degree,dim\nM2,0,0\nM2,1,0\nM2,2,1\nM2,3,4\n"
+    else:
+        wall = re.compile(r'"wall_time_seconds": [0-9.e-]+')
+        assert wall.sub("", text) == wall.sub("", stdout_report)
+        assert json.loads(text)["result"][-1] == {"spec": "M2", "degree": 3, "dim": 4}
+
+
+def test_structure_check_mismatch_exits_two(capsys, monkeypatch):
+    import lcsideals.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "quotient_dim", lambda spec, series, r, d: -1)
+    code, out, _ = run(
+        capsys, "structure-check", "--which", "r23", "--r", "5", "--max-degree", "5"
+    )
+    assert code == 2
+    assert not any(r["equal"] for r in json.loads(out)["result"]["rows"])
+
+
+def test_sweep_cutoff_zero_is_refused(capsys):
+    # a zero cutoff once fell back to the default cutoffs and exited 0
+    code, out, err = run(
+        capsys, "conjecture-sweep", "--n-max", "2", "--k-max", "1", "--cutoff", "0"
+    )
+    assert (code, out) == (1, "")
+    assert "cutoff 0" in err
+
+
+def test_sweep_on_four_generators_runs_within_the_size_cap(capsys):
+    code, out, _ = run(capsys, "conjecture-sweep", "--n-max", "4", "--k-max", "2")
+    assert code == 0
+    rows = json.loads(out)["result"]
+    assert {(r["n"], r["k"]) for r in rows} == {(n, k) for n in (2, 3, 4) for k in (1, 2)}
+    assert all(r["match"] for r in rows)

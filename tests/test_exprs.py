@@ -73,6 +73,16 @@ def test_space_inside_generator_is_an_error():
     assert parse_expr(" [ x1 , x2 ] ", 2) == parse_expr("[x1,x2]", 2)
 
 
+def test_non_ascii_digits_are_errors():
+    # str.isdigit once let "x1*٣" parse as 3*x1, and "x²" raised a bare
+    # ValueError from int() with no position
+    for text, pos in (("x1*٣", 3), ("٣", 0), ("x²", 1), ("2/٣", 2), ("x1 ٢", 3)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, 3)
+        assert err.value.pos == pos
+    assert parse_expr("x1*3", 3) == parse_expr("3*x1", 3)
+
+
 def test_printer_examples():
     assert poly_to_expr(Poly.zero(2)) == "0"
     assert poly_to_expr(Poly.one(2)) == "1"

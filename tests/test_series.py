@@ -202,6 +202,18 @@ def test_ideal_spec_parse_and_dims():
         IdealSpec("P", 2, factors=(1,))
 
 
+def test_ideal_spec_parse_reads_ascii_digits_only():
+    # str.isdigit and int() once read "M٣" as M3 and let "M²", "P" or "P2,"
+    # fail inside int() without naming the spec
+    for text in ("M٣", "M²", "P", "P2,", "P٢,2", "M2*", "M2 * M2", "L", "M 2", "P+2"):
+        with pytest.raises(ValueError, match="cannot parse ideal spec"):
+            IdealSpec.parse(text, 2)
+    assert IdealSpec.parse(" m3 ", 2) == IdealSpec("M", 2, index=3)
+    assert IdealSpec.parse("L12", 2) == IdealSpec("L", 2, index=12)
+    assert IdealSpec.parse("P 2, 3", 2) == IdealSpec("P", 2, factors=(2, 3))
+    assert IdealSpec.parse("m2*M3 ", 2) == IdealSpec("P", 2, factors=(2, 3))
+
+
 def test_dim_table_serialization():
     t = DimTable()
     t.add("M2", 2, 1)
