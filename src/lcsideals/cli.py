@@ -10,6 +10,11 @@ terms) or CSV for dimension tables; every report carries n, the cutoff,
 the tool version, and wall-clock time.  main stamps the start time and
 each verb hands its result to emit() once, which alone builds that envelope;
 refusals raise SystemExit(message), which main reports with exit code 1.
+
+Each flag is declared only on the verbs that read it: --format on dims, the
+one verb with a CSV form, and --force on the verbs with a size cap.  Index
+tuples and integer flags are read by series.read_indices, so they take
+ASCII digits only and no sign.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import time
 
 from . import __version__
 from .containment import (
+    bound_report,
     check_open_elements,
     conjecture_2k_sweep,
     containment_index,
@@ -36,7 +42,16 @@ from .quotients import (
     r23_structure_dims,
     structure_basis_r22,
 )
-from .series import IdealSpec, SpanIdeal, dim_table, generators_S, m_span, spec_span
+from .series import (
+    IdealSpec,
+    SpanIdeal,
+    count,
+    dim_table,
+    generators_S,
+    m_span,
+    read_indices,
+    spec_span,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,8 +67,8 @@ def canonical_json(obj) -> str:
 
 
 def emit(args, result, n=None, cutoff=None, csv_text: str | None = None) -> None:
-    """Wrap result in the report envelope; write it, or csv_text for
-    --format csv where the verb has one, to stdout or --out."""
+    """Wrap result in the report envelope; write it, or csv_text if given,
+    to stdout or --out."""
     wall = round(time.monotonic() - args.started, 6)
     report = {
         "meta": {
@@ -66,10 +81,7 @@ def emit(args, result, n=None, cutoff=None, csv_text: str | None = None) -> None
         },
         "result": result,
     }
-    if args.format == "csv" and csv_text is not None:
-        text = csv_text
-    else:
-        text = canonical_json(report)
+    text = canonical_json(report) if csv_text is None else csv_text
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -97,13 +109,13 @@ def cmd_dims(args) -> int:
     _check_degree_cap(args.n, args.max_degree, args.force)
     specs = [IdealSpec.parse(s, args.n) for s in args.ideal]
     table = dim_table(specs, args.max_degree)
-    result, csv_text = table.to_json_obj(), table.to_csv()
-    emit(args, result, n=args.n, cutoff=args.max_degree, csv_text=csv_text)
+    csv_text = table.to_csv() if args.format == "csv" else None
+    emit(args, table.to_json_obj(), args.n, args.max_degree, csv_text)
     return EXIT_OK
 
 
 def cmd_containment(args) -> int:
-    indices = _parse_tuple(args.tuple)
+    indices = read_indices(args.tuple)
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff(indices)
     _check_degree_cap(args.n, cutoff, args.force)
     report = containment_index(args.n, indices, cutoff)
@@ -112,11 +124,11 @@ def cmd_containment(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    indices = _parse_tuple(args.tuple)
+    indices = read_indices(args.tuple)
     w = pbw_witness(args.n, indices)
     degree = w.degree()
     _check_degree_cap(args.n, degree, args.force)
-    target = sum(indices) - len(indices) + 2
+    target = bound_report(args.n, indices)[1] + 1
     inside = m_span(args.n, target, degree).contains(w)
     result = {
         "witness_expr": poly_to_expr(w),
@@ -147,8 +159,6 @@ def cmd_membership(args) -> int:
         # ideals are graded: p is a member iff each component is
         degree, parts = p.degree(), p.homogeneous_components()
     else:
-        if args.degree < 0:
-            raise ValueError("--degree must be >= 0")
         degree = args.degree
         parts = {degree: p.homogeneous_component(degree)}
         if parts[degree] != p:
@@ -207,8 +217,10 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_quotient_dims(args) -> int:
     _check_degree_cap(args.n, args.max_degree, args.force)
-    i, j = _parse_tuple(args.mod, expected=2)
-    spec = QuotientSpec(args.n, i, j)
+    mod = read_indices(args.mod)
+    if len(mod) != 2:
+        raise SystemExit(f"expected 2 comma-separated indices, got {args.mod!r}")
+    spec = QuotientSpec(args.n, *mod)
     rows = [
         {
             "series": args.series,
@@ -269,16 +281,6 @@ def cmd_open_elements(args) -> int:
     return EXIT_OK if all(r["contained"] for r in rows) else EXIT_MISMATCH
 
 
-def _parse_tuple(text: str, expected: int | None = None) -> tuple[int, ...]:
-    try:
-        t = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise SystemExit(f"cannot parse index tuple {text!r}")
-    if expected is not None and len(t) != expected:
-        raise SystemExit(f"expected {expected} comma-separated indices, got {text!r}")
-    return t
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcsideals",
@@ -288,80 +290,82 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("dims", help="dimension table for graded ideal pieces")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=count, required=True)
     p.add_argument(
         "--ideal",
         action="append",
         required=True,
         help="ideal spec like L2, M3, N2, or P2,2 (repeatable)",
     )
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=count, default=8)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("containment", help="containment index report for a tuple")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=count, required=True)
     p.add_argument("--tuple", required=True, help="comma-separated indices, each >= 2")
-    p.add_argument("--cutoff", type=int)
+    p.add_argument("--cutoff", type=count)
     p.set_defaults(func=cmd_containment)
 
     p = sub.add_parser("witness", help="non-containment witness for a tuple")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=count, required=True)
     p.add_argument("--tuple", required=True)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("pbw-degree", help="PBW filtration degree of an expression")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=count, required=True)
     p.add_argument("--expr", required=True)
     p.set_defaults(func=cmd_pbw_degree)
 
     p = sub.add_parser("membership", help="graded ideal membership of an expression")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=count, required=True)
     p.add_argument("--expr", required=True)
     p.add_argument("--ideal", required=True, help="L<k>, M<k>, or P<i1,i2,...>")
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=count)
     p.set_defaults(func=cmd_membership)
 
     p = sub.add_parser("generators", help="generator set of an M-ideal on A_2")
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--index", type=count, required=True)
+    p.add_argument("--max-degree", type=count, required=True)
     p.add_argument("--verify", action="store_true", help="compare spans degreewise")
     p.set_defaults(func=cmd_generators)
 
     p = sub.add_parser("verify-identities", help="check the built-in identities")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=count, default=3)
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("quotient-dims", help="series dimensions inside R_{i,j}")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=count, required=True)
     p.add_argument("--mod", required=True, help="the two product indices, e.g. 2,3")
     p.add_argument("--series", choices=("L", "M", "N", "B"), required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--r", type=count, required=True)
+    p.add_argument("--max-degree", type=count, default=8)
     p.set_defaults(func=cmd_quotient_dims)
 
     p = sub.add_parser("structure-check", help="structure formulas vs computed dims")
     p.add_argument("--which", choices=("r22", "r23"), required=True)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r", type=int, default=5, help="layer for r23")
-    p.add_argument("--r-max", type=int, default=5, help="largest layer for r22")
-    p.add_argument("--max-degree", type=int, default=7)
+    p.add_argument("--n", type=count, default=2)
+    p.add_argument("--r", type=count, default=5, help="layer for r23")
+    p.add_argument("--r-max", type=count, default=5, help="largest layer for r22")
+    p.add_argument("--max-degree", type=count, default=7)
     p.set_defaults(func=cmd_structure_check)
 
     p = sub.add_parser("conjecture-sweep", help="observed vs conjectured (2,...,2)")
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--k-max", type=int, default=2)
-    p.add_argument("--cutoff", type=int)
+    p.add_argument("--n-max", type=count, default=3)
+    p.add_argument("--k-max", type=count, default=2)
+    p.add_argument("--cutoff", type=count)
     p.set_defaults(func=cmd_conjecture_sweep)
 
     p = sub.add_parser("open-elements", help="degree-6 membership checks in M_5(A_3)")
-    p.add_argument("--cutoff", type=int, default=6)
+    p.add_argument("--cutoff", type=count, default=6)
     p.set_defaults(func=cmd_open_elements)
 
-    # the report flags that emit() and the size caps read, last on every verb
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    # last, the flags that emit() and _check_degree_cap read; the two verbs
+    # without a size cap take no --force
+    for verb, p in sub.choices.items():
         p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--force", action="store_true", help="override safety caps")
+        if verb not in ("verify-identities", "open-elements"):
+            p.add_argument("--force", action="store_true", help="override safety caps")
     return parser
 
 

@@ -16,20 +16,11 @@ from typing import Sequence
 
 from .exprs import poly_to_expr
 from .freealg import Poly, adjoint_power
-from .linalg import IntRow, rank_word
+from .linalg import introw_to_poly
 from .lyndon import standard_bracketing
-from .series import chain_poly, m_span, product_generators, product_span
+from .series import chain_poly, factor_indices, m_span, product_generators, product_span
 
 Matrix = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-
-
-def _validate_tuple(indices: Sequence[int]) -> tuple[int, ...]:
-    t = tuple(indices)
-    if not t:
-        raise ValueError("need at least one ideal index")
-    if any(i < 2 for i in t):
-        raise ValueError("ideal indices must be >= 2")
-    return t
 
 
 def bound_report(n: int, indices: Sequence[int]) -> tuple[int, int]:
@@ -39,7 +30,7 @@ def bound_report(n: int, indices: Sequence[int]) -> tuple[int, int]:
     bound: combine factors pairwise, gaining an extra degree whenever an odd
     index participates; p odd entries allow min(p, k-1) such steps.
     """
-    t = _validate_tuple(indices)
+    t = factor_indices(indices)
     k = len(t)
     total = sum(t)
     p = sum(1 for i in t if i % 2 == 1)
@@ -59,7 +50,7 @@ def pbw_witness(n: int, indices: Sequence[int]) -> Poly:
     """
     if n < 2:
         raise ValueError("witness construction needs n >= 2")
-    t = _validate_tuple(indices)
+    t = factor_indices(indices)
     out = Poly.one(n)
     cursor = 0
     for length in t:
@@ -117,9 +108,8 @@ def containment_index(
     every degree.  A witness failing membership in M_{index+1} at its own
     degree makes the non-containment side definitive.
     """
-    t = _validate_tuple(indices)
+    t = factor_indices(indices)
     total = sum(t)
-    k = len(t)
     if cutoff is None:
         cutoff = default_cutoff(t)
     if cutoff < total:
@@ -174,12 +164,8 @@ def _search_witness(
         target = m_span(n, index + 1, d)
         for g in product_generators(n, t, d):
             if not target.contains_row(g):
-                return _introw_poly(n, d, g), d
+                return introw_to_poly(g, n, d), d
     raise AssertionError("observed index admits no witness; containment logic broken")
-
-
-def _introw_poly(n: int, d: int, row: IntRow) -> Poly:
-    return Poly(n, {rank_word(r, n, d): Fraction(c) for r, c in row.items()})
 
 
 # -- sl(2) trace witness ---------------------------------------------------
@@ -220,8 +206,7 @@ def sl2_witness(i: int, j: int, n: int) -> tuple[Matrix, Fraction]:
     A nonzero trace certifies L_i·L_j ⊄ L_{i+j}, since length-(i+j)
     commutators of matrices are traceless.
     """
-    if i < 2 or j < 2:
-        raise ValueError("ideal indices must be >= 2")
+    factor_indices((i, j))
     same_parity = (i - j) % 2 == 0
     if same_parity:
         if n < 2:
@@ -259,32 +244,23 @@ OPEN_ELEMENTS: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = (
 def check_open_elements(cutoff: int = 6) -> list[dict]:
     """Membership of the three degree-6 test elements in M_5(A_3).
 
-    Each element is checked in its own degree; with cutoff >= 7 the
-    one-letter padded products are checked in degree 7 as well.
+    Each element is checked in its own degree 6; with cutoff 7 the
+    one-letter padded products are checked in degree 7 as well.  No other
+    degree is checked, so no other cutoff is accepted.
     """
-    if cutoff < 6:
-        raise ValueError("cutoff must cover the elements' degree 6")
+    if cutoff not in (6, 7):
+        raise ValueError(f"cutoff must be 6 or 7, got {cutoff}")
     n = 3
+    gens = [Poly.gen(n, g) for g in range(1, n + 1)]
     rows = []
-    target6 = m_span(n, 5, 6)
-    polys = []
-    for expr, left, right in OPEN_ELEMENTS:
-        p = chain_poly(n, left) * chain_poly(n, right)
-        polys.append((expr, p))
-        rows.append(
-            {"expr": expr, "degree": 6, "contained": target6.contains(p)}
-        )
-    if cutoff >= 7:
-        target7 = m_span(n, 5, 7)
-        for expr, p in polys:
-            padded_ok = all(
-                target7.contains(Poly.gen(n, g) * p)
-                and target7.contains(p * Poly.gen(n, g))
-                for g in range(1, n + 1)
-            )
-            rows.append(
-                {"expr": expr, "degree": 7, "contained": padded_ok}
-            )
+    for d in range(6, cutoff + 1):
+        target = m_span(n, 5, d)
+        for expr, left, right in OPEN_ELEMENTS:
+            p = chain_poly(n, left) * chain_poly(n, right)
+            # in degree 7: p times one generator, on either side
+            elems = [p] if d == 6 else [x * p for x in gens] + [p * x for x in gens]
+            contained = all(target.contains(e) for e in elems)
+            rows.append({"expr": expr, "degree": d, "contained": contained})
     return rows
 
 

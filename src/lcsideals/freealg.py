@@ -2,8 +2,9 @@
 
 Elements are rational linear combinations of words; a word is a tuple of
 generator indices in 1..n and the empty tuple is the unit.  All arithmetic
-is exact (fractions.Fraction); zero coefficients are never stored, so two
-equal elements compare equal structurally.
+is exact (fractions.Fraction); zero coefficients are never stored (the
+constructor drops them, so arithmetic need not), and two equal elements
+compare equal structurally.
 """
 
 from __future__ import annotations
@@ -106,22 +107,14 @@ class Poly:
         self._check_compatible(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            out[w] = out.get(w, 0) + c
         return Poly(self.n, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, 0) - c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            out[w] = out.get(w, 0) - c
         return Poly(self.n, out)
 
     def __neg__(self) -> "Poly":
@@ -135,11 +128,7 @@ class Poly:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                s = out.get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+                out[w] = out.get(w, 0) + c1 * c2
         return Poly(self.n, out)
 
     def __rmul__(self, other):

@@ -59,6 +59,11 @@ def poly_to_introw(p: Poly, n: int, degree: int) -> IntRow:
     return _strip(row)
 
 
+def introw_to_poly(row: IntRow, n: int, degree: int) -> Poly:
+    """The degree-d element with the coefficients of row."""
+    return Poly(n, {rank_word(r, n, degree): c for r, c in row.items()})
+
+
 def _strip(row: IntRow) -> IntRow:
     """Divide by the content and make the leading coefficient positive."""
     if not row:
@@ -214,20 +219,11 @@ class GradedSubspace:
 
     def row_polys(self) -> list[Poly]:
         """Basis rows as Polys with leading coefficient 1."""
-        out = []
-        for r in sorted(self._rows, reverse=True):
-            row = self._rows[r]
-            lead = Fraction(row[r])
-            out.append(
-                Poly(
-                    self.n,
-                    {
-                        rank_word(k, self.n, self.degree): Fraction(v) / lead
-                        for k, v in row.items()
-                    },
-                )
-            )
-        return out
+        n, d = self.n, self.degree
+        return [
+            introw_to_poly(row, n, d).scale(Fraction(1, row[max(row)]))
+            for row in self.int_rows()
+        ]
 
     def __repr__(self) -> str:
         state = "frozen" if self._frozen else "building"

@@ -191,11 +191,7 @@ def straighten(p: Poly) -> PbwExpansion:
     out: dict[PbwMonomial, Fraction] = {}
     for word, coeff in p.terms.items():
         for mono, c in _straighten_word(p.n, word).items():
-            s = out.get(mono, 0) + coeff * c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            out[mono] = out.get(mono, 0) + coeff * c
     return PbwExpansion(p.n, out)
 
 

@@ -14,7 +14,7 @@ from math import comb
 
 from .freealg import Poly, Word, all_words, bracket, nested_word_chain
 from .linalg import extension_dim
-from .series import l_span, m_span, product_span
+from .series import factor_indices, l_span, m_span, product_span
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,7 @@ class QuotientSpec:
     j: int
 
     def __post_init__(self):
-        if self.i < 2 or self.j < 2:
-            raise ValueError("quotient ideal indices must be >= 2")
+        factor_indices((self.i, self.j))
 
     def label(self) -> str:
         return f"R[{self.i},{self.j}](A_{self.n})"

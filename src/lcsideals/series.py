@@ -139,10 +139,7 @@ def m_span(n: int, k: int, d: int) -> GradedSubspace:
 def product_generators(n: int, indices: Sequence[int], d: int) -> list[IntRow]:
     """The rows that M_{i1}···M_{ik} adds at degree d to the left pads
     V·P(d-1), as a list of fresh rows (see _generator_rows)."""
-    indices = tuple(indices)
-    if not indices:
-        raise ValueError("need at least one factor")
-    return list(_generator_rows(n, indices, d))
+    return list(_generator_rows(n, factor_indices(indices), d))
 
 
 def _generator_rows(n: int, indices: tuple[int, ...], d: int) -> Iterator[IntRow]:
@@ -188,9 +185,7 @@ def product_span(n: int, indices: Sequence[int], d: int) -> GradedSubspace:
     [x, y m]·r = [x, y]·(m r) + y·[x, m]·r with m r in R.  With one factor
     (R = A) only d1 = d is needed, by the right-ideal argument of m_span.
     """
-    indices = tuple(indices)
-    if not indices or min(indices) < 2:
-        raise ValueError("product ideal indices must be >= 2")
+    indices = factor_indices(indices)
     if d < sum(indices):
         return _empty(n, d)
     key = ("P", n, indices, d)
@@ -203,7 +198,30 @@ def product_span(n: int, indices: Sequence[int], d: int) -> GradedSubspace:
         return got
 
 
-# -- ideal specifications ------------------------------------------------
+# -- index tuples and ideal specifications ----------------------------------
+
+
+def read_indices(text: str) -> tuple[int, ...]:
+    """A comma-separated list of indices in ASCII digits; spaces may stand
+    around each item, but no sign, underscore or other digit."""
+    items = [s.strip() for s in text.split(",")]
+    if not all(s and DIGITS.issuperset(s) for s in items):
+        raise ValueError(f"cannot parse index tuple {text!r}")
+    return tuple(int(s) for s in items)
+
+
+def count(text: str) -> int:
+    """One item of read_indices: a non-negative integer in ASCII digits."""
+    (k,) = read_indices(text)
+    return k
+
+
+def factor_indices(indices: Iterable[int]) -> tuple[int, ...]:
+    """The factor indices of a product M_{i1}···M_{ik} as a tuple, checked."""
+    t = tuple(indices)
+    if not t or min(t) < 2:
+        raise ValueError("factor indices must be one or more integers >= 2")
+    return t
 
 
 @dataclass(frozen=True)
@@ -224,34 +242,33 @@ class IdealSpec:
             if self.index < 1:
                 raise ValueError("series index must be >= 1")
         elif self.kind == "P":
-            if not self.factors:
-                raise ValueError("product spec needs factor indices")
-            if any(i < 2 for i in self.factors):
-                raise ValueError("product factor indices must be >= 2")
+            factor_indices(self.factors)
         else:
             raise ValueError(f"unknown ideal kind {self.kind!r}")
 
     @classmethod
     def parse(cls, text: str, n: int) -> "IdealSpec":
-        """Read Lk, Mk, Nk, Pi,j,... or Mi*Mj*... (any case, ASCII digits)."""
+        """Read Lk, Mk, Nk, Pi,j,... or Mi*Mj*... (any case, ASCII digits).
+
+        Spaces may stand around the spec and around the items of a P list,
+        nowhere else.
+        """
         t = text.strip().upper()
-
-        def index(s: str) -> int:
-            if not s or not DIGITS.issuperset(s):
-                raise ValueError(f"cannot parse ideal spec {text!r}")
-            return int(s)
-
-        if t.startswith("P"):
-            factors = tuple(index(x.strip()) for x in t[1:].split(","))
-            return cls("P", n, factors=factors)
-        if "*" in t:
-            parts = t.split("*")
-            if not all(part.startswith("M") for part in parts):
-                raise ValueError(f"cannot parse ideal spec {text!r}")
-            return cls("P", n, factors=tuple(index(p[1:].strip()) for p in parts))
-        if t[:1] in ("L", "M", "N"):
-            return cls(t[0], n, index=index(t[1:]))
-        raise ValueError(f"cannot parse ideal spec {text!r}")
+        parts = t.split("*")
+        try:
+            if t.startswith("P"):
+                kind, indices = "P", read_indices(t[1:])
+            elif any(ch.isspace() for ch in t) or t[:1] not in ("L", "M", "N"):
+                raise ValueError
+            elif len(parts) > 1 and all(p.startswith("M") for p in parts):
+                kind, indices = "P", tuple(count(p[1:]) for p in parts)
+            else:
+                kind, indices = t[0], (count(t[1:]),)
+        except ValueError:
+            raise ValueError(f"cannot parse ideal spec {text!r}") from None
+        if kind == "P":
+            return cls("P", n, factors=indices)
+        return cls(kind, n, index=indices[0])
 
     def label(self) -> str:
         if self.kind == "P":

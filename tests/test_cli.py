@@ -344,3 +344,54 @@ def test_sweep_on_four_generators_runs_within_the_size_cap(capsys):
     rows = json.loads(out)["result"]
     assert {(r["n"], r["k"]) for r in rows} == {(n, k) for n in (2, 3, 4) for k in (1, 2)}
     assert all(r["match"] for r in rows)
+
+
+@pytest.mark.parametrize(
+    "line", [e[0] for e in ENVELOPES[1:]], ids=[e[0].split()[0] for e in ENVELOPES[1:]]
+)
+def test_format_is_refused_on_verbs_without_csv(capsys, line):
+    # --format csv once wrote JSON with exit 0 on every verb but dims
+    code, out, err = run(capsys, *line.split(), "--format", "csv")
+    assert (code, out) == (1, "")
+    assert "--format" in err
+
+
+@pytest.mark.parametrize("verb", ["verify-identities", "open-elements"])
+def test_force_is_refused_on_verbs_without_a_cap(capsys, verb):
+    code, out, err = run(capsys, verb, "--force")
+    assert (code, out) == (1, "")
+    assert "--force" in err
+
+
+@pytest.mark.parametrize(
+    "argv,bad",
+    [
+        ("containment --n 2 --tuple ٢,٢", "٢,٢"),
+        ("witness --n 2 --tuple 2_2", "2_2"),
+        ("containment --n 2 --tuple +2,2", "+2,2"),
+        ("quotient-dims --n 2 --mod ٢,2 --series N --r 1 --max-degree 4", "٢,2"),
+        ("dims --n ٣ --ideal M2", "٣"),
+        ("dims --n 2 --ideal M2 --max-degree -1", "-1"),
+        ("structure-check --which r22 --r-max -1", "-1"),
+    ],
+    ids=[
+        "arabic-tuple",
+        "underscore",
+        "sign",
+        "arabic-mod",
+        "arabic-n",
+        "negative-max-degree",
+        "negative-r-max",
+    ],
+)
+def test_indices_and_integer_flags_take_ascii_digits_only(capsys, argv, bad):
+    # int() read "٢" as 2 and "2_2" as 22; a negative flag gave an empty report
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert repr(bad) in err
+
+
+def test_open_elements_refuses_a_cutoff_it_does_not_check(capsys):
+    code, out, err = run(capsys, "open-elements", "--cutoff", "9")
+    assert (code, out) == (1, "")
+    assert "cutoff must be 6 or 7" in err

@@ -216,8 +216,9 @@ def test_open_elements_contained_at_degree_six():
     assert len(rows) == 3
     assert all(r["contained"] for r in rows)
     assert all(r["degree"] == 6 for r in rows)
-    with pytest.raises(ValueError):
-        check_open_elements(5)
+    for cutoff in (5, 8):  # only degrees 6 and 7 are checked
+        with pytest.raises(ValueError, match="cutoff must be 6 or 7"):
+            check_open_elements(cutoff)
 
 
 def test_conjectured_2k_formula_values():

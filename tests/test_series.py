@@ -1,10 +1,13 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from lcsideals import series
+from lcsideals.containment import bound_report, containment_index, pbw_witness, sl2_witness
 from lcsideals.freealg import Poly, all_words, bracket, nested_word_chain
+from lcsideals.quotients import QuotientSpec
 from lcsideals.series import (
     DimTable,
     IdealSpec,
@@ -205,13 +208,36 @@ def test_ideal_spec_parse_and_dims():
 def test_ideal_spec_parse_reads_ascii_digits_only():
     # str.isdigit and int() once read "M٣" as M3 and let "M²", "P" or "P2,"
     # fail inside int() without naming the spec
-    for text in ("M٣", "M²", "P", "P2,", "P٢,2", "M2*", "M2 * M2", "L", "M 2", "P+2"):
+    refused = ("M٣", "M²", "P", "P2,", "P٢,2", "M2*", "M2 * M2", "L", "M 2", "P+2")
+    # a product M…*M… takes no whitespace at all; "M2 *M3" once parsed
+    for text in refused + ("M2 *M3", "M2*M 2", "M2\t*M3"):
         with pytest.raises(ValueError, match="cannot parse ideal spec"):
             IdealSpec.parse(text, 2)
     assert IdealSpec.parse(" m3 ", 2) == IdealSpec("M", 2, index=3)
     assert IdealSpec.parse("L12", 2) == IdealSpec("L", 2, index=12)
     assert IdealSpec.parse("P 2, 3", 2) == IdealSpec("P", 2, factors=(2, 3))
     assert IdealSpec.parse("m2*M3 ", 2) == IdealSpec("P", 2, factors=(2, 3))
+
+
+def test_factor_indices_are_checked_once_with_one_message():
+    # the same fault once gave four different messages from three modules
+    message = re.escape("factor indices must be one or more integers >= 2")
+    takes_tuple = [
+        lambda t: product_span(2, t, 4),
+        lambda t: product_generators(2, t, 4),
+        lambda t: IdealSpec("P", 2, factors=t),
+        lambda t: containment_index(2, t, 6),
+        lambda t: bound_report(2, t),
+        lambda t: pbw_witness(2, t),
+    ]
+    for call in takes_tuple:
+        for t in ((1,), (), (2, 1)):
+            with pytest.raises(ValueError, match=message):
+                call(t)
+    with pytest.raises(ValueError, match=message):
+        QuotientSpec(2, 1, 2)
+    with pytest.raises(ValueError, match=message):
+        sl2_witness(2, 1, 2)
 
 
 def test_dim_table_serialization():
