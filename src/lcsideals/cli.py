@@ -105,6 +105,11 @@ def _check_degree_cap(n: int, degree: int, force: bool) -> None:
         )
 
 
+def _check_least(flag: str, value: int, least: int) -> None:
+    if value < least:  # a sweep that checks nothing is not a pass
+        raise SystemExit(f"{flag} must be >= {least}, got {value}")
+
+
 def cmd_dims(args) -> int:
     _check_degree_cap(args.n, args.max_degree, args.force)
     specs = [IdealSpec.parse(s, args.n) for s in args.ideal]
@@ -156,8 +161,9 @@ def cmd_membership(args) -> int:
     if spec.kind == "N":
         raise SystemExit("membership applies to L, M, or product ideals")
     if args.degree is None:
-        # ideals are graded: p is a member iff each component is
-        degree, parts = p.degree(), p.homogeneous_components()
+        # ideals are graded: p is a member iff each component is (zero has none)
+        parts = p.homogeneous_components()
+        degree = max(parts, default=None)
     else:
         degree = args.degree
         parts = {degree: p.homogeneous_component(degree)}
@@ -166,7 +172,7 @@ def cmd_membership(args) -> int:
                 f"note: testing the degree-{degree} homogeneous component",
                 file=sys.stderr,
             )
-    _check_degree_cap(args.n, degree, args.force)
+    _check_degree_cap(args.n, degree or 0, args.force)
     per_degree = [
         {"degree": d, "contained": spec_span(spec, d).contains(c)}
         for d, c in parts.items()
@@ -240,6 +246,7 @@ def cmd_structure_check(args) -> int:
     _check_degree_cap(n, args.max_degree, args.force)
     degrees = range(args.max_degree + 1)
     if args.which == "r22":
+        _check_least("--r-max", args.r_max, 2)
         spec, key = QuotientSpec(n, 2, 2), "basis_count"
         cells = [
             (r, d, structure_basis_r22(n, r, d))
@@ -268,6 +275,8 @@ def cmd_structure_check(args) -> int:
 
 
 def cmd_conjecture_sweep(args) -> int:
+    _check_least("--n-max", args.n_max, 2)
+    _check_least("--k-max", args.k_max, 1)
     cap = default_cutoff((2,) * args.k_max) if args.cutoff is None else args.cutoff
     _check_degree_cap(args.n_max, cap, args.force)
     rows = conjecture_2k_sweep(args.n_max, args.k_max, args.cutoff)

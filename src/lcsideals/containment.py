@@ -104,9 +104,11 @@ def containment_index(
     """Observed containment index of M_{i1}···M_{ik} in A_n up to a cutoff.
 
     For every degree d <= cutoff the product component is tested against
-    M_s for ascending s; the observed index is the largest s contained at
-    every degree.  A witness failing membership in M_{index+1} at its own
-    degree makes the non-containment side definitive.
+    M_s for descending s from the PBW bound plus one, down to the first
+    containment: M_{s+1} ⊆ M_s, so that s is the largest contained, and no
+    M_s below it is built at degree d.  The observed index is the least of
+    these maxima over the degrees.  A witness failing membership in
+    M_{index+1} at its own degree makes the non-containment side definitive.
     """
     t = factor_indices(indices)
     total = sum(t)
@@ -117,18 +119,13 @@ def containment_index(
             f"cutoff {cutoff} below the minimal degree {total} of the product"
         )
     lower, upper = bound_report(n, t)
-    s_cap = upper + 1
 
     per_degree: dict[int, int] = {}
     for d in range(total, cutoff + 1):
         P = product_span(n, t, d)
-        s_max = 1
-        for s in range(2, s_cap + 1):
-            if P.is_subspace_of(m_span(n, s, d)):
-                s_max = s
-            else:
-                break
-        per_degree[d] = s_max
+        per_degree[d] = next(
+            (s for s in range(upper + 1, 1, -1) if P.is_subspace_of(m_span(n, s, d))), 1
+        )
 
     index = min(per_degree.values())
 

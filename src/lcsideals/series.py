@@ -52,7 +52,7 @@ def _empty(n: int, d: int) -> GradedSubspace:
 
 
 def l_span(n: int, k: int, d: int) -> GradedSubspace:
-    """Degree-d component of L_k(A_n), echelonized."""
+    """Degree-d component of L_k(A_n), echelonized (see _l_candidates)."""
     if k < 1:
         raise ValueError("lower central series index must be >= 1")
     if d < 0:
@@ -73,17 +73,29 @@ def l_span(n: int, k: int, d: int) -> GradedSubspace:
 
 
 def _l_candidates(n: int, k: int, d: int) -> Iterator[IntRow]:
-    # L_2 = [V, A]: letter brackets span all monomial brackets by telescoping
-    # m1 m2 - m2 m1 across one-letter rotations.
+    """Rows spanning L_k(d): [m, l] with l in L_{k-1}(d-e), m one degree-e
+    word per necklace.  For words a, b ≠ 1, Jacobi gives [ab, l] - [ba, l] =
+    [a, [b, l]] - [b, [a, l]] with [a, l], [b, l] in L_k ⊆ L_{k-1}: rotating
+    m changes [m, l] only by brackets with shorter slots, so by induction on
+    e one rotation per class spans.  L_2 = [V, A] needs only e = 1: letter
+    brackets span all monomial brackets by telescoping m1 m2 - m2 m1 across
+    one-letter rotations."""
     for e in range(1, 2 if k == 2 else d - k + 2):
         yield from _bracket_rows(n, l_span(n, k - 1, d - e), e)
 
 
+@cache
+def _necklaces(n: int, e: int) -> tuple[int, ...]:
+    """Ranks of the degree-e words that are least among their rotations."""
+    words = enumerate(iter_product(range(n), repeat=e))
+    return tuple(r for r, w in words if all(w <= w[i:] + w[:i] for i in range(e)))
+
+
 def _bracket_rows(n: int, sub: GradedSubspace, e: int) -> Iterator[IntRow]:
-    """The nonzero brackets [m, l] of degree-e monomials m with the rows l of sub."""
+    """The nonzero brackets [m, l], m one degree-e word per necklace, l in sub."""
     shift = n**sub.degree
     rshift = n**e
-    for rm in range(n**e):
+    for rm in _necklaces(n, e):
         left_base = rm * shift
         for srow in sub.int_rows():
             vec: IntRow = {left_base + r: c for r, c in srow.items()}

@@ -4,9 +4,12 @@ Everything here is deliberately independent of the optimized span
 construction in the package: spans are generated from the defining
 spanning sets (all monomial brackets, all two-sided monomial paddings),
 counts come from first principles (rotation tests, necklace classes,
-commutative monomials).  The exceptions are padded_m_span, which closes
-the package's own l_span under two-sided one-letter padding, and
-composed_product_span, which multiplies the package's own m_span bases.
+commutative monomials).  The exceptions are the references for the fast
+paths, each built from the package's own spans one step down:
+padded_m_span closes l_span under two-sided one-letter padding,
+composed_product_span multiplies m_span bases, full_slot_l_candidates
+brackets every monomial (not one per necklace) with l_span, and
+ascending_per_degree tests m_span for ascending s.
 """
 
 from fractions import Fraction
@@ -15,9 +18,10 @@ from itertools import product as iproduct
 from math import comb
 from random import Random
 
+from lcsideals.containment import bound_report
 from lcsideals.freealg import Poly, all_words, nested_word_chain
 from lcsideals.linalg import GradedSubspace
-from lcsideals.series import l_span, m_span
+from lcsideals.series import l_span, m_span, product_span
 
 
 def spanning_chains(n: int, k: int, d: int):
@@ -87,6 +91,42 @@ def padded_m_span(n: int, k: int, d: int) -> GradedSubspace:
             rows.append({i * top + r: c for r, c in row.items()})
             rows.append({r * n + i: c for r, c in row.items()})
     return GradedSubspace.from_rows(n, d, rows)
+
+
+def full_slot_l_candidates(n: int, k: int, d: int):
+    """The brackets [m, l] spanning L_k(d) for every degree-e monomial m and
+    every row l of l_span(n, k-1, d-e): the reference for the one word per
+    necklace of series.l_span (e = 1 only for L_2)."""
+    for e in range(1, 2 if k == 2 else d - k + 2):
+        sub = l_span(n, k - 1, d - e)
+        shift, rshift = n ** (d - e), n**e
+        for rm in range(n**e):
+            for srow in sub.int_rows():
+                vec = {rm * shift + r: c for r, c in srow.items()}
+                for r, c in srow.items():
+                    key = r * rshift + rm
+                    vec[key] = vec.get(key, 0) - c
+                    if not vec[key]:
+                        del vec[key]
+                if vec:
+                    yield vec
+
+
+def ascending_per_degree(n: int, indices: tuple[int, ...], cutoff: int) -> dict[int, int]:
+    """Per degree, the largest s with P(d) ⊆ M_s(d), found by testing s from
+    2 up to the PBW bound plus one and stopping at the first failure: the
+    reference for the descending search of containment_index."""
+    s_cap = bound_report(n, indices)[1] + 1
+    per_degree = {}
+    for d in range(sum(indices), cutoff + 1):
+        P = product_span(n, indices, d)
+        s_max = 1
+        for s in range(2, s_cap + 1):
+            if not P.is_subspace_of(m_span(n, s, d)):
+                break
+            s_max = s
+        per_degree[d] = s_max
+    return per_degree
 
 
 def composed_product_span(n: int, indices: tuple[int, ...], d: int) -> GradedSubspace:

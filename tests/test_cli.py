@@ -226,6 +226,16 @@ def test_membership_tests_every_component(capsys):
     ]
 
 
+def test_membership_of_zero_has_no_degree(capsys):
+    code, out, _ = run(capsys, "membership", "--n", "2", "--expr", "x1-x1", "--ideal", "M2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["cutoff"] is None
+    assert doc["result"] == {
+        "contained": True, "degree": None, "expr": "0", "ideal": "M2", "per_degree": []
+    }
+
+
 def test_membership_inhomogeneous_member(capsys):
     code, out, _ = run(
         capsys,
@@ -291,6 +301,10 @@ def test_report_envelope(capsys, line, n, cutoff):
             ["membership", "--n", "2", "--expr", "x1", "--ideal", "N2"],
             "membership applies to L, M, or product ideals",
         ),
+        # a sweep with nothing to check is refused, not reported as a pass
+        (["structure-check", "--which", "r22", "--r-max", "1"], "--r-max must be >= 2, got 1"),
+        (["conjecture-sweep", "--n-max", "1"], "--n-max must be >= 2, got 1"),
+        (["conjecture-sweep", "--k-max", "0"], "--k-max must be >= 1, got 0"),
     ],
 )
 def test_refusal_message_and_exit_code(capsys, tmp_path, argv, message):

@@ -22,6 +22,8 @@ from lcsideals.freealg import Poly, bracket
 from lcsideals.lyndon import is_lyndon, pbw_degree
 from lcsideals.series import l_span, m_span, product_span
 
+from helpers import ascending_per_degree, tuples_with_sum_at_most
+
 
 def test_headline_example_a2_22():
     rep = containment_index(2, (2, 2), 6)
@@ -43,6 +45,14 @@ def test_small_theorem1_cells():
     for t in [(2,), (3,), (2, 3), (2, 2, 2)]:
         rep = containment_index(2, t, sum(t) + 2)
         assert rep.index_observed == sum(t) - len(t) + 1
+
+
+def test_descending_search_matches_ascending_loop():
+    # criterion 1's grid on A_2, and the costliest A_3 bench question
+    cells = [(2, t, sum(t) + 2) for t in tuples_with_sum_at_most(7)]
+    for n, t, cutoff in cells + [(3, (3, 3), 7)]:
+        got = containment_index(n, t, cutoff).per_degree
+        assert got == ascending_per_degree(n, t, cutoff), (n, t)
 
 
 def test_cutoff_too_small():

@@ -1,4 +1,4 @@
-"""Randomized differential tests: the package's M and product spans against
+"""Randomized differential tests: the package's L, M and product spans against
 the brute-force oracles, on spans and on membership of random elements.
 
 Hypothesis runs derandomized with a small example budget, so the suite
@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcsideals.freealg import Poly
-from lcsideals.series import m_span, product_span
+from lcsideals.series import l_span, m_span, product_span
 
-from helpers import oracle_m_span, oracle_product_span, random_homogeneous
+from helpers import oracle_l_span, oracle_m_span, oracle_product_span, random_homogeneous
 
 # the oracle pads every spanning chain on both sides: keep it small
 ORACLE_RANGE = {2: (4, 6), 3: (3, 5)}  # n -> (largest k, largest degree)
@@ -34,6 +34,15 @@ oracle = cache(oracle_m_span)
 @given(cells)
 def test_m_span_equals_oracle(cell):
     got, want = m_span(*cell), oracle(*cell)
+    assert got.pivot_words() == want.pivot_words()
+    assert got.row_polys() == want.row_polys()
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(cells)
+def test_l_span_equals_oracle(cell):
+    # the necklace build against the brackets of every monomial slot
+    got, want = l_span(*cell), oracle_l_span(*cell)
     assert got.pivot_words() == want.pivot_words()
     assert got.row_polys() == want.row_polys()
 

@@ -7,6 +7,7 @@ import pytest
 from lcsideals import series
 from lcsideals.containment import bound_report, containment_index, pbw_witness, sl2_witness
 from lcsideals.freealg import Poly, all_words, bracket, nested_word_chain
+from lcsideals.linalg import GradedSubspace, rank_word
 from lcsideals.quotients import QuotientSpec
 from lcsideals.series import (
     DimTable,
@@ -30,6 +31,7 @@ from lcsideals.series import (
 from helpers import (
     commutative_monomial_count,
     composed_product_span,
+    full_slot_l_candidates,
     necklace_count,
     oracle_l_span,
     oracle_m_span,
@@ -56,6 +58,25 @@ def test_l_span_dim_matches_necklace_complement():
 def test_l_span_matches_bruteforce_oracle():
     for n, k, d in [(2, 2, 2), (2, 2, 4), (2, 3, 4), (2, 3, 5), (3, 2, 3), (3, 3, 4)]:
         assert subspaces_equal(l_span(n, k, d), oracle_l_span(n, k, d))
+
+
+def test_l_span_necklace_build_matches_full_slot_brackets():
+    # one word per necklace for slots e >= 2 spans the same L_k as every
+    # monomial; reduced echelon form is unique, so the rows agree exactly
+    for n, d_max in ((2, 9), (3, 7)):
+        for k in range(3, 7):
+            for d in range(k, d_max + 1):
+                want = GradedSubspace.from_rows(n, d, full_slot_l_candidates(n, k, d))
+                assert l_span(n, k, d)._rows == want._rows, (n, k, d)
+
+
+def test_necklace_representatives_are_one_per_rotation_class():
+    for n, e_max in ((2, 8), (3, 5), (4, 4)):
+        for e in range(1, e_max + 1):
+            words = [rank_word(r, n, e) for r in series._necklaces(n, e)]
+            classes = {min(w[i:] + w[:i] for i in range(e)) for w in words}
+            assert len(words) == len(classes) == necklace_count(n, e), (n, e)
+            assert all(w == min(w[i:] + w[:i] for i in range(e)) for w in words)
 
 
 def test_m_span_frozen_values():
