@@ -103,11 +103,13 @@ def containment_index(
 ) -> ContainmentReport:
     """Observed containment index of M_{i1}···M_{ik} in A_n up to a cutoff.
 
-    For every degree d <= cutoff the product component is tested against
-    M_s for descending s from the PBW bound plus one, down to the first
-    containment: M_{s+1} ⊆ M_s, so that s is the largest contained, and no
-    M_s below it is built at degree d.  The observed index is the least of
-    these maxima over the degrees.  A witness failing membership in
+    For every degree d <= cutoff the largest s <= bound + 1 with P(d) ⊆
+    M_s(d) is found by walking from a start s: up while M_{s+1} still
+    contains P, else down to the first M_s that does.  M_{s+1} ⊆ M_s, so
+    any start gives the same s, and only the M_s between the start and the
+    answer are built.  The start is the PBW bound at the first degree and
+    the previous degree's answer after it.  The observed index is the least
+    of these maxima over the degrees.  A witness failing membership in
     M_{index+1} at its own degree makes the non-containment side definitive.
     """
     t = factor_indices(indices)
@@ -123,9 +125,13 @@ def containment_index(
     per_degree: dict[int, int] = {}
     for d in range(total, cutoff + 1):
         P = product_span(n, t, d)
-        per_degree[d] = next(
-            (s for s in range(upper + 1, 1, -1) if P.is_subspace_of(m_span(n, s, d))), 1
-        )
+        inside = lambda s: s == 1 or P.is_subspace_of(m_span(n, s, d))  # noqa: E731
+        s = per_degree.get(d - 1, upper)
+        if inside(s):
+            s = next((u - 1 for u in range(s + 1, upper + 2) if not inside(u)), upper + 1)
+        else:
+            s = next(u for u in range(s - 1, 0, -1) if inside(u))
+        per_degree[d] = s
 
     index = min(per_degree.values())
 

@@ -47,10 +47,11 @@ def test_small_theorem1_cells():
         assert rep.index_observed == sum(t) - len(t) + 1
 
 
-def test_descending_search_matches_ascending_loop():
-    # criterion 1's grid on A_2, and the costliest A_3 bench question
+def test_walking_search_matches_ascending_loop():
+    # criterion 1's grid on A_2 and the costliest A_3 bench question walk up
+    # from the PBW bound; A_4 (2,2), index 2 < bound 3, walks down from it
     cells = [(2, t, sum(t) + 2) for t in tuples_with_sum_at_most(7)]
-    for n, t, cutoff in cells + [(3, (3, 3), 7)]:
+    for n, t, cutoff in cells + [(3, (3, 3), 7), (4, (2, 2), 6)]:
         got = containment_index(n, t, cutoff).per_degree
         assert got == ascending_per_degree(n, t, cutoff), (n, t)
 
