@@ -103,14 +103,12 @@ def containment_index(
 ) -> ContainmentReport:
     """Observed containment index of M_{i1}···M_{ik} in A_n up to a cutoff.
 
-    For every degree d <= cutoff the largest s <= bound + 1 with P(d) ⊆
-    M_s(d) is found by walking from a start s: up while M_{s+1} still
-    contains P, else down to the first M_s that does.  M_{s+1} ⊆ M_s, so
-    any start gives the same s, and only the M_s between the start and the
-    answer are built.  The start is the PBW bound at the first degree and
-    the previous degree's answer after it.  The observed index is the least
-    of these maxima over the degrees.  A witness failing membership in
-    M_{index+1} at its own degree makes the non-containment side definitive.
+    For every degree d <= cutoff the largest s <= bound + 1 with P(d) ⊆ M_s(d)
+    is found by walking up or down from the PBW bound (first degree) or the
+    previous degree's answer; M_{s+1} ⊆ M_s, so only the M_s between start
+    and answer are built.  The observed index is the least of these maxima.
+    A witness failing membership in M_{index+1} at its own degree makes the
+    non-containment side definitive.
     """
     t = factor_indices(indices)
     total = sum(t)

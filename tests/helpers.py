@@ -115,7 +115,7 @@ def full_slot_l_candidates(n: int, k: int, d: int):
 def ascending_per_degree(n: int, indices: tuple[int, ...], cutoff: int) -> dict[int, int]:
     """Per degree, the largest s with P(d) ⊆ M_s(d), found by testing s from
     2 up to the PBW bound plus one and stopping at the first failure: the
-    reference for the descending search of containment_index."""
+    reference for the walking search of containment_index."""
     s_cap = bound_report(n, indices)[1] + 1
     per_degree = {}
     for d in range(sum(indices), cutoff + 1):
