@@ -104,6 +104,19 @@ class GradedSubspace:
         """Frozen echelon span of rows (IntRows or degree-d Polys)."""
         return cls(n, degree).residues(rows).freeze()
 
+    @classmethod
+    def direct_sum(
+        cls, n: int, degree: int, parts: Iterable["GradedSubspace"]
+    ) -> "GradedSubspace":
+        """Frozen sum of frozen subspaces whose supports are pairwise
+        disjoint, sharing their row dicts: reduced rows with disjoint
+        supports are together again reduced, so no elimination is needed."""
+        S = cls(n, degree)
+        for part in parts:
+            S._rows.update(part._rows)
+        S._frozen = True
+        return S
+
     # -- core reduction -------------------------------------------------
 
     def _clear(self, vec: IntRow, own: int = -1) -> IntRow:

@@ -14,7 +14,7 @@ from math import comb
 
 from .freealg import Poly, Word, all_words, bracket, nested_word_chain
 from .linalg import extension_dim
-from .series import factor_indices, l_span, m_span, product_span
+from .series import Content, factor_indices, l_span, m_span, orbit_sum, product_span
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,9 @@ SERIES_KINDS = ("L", "M", "N", "B")
 
 def quotient_dim(spec: QuotientSpec, kind: str, r: int, d: int) -> int:
     """dim of the degree-d piece of L_r, M_r, N_r = M_r/M_{r+1} or
-    B_r = L_r/L_{r+1} computed inside the quotient."""
+    B_r = L_r/L_{r+1} computed inside the quotient, block by block over the
+    sorted letter contents (series.orbit_sum): the product ideal and the
+    series are both stable under permutations of the generators."""
     if kind not in SERIES_KINDS:
         raise ValueError(f"series kind must be one of {SERIES_KINDS}")
     if r < 1:
@@ -46,9 +48,13 @@ def quotient_dim(spec: QuotientSpec, kind: str, r: int, d: int) -> int:
         return quotient_dim(spec, "M", r, d) - quotient_dim(spec, "M", r + 1, d)
     if kind == "B":
         return quotient_dim(spec, "L", r, d) - quotient_dim(spec, "L", r + 1, d)
-    ideal = product_span(spec.n, (spec.i, spec.j), d)
-    span = l_span(spec.n, r, d) if kind == "L" else m_span(spec.n, r, d)
-    return extension_dim(ideal, span.int_rows())
+    n, series_span = spec.n, l_span if kind == "L" else m_span
+
+    def block_dim(c: Content) -> int:
+        ideal = product_span(n, (spec.i, spec.j), d, c)
+        return extension_dim(ideal, series_span(n, r, d, c).int_rows())
+
+    return orbit_sum(n, d, block_dim)
 
 
 def iso_check(

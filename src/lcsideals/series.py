@@ -1,17 +1,35 @@
 """Graded spanning sets for L_k, M_k, product ideals, and generator sets.
 
-All subspaces are exact echelonized graded pieces, built recursively and
-cached per (n, kind, indices, degree).  L_1 is the whole algebra; L_k is
-spanned by brackets of monomials against L_{k-1}.  M_k = A·L_k·A is the
-one-factor product ideal, and every product P = M_{i1}···M_{ik} is built
-as a left ideal, P(d) = V·P(d-1) + product_generators(d), V the span of the
-generators: for M_k the new rows are [V, L_{k-1}(d-1)], so M_k never needs
-L_k at its own degree (see m_span); for longer products they are
-[V, L_{i1-1}]·R with R the product of the other factors (see product_span).
-Span closures of explicit generators grow the same way, by left padding
-plus new rows.  Generation is optimized (single-letter brackets) but spans
-the same subspaces as the defining spanning sets, which the test suite
-cross-checks against brute-force oracles.
+All subspaces are exact echelonized graded pieces.  Every row of every span
+is multihomogeneous: brackets, left pads and products keep the letter
+content c = (c_1, ..., c_n) of their words, so elimination never mixes
+contents.  The unit of every build and of the cache is therefore the block
+of one content, keyed (kind, n, index, degree, content); the degree-d span
+is the union of its blocks, which have disjoint supports, so that union is
+already the reduced echelon form of the whole degree.
+
+L_1 is the whole algebra; block c of L_k(d) is spanned by brackets [m, l]
+of one word m per necklace with l in block c - content(m) of L_{k-1}.
+M_k = A·L_k·A is the one-factor product ideal, and every product
+P = M_{i1}···M_{ik} is built as a left ideal, P(d) = V·P(d-1) +
+product_generators(d), V the span of the generators: block c takes the
+left pads x_i·P(d-1)[c - e_i] and the generator rows of content c.  For M_k
+the new rows are [V, L_{k-1}(d-1)], so M_k never needs L_k at its own
+degree (see m_span); for longer products they are [V, L_{i1-1}]·R with R
+the product of the other factors (see product_span).  A request for one
+block builds only the cone of blocks below its content.
+
+Permuting the generators maps L_k, M_k and every product onto themselves
+and block c onto block σ(c).  Each S_n orbit of contents holds exactly one
+sorted content c_1 >= ... >= c_n, so dimensions are sums over sorted
+contents (orbit_sum) and containments are decided on sorted contents alone.
+Stored rows are never relabelled: a relabelled block is not in echelon
+form, which the left pads rely on.
+
+Span closures of explicit generators, which need not be multihomogeneous,
+grow by left padding plus new rows over whole degrees (SpanIdeal).  The
+test suite cross-checks every span against brute-force oracles and the
+blocks against whole-degree reference builds.
 """
 
 from __future__ import annotations
@@ -21,14 +39,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Sequence
+from math import factorial, prod
+from operator import sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exprs import DIGITS
 from .freealg import Poly, Word, all_words, bracket, nested_word_chain
-from .linalg import GradedSubspace, IntRow, poly_to_introw
+from .linalg import GradedSubspace, IntRow, poly_to_introw, rank_word
 
 # Right-normed pure commutator, given by its letters; length 1 = generator.
 Chain = tuple[int, ...]
+# Letter content (c_1, ..., c_n) of a word: how often each generator occurs.
+Content = tuple[int, ...]
 
 _lock = threading.RLock()
 _span_cache: dict[tuple, GradedSubspace] = {}
@@ -40,48 +62,138 @@ def clear_caches() -> None:
     chain_poly.cache_clear()
 
 
-def _full_component(n: int, d: int) -> GradedSubspace:
-    S = GradedSubspace(n, d)
-    for r in range(n**d):
-        S._rows[r] = {r: 1}
-    return S.freeze()
-
-
 def _empty(n: int, d: int) -> GradedSubspace:
     return GradedSubspace(n, max(d, 0)).freeze()
 
 
-def l_span(n: int, k: int, d: int) -> GradedSubspace:
-    """Degree-d component of L_k(A_n), echelonized (see _l_candidates)."""
+# -- letter contents ----------------------------------------------------------
+
+
+@cache
+def contents(n: int, d: int) -> tuple[Content, ...]:
+    """The letter contents of the degree-d words of A_n."""
+    if d < 0:
+        return ()
+    if n == 1:
+        return ((d,),)
+    return tuple((a,) + c for a in range(d, -1, -1) for c in contents(n - 1, d - a))
+
+
+def sorted_contents(n: int, d: int) -> tuple[Content, ...]:
+    """One content per S_n orbit: those with c_1 >= c_2 >= ... >= c_n."""
+    return tuple(c for c in contents(n, d) if all(a >= b for a, b in zip(c, c[1:])))
+
+
+def orbit_sum(n: int, d: int, block_dim: Callable[[Content], int]) -> int:
+    """Σ over the contents c of degree d of block_dim(c), for a block_dim
+    invariant under permutations of c: each sorted c counts |orbit(c)|
+    times, n! over the factorials of its repeated entries."""
+    return sum(
+        factorial(n) // prod(factorial(c.count(v)) for v in set(c)) * block_dim(c)
+        for c in sorted_contents(n, d)
+    )
+
+
+def word_content(n: int, w: Word) -> Content:
+    return tuple(w.count(x) for x in range(1, n + 1))
+
+
+def _less(c: Content, x: int) -> Content:
+    """c - e_x: the content left after taking one letter x (0-based)."""
+    return c[:x] + (c[x] - 1,) + c[x + 1 :]
+
+
+@cache
+def _content_words(n: int, c: Content) -> tuple[int, ...]:
+    """Ranks of the words with content c, ascending."""
+    d = sum(c)
+    if d == 0:
+        return (0,)
+    top = n ** (d - 1)
+    return tuple(
+        x * top + r for x in range(n) if c[x] for r in _content_words(n, _less(c, x))
+    )
+
+
+def _splits(c: Content | None, m: int) -> Iterator[tuple[Content | None, Content | None]]:
+    """The pairs (a, c - a) of contents with |a| = m; (None, None) for the
+    whole degree, c None."""
+    if c is None:
+        yield None, None
+        return
+    for a in iter_product(*(range(x + 1) for x in c)):
+        if sum(a) == m:
+            yield a, tuple(map(sub, c, a))
+
+
+# -- blocks and their unions ----------------------------------------------------
+
+
+def _span(kind: str, n: int, index, d: int, c: Content | None) -> GradedSubspace:
+    """Block c of the degree-d piece of L_index (kind "L") or of the product
+    with factor indices index (kind "P"), cached; c None gives the union of
+    the degree's blocks, which shares their rows."""
+    key = (kind, n, index, d, c)
+    got = _span_cache.get(key)
+    if got is not None:
+        return got
+    with _lock:
+        got = _span_cache.get(key)
+        if got is None:
+            if c is None:
+                blocks = [_span(kind, n, index, d, b) for b in contents(n, d)]
+                got = GradedSubspace.direct_sum(n, d, blocks)
+            elif kind == "L":
+                got = _l_block(n, index, d, c)
+            else:
+                got = _product_block(n, index, d, c)
+            _span_cache[key] = got
+        return got
+
+
+def _check_content(n: int, d: int, c: Content | None) -> None:
+    if c is not None and (len(c) != n or sum(c) != d or min(c) < 0):
+        raise ValueError(f"{c} is not a letter content of degree {d} in A_{n}")
+
+
+def l_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubspace:
+    """Degree-d component of L_k(A_n), echelonized, or its block of the given
+    letter content (see _l_candidates)."""
     if k < 1:
         raise ValueError("lower central series index must be >= 1")
     if d < 0:
         return _empty(n, d)
-    key = ("L", n, k, d)
-    with _lock:
-        got = _span_cache.get(key)
-        if got is not None:
-            return got
-        if k == 1:
-            S = _full_component(n, d)
-        elif d < k:
-            S = _empty(n, d)
-        else:
-            S = GradedSubspace.from_rows(n, d, _l_candidates(n, k, d))
-        _span_cache[key] = S
-        return S
+    _check_content(n, d, content)
+    return _span("L", n, k, d, content)
 
 
-def _l_candidates(n: int, k: int, d: int) -> Iterator[IntRow]:
-    """Rows spanning L_k(d): [m, l] with l in L_{k-1}(d-e), m one degree-e
-    word per necklace.  For words a, b ≠ 1, Jacobi gives [ab, l] - [ba, l] =
-    [a, [b, l]] - [b, [a, l]] with [a, l], [b, l] in L_k ⊆ L_{k-1}: rotating
-    m changes [m, l] only by brackets with shorter slots, so by induction on
-    e one rotation per class spans.  L_2 = [V, A] needs only e = 1: letter
-    brackets span all monomial brackets by telescoping m1 m2 - m2 m1 across
-    one-letter rotations."""
+def _l_block(n: int, k: int, d: int, c: Content) -> GradedSubspace:
+    if k == 1:
+        S = GradedSubspace(n, d)
+        S._rows = {r: {r: 1} for r in _content_words(n, c)}
+        return S.freeze()
+    if d < k or max(c) == d:  # words in one letter commute
+        return _empty(n, d)
+    return GradedSubspace.from_rows(n, d, _l_candidates(n, k, d, c))
+
+
+def _l_candidates(n: int, k: int, d: int, c: Content) -> Iterator[IntRow]:
+    """Rows spanning block c of L_k(d): [m, l] with l in L_{k-1}(d-e) of
+    content c - content(m), m one degree-e word per necklace.  For words
+    a, b ≠ 1, Jacobi gives [ab, l] - [ba, l] = [a, [b, l]] - [b, [a, l]]
+    with [a, l], [b, l] in L_k ⊆ L_{k-1}: rotating m changes [m, l] only by
+    brackets with shorter slots, so by induction on e one rotation per class
+    spans.  L_2 = [V, A] needs only e = 1: letter brackets span all monomial
+    brackets by telescoping m1 m2 - m2 m1 across one-letter rotations."""
     for e in range(1, 2 if k == 2 else d - k + 2):
-        yield from _bracket_rows(n, l_span(n, k - 1, d - e), e)
+        for cm, ranks in _necklace_classes(n, e).items():
+            rest = tuple(map(sub, c, cm))
+            if min(rest) < 0:
+                continue
+            block = _span("L", n, k - 1, d - e, rest)
+            if block.dim:
+                for rm in ranks:
+                    yield from _bracket_rows(n, block, rm, e)
 
 
 @cache
@@ -91,29 +203,49 @@ def _necklaces(n: int, e: int) -> tuple[int, ...]:
     return tuple(r for r, w in words if all(w <= w[i:] + w[:i] for i in range(e)))
 
 
-def _bracket_rows(n: int, sub: GradedSubspace, e: int) -> Iterator[IntRow]:
-    """The nonzero brackets [m, l], m one degree-e word per necklace, l in sub."""
-    shift = n**sub.degree
+@cache
+def _necklace_classes(n: int, e: int) -> dict[Content, tuple[int, ...]]:
+    """_necklaces(n, e) grouped by content."""
+    out: dict[Content, list[int]] = {}
+    for r in _necklaces(n, e):
+        out.setdefault(word_content(n, rank_word(r, n, e)), []).append(r)
+    return {c: tuple(ranks) for c, ranks in out.items()}
+
+
+def _bracket_rows(n: int, block: GradedSubspace, rm: int, e: int) -> Iterator[IntRow]:
+    """The nonzero brackets [m, l], m the degree-e word of rank rm, l in block."""
+    left_base = rm * n**block.degree
     rshift = n**e
-    for rm in _necklaces(n, e):
-        left_base = rm * shift
-        for srow in sub.int_rows():
-            vec: IntRow = {left_base + r: c for r, c in srow.items()}
-            for r, c in srow.items():
-                key2 = r * rshift + rm
-                s = vec.get(key2, 0) - c
-                if s:
-                    vec[key2] = s
-                else:
-                    vec.pop(key2, None)
-            if vec:
-                yield vec
+    for srow in block.int_rows():
+        vec: IntRow = {left_base + r: c for r, c in srow.items()}
+        for r, c in srow.items():
+            key2 = r * rshift + rm
+            s = vec.get(key2, 0) - c
+            if s:
+                vec[key2] = s
+            else:
+                vec.pop(key2, None)
+        if vec:
+            yield vec
+
+
+def _letter_brackets(n: int, k: int, d: int, c: Content | None) -> Iterator[IntRow]:
+    """The brackets [x, l] of content c, x a letter and l a row of L_k(d-1);
+    with c None, those of the whole degree, letter by letter."""
+    for x in range(n):
+        if c is None or c[x]:
+            block = _span("L", n, k, d - 1, None if c is None else _less(c, x))
+            yield from _bracket_rows(n, block, x, 1)
 
 
 def _left_ideal_step(
-    n: int, d: int, prev: GradedSubspace, extra_rows: Iterable[IntRow]
+    n: int,
+    d: int,
+    pads: Iterable[tuple[int, GradedSubspace]],
+    extra_rows: Iterable[IntRow],
 ) -> GradedSubspace:
-    """Echelon basis of V·prev + span(extra_rows) at degree d, prev frozen.
+    """Echelon basis of Σ x_i·prev + span(extra_rows) at degree d, over the
+    pairs (i, prev) of pads, each prev frozen and each i at most once.
 
     The left pads x_i·b of prev's reduced rows are again reduced, with
     distinct pivots i·n^(d-1) + pivot(b), so they go in without elimination.
@@ -124,7 +256,7 @@ def _left_ideal_step(
     S = GradedSubspace(n, d)
     rows = S._rows
     top = n ** (d - 1)
-    for i in range(n):
+    for i, prev in pads:
         base = i * top
         for p, row in prev._rows.items():
             rows[base + p] = {base + r: c for r, c in row.items()}
@@ -132,8 +264,9 @@ def _left_ideal_step(
     return S.freeze()
 
 
-def m_span(n: int, k: int, d: int) -> GradedSubspace:
-    """Degree-d component of the two-sided ideal M_k = A·L_k·A.
+def m_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubspace:
+    """Degree-d component of the two-sided ideal M_k = A·L_k·A, or its block
+    of the given letter content.
 
     For k >= 2 it is the one-factor product ideal, built as
     M_k(d) = V·M_k(d-1) + [V, L_{k-1}(d-1)].  Call the right side R(d).  R is
@@ -145,44 +278,56 @@ def m_span(n: int, k: int, d: int) -> GradedSubspace:
     """
     if k < 1:
         raise ValueError("ideal index must be >= 1")
-    return l_span(n, 1, d) if k == 1 else product_span(n, (k,), d)
+    if k == 1:
+        return l_span(n, 1, d, content)
+    return product_span(n, (k,), d, content)
 
 
 def product_generators(n: int, indices: Sequence[int], d: int) -> list[IntRow]:
     """The rows that M_{i1}···M_{ik} adds at degree d to the left pads
     V·P(d-1), as a list of fresh rows (see _generator_rows)."""
-    return list(_generator_rows(n, factor_indices(indices), d))
+    return list(_generator_rows(n, factor_indices(indices), d, None))
 
 
-def _generator_rows(n: int, indices: tuple[int, ...], d: int) -> Iterator[IntRow]:
-    """The new rows of P = M_{i1}···M_{ik} at degree d (see product_span).
+def _generator_rows(
+    n: int, indices: tuple[int, ...], d: int, c: Content | None
+) -> Iterator[IntRow]:
+    """The new rows of content c of P = M_{i1}···M_{ik} at degree d (see
+    product_span); with c None, those of the whole degree.
 
     One factor k: the brackets [x, l], x a generator, l in L_{k-1}(d-1).
     More factors (i,)+rest: the products [x, l]·r, l in L_{i-1}(d1-1) and r
     a basis row of the product ideal of rest at degree d - d1, with d1 = 2
-    only when i = 2.  The builders take the rows lazily: held as a list,
-    they raised the peak memory of a containment question by a tenth.
+    only when i = 2, over the splits of c between the two.  The builders
+    take the rows lazily: held as a list, they raised the peak memory of a
+    containment question by a tenth.
     """
     head, rest = indices[0], indices[1:]
     if not rest:
-        yield from _bracket_rows(n, l_span(n, head - 1, d - 1), 1)
+        yield from _letter_brackets(n, head - 1, d, c)
         return
     top = d - sum(rest)
     last = min(top, 2) if head == 2 else top
     for d1 in range(head, last + 1):
-        tails = list(product_span(n, rest, d - d1).int_rows())
         shift = n ** (d - d1)
-        for ra in _bracket_rows(n, l_span(n, head - 1, d1 - 1), 1):
-            for rb in tails:
-                yield {
-                    ka * shift + kb: va * vb
-                    for ka, va in ra.items()
-                    for kb, vb in rb.items()
-                }
+        for c1, c2 in _splits(c, d1):
+            tails = list(_span("P", n, rest, d - d1, c2).int_rows())
+            if not tails:
+                continue
+            for ra in _letter_brackets(n, head - 1, d1, c1):
+                for rb in tails:
+                    yield {
+                        ka * shift + kb: va * vb
+                        for ka, va in ra.items()
+                        for kb, vb in rb.items()
+                    }
 
 
-def product_span(n: int, indices: Sequence[int], d: int) -> GradedSubspace:
-    """Degree-d component of the product ideal M_{i1}···M_{ik}.
+def product_span(
+    n: int, indices: Sequence[int], d: int, content: Content | None = None
+) -> GradedSubspace:
+    """Degree-d component of the product ideal M_{i1}···M_{ik}, or its block
+    of the given letter content.
 
     Built as the left ideal P(d) = V·P(d-1) + product_generators(d).  Write
     P = M_i·R with R = M_{i2}···M_{ik}, a two-sided ideal of minimal degree
@@ -196,18 +341,20 @@ def product_span(n: int, indices: Sequence[int], d: int) -> GradedSubspace:
     For i = 2 only d1 = 2 is needed, because
     [x, y m]·r = [x, y]·(m r) + y·[x, m]·r with m r in R.  With one factor
     (R = A) only d1 = d is needed, by the right-ideal argument of m_span.
+    Block c takes the pads x_i·P(d-1)[c - e_i] and the new rows of content c.
     """
     indices = factor_indices(indices)
     if d < sum(indices):
         return _empty(n, d)
-    key = ("P", n, indices, d)
-    with _lock:
-        got = _span_cache.get(key)
-        if got is None:
-            got = _span_cache[key] = _left_ideal_step(
-                n, d, product_span(n, indices, d - 1), _generator_rows(n, indices, d)
-            )
-        return got
+    _check_content(n, d, content)
+    return _span("P", n, indices, d, content)
+
+
+def _product_block(n: int, indices: tuple[int, ...], d: int, c: Content) -> GradedSubspace:
+    if d < sum(indices) or max(c) == d:  # words in one letter commute
+        return _empty(n, d)
+    pads = [(x, _span("P", n, indices, d - 1, _less(c, x))) for x in range(n) if c[x]]
+    return _left_ideal_step(n, d, pads, _generator_rows(n, indices, d, c))
 
 
 # -- index tuples and ideal specifications ----------------------------------
@@ -288,21 +435,24 @@ class IdealSpec:
         return f"{self.kind}{self.index}"
 
 
-def spec_span(spec: IdealSpec, d: int) -> GradedSubspace:
-    """Degree-d piece of an L, M or P spec; an N spec names a quotient."""
+def spec_span(spec: IdealSpec, d: int, content: Content | None = None) -> GradedSubspace:
+    """Degree-d piece of an L, M or P spec, or its block of the given letter
+    content; an N spec names a quotient."""
     if spec.kind == "L":
-        return l_span(spec.n, spec.index, d)
+        return l_span(spec.n, spec.index, d, content)
     if spec.kind == "M":
-        return m_span(spec.n, spec.index, d)
+        return m_span(spec.n, spec.index, d, content)
     if spec.kind == "P":
-        return product_span(spec.n, spec.factors, d)
+        return product_span(spec.n, spec.factors, d, content)
     raise ValueError(f"{spec.label()} is a quotient, not a span")
 
 
 def spec_dim(spec: IdealSpec, d: int) -> int:
+    """Degree-d dimension, summed over the sorted contents (orbit_sum)."""
+    n, k = spec.n, spec.index
     if spec.kind == "N":
-        return m_span(spec.n, spec.index, d).dim - m_span(spec.n, spec.index + 1, d).dim
-    return spec_span(spec, d).dim
+        return orbit_sum(n, d, lambda c: m_span(n, k, d, c).dim - m_span(n, k + 1, d, c).dim)
+    return orbit_sum(n, d, lambda c: spec_span(spec, d, c).dim)
 
 
 @dataclass
@@ -534,6 +684,6 @@ class SpanIdeal:
                     for row in prev.int_rows()
                     for i in range(self.n)
                 ]
-            S = _left_ideal_step(self.n, d, prev, rows)
+            S = _left_ideal_step(self.n, d, [(i, prev) for i in range(self.n)], rows)
         self._memo[d] = S
         return S

@@ -9,7 +9,9 @@ paths, each built from the package's own spans one step down:
 padded_m_span closes l_span under two-sided one-letter padding,
 composed_product_span multiplies m_span bases, full_slot_l_candidates
 brackets every monomial (not one per necklace) with l_span, and
-ascending_per_degree tests m_span for ascending s.
+whole_l_span, whole_m_span and whole_product_span build each degree in one
+piece, the reference for the letter-content blocks of series, which
+ascending_per_degree uses to test M_s for ascending s.
 """
 
 from fractions import Fraction
@@ -21,7 +23,14 @@ from random import Random
 from lcsideals.containment import bound_report
 from lcsideals.freealg import Poly, all_words, nested_word_chain
 from lcsideals.linalg import GradedSubspace
-from lcsideals.series import l_span, m_span, product_span
+from lcsideals.series import (
+    _bracket_rows,
+    _left_ideal_step,
+    _necklaces,
+    l_span,
+    m_span,
+    product_span,
+)
 
 
 def spanning_chains(n: int, k: int, d: int):
@@ -112,17 +121,77 @@ def full_slot_l_candidates(n: int, k: int, d: int):
                     yield vec
 
 
+def _empty(n: int, d: int) -> GradedSubspace:
+    return GradedSubspace(n, max(d, 0)).freeze()
+
+
+@cache
+def whole_l_span(n: int, k: int, d: int) -> GradedSubspace:
+    """L_k(d) echelonized in one piece out of the brackets [m, l], m one
+    word per necklace, l in whole_l_span(n, k-1, d-e): the reference for the
+    blocks of series.l_span."""
+    if d < 0 or (k > 1 and d < k):
+        return _empty(n, d)
+    if k == 1:
+        return GradedSubspace.from_rows(n, d, ({r: 1} for r in range(n**d)))
+    rows = (
+        row
+        for e in range(1, 2 if k == 2 else d - k + 2)
+        for rm in _necklaces(n, e)
+        for row in _bracket_rows(n, whole_l_span(n, k - 1, d - e), rm, e)
+    )
+    return GradedSubspace.from_rows(n, d, rows)
+
+
+def _whole_generator_rows(n: int, indices: tuple[int, ...], d: int):
+    """The new rows of the product at degree d: [x, l] for one factor,
+    [x, l]·r over the degree splits for more (see series.product_span)."""
+    head, rest = indices[0], indices[1:]
+    if not rest:
+        for x in range(n):
+            yield from _bracket_rows(n, whole_l_span(n, head - 1, d - 1), x, 1)
+        return
+    top = d - sum(rest)
+    for d1 in range(head, (min(top, 2) if head == 2 else top) + 1):
+        tails = list(whole_product_span(n, rest, d - d1).int_rows())
+        shift = n ** (d - d1)
+        for x in range(n):
+            for ra in _bracket_rows(n, whole_l_span(n, head - 1, d1 - 1), x, 1):
+                for rb in tails:
+                    yield {
+                        ka * shift + kb: va * vb
+                        for ka, va in ra.items()
+                        for kb, vb in rb.items()
+                    }
+
+
+@cache
+def whole_product_span(n: int, indices: tuple[int, ...], d: int) -> GradedSubspace:
+    """The product ideal at degree d as one left-ideal step over the whole
+    degree: the reference for the blocks of series.product_span."""
+    if d < sum(indices):
+        return _empty(n, d)
+    prev = whole_product_span(n, indices, d - 1)
+    pads = [(x, prev) for x in range(n)]
+    return _left_ideal_step(n, d, pads, _whole_generator_rows(n, indices, d))
+
+
+def whole_m_span(n: int, k: int, d: int) -> GradedSubspace:
+    return whole_l_span(n, 1, d) if k == 1 else whole_product_span(n, (k,), d)
+
+
 def ascending_per_degree(n: int, indices: tuple[int, ...], cutoff: int) -> dict[int, int]:
-    """Per degree, the largest s with P(d) ⊆ M_s(d), found by testing s from
-    2 up to the PBW bound plus one and stopping at the first failure: the
-    reference for the walking search of containment_index."""
+    """Per degree, the largest s with P(d) ⊆ M_s(d) on the whole-degree
+    reference spans, found by testing s from 2 up to the PBW bound plus one
+    and stopping at the first failure: the reference for the walking search
+    of containment_index, which stops at the bound by a theorem."""
     s_cap = bound_report(n, indices)[1] + 1
     per_degree = {}
     for d in range(sum(indices), cutoff + 1):
-        P = product_span(n, indices, d)
+        P = whole_product_span(n, indices, d)
         s_max = 1
         for s in range(2, s_cap + 1):
-            if not P.is_subspace_of(m_span(n, s, d)):
+            if not P.is_subspace_of(whole_m_span(n, s, d)):
                 break
             s_max = s
         per_degree[d] = s_max

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from lcsideals.containment import (
 )
 from lcsideals.freealg import Poly, bracket
 from lcsideals.lyndon import is_lyndon, pbw_degree
+from lcsideals import series
 from lcsideals.series import l_span, m_span, product_span
 
 from helpers import ascending_per_degree, tuples_with_sum_at_most
@@ -48,12 +51,48 @@ def test_small_theorem1_cells():
 
 
 def test_walking_search_matches_ascending_loop():
-    # criterion 1's grid on A_2 and the costliest A_3 bench question walk up
-    # from the PBW bound; A_4 (2,2), index 2 < bound 3, walks down from it
+    # criterion 1's grid on A_2 and the A_3 bench questions sit at the PBW
+    # bound; A_4 and A_5 (2,2), index 2 < bound 3, walk down from it.  The
+    # reference tests up to bound + 1 on whole-degree spans, so the theorem
+    # that lets the walk stop at the bound is checked by computation here
     cells = [(2, t, sum(t) + 2) for t in tuples_with_sum_at_most(7)]
-    for n, t, cutoff in cells + [(3, (3, 3), 7), (4, (2, 2), 6)]:
+    cells += [(3, (3, 3), 7), (3, (2, 5), 7), (3, (3, 4), 7), (4, (2, 2), 6), (5, (2, 2), 6)]
+    for n, t, cutoff in cells:
         got = containment_index(n, t, cutoff).per_degree
         assert got == ascending_per_degree(n, t, cutoff), (n, t)
+
+
+def test_walk_builds_no_m_above_the_bound_past_the_witness_degree():
+    # P(d) is outside M_{bound+1}(d) at every degree by the PBW theorem; only
+    # the witness test builds M_{bound+1}, once, at the witness degree
+    for n, t, cutoff in ((3, (3, 3), 7), (2, (2, 4), 10)):
+        series.clear_caches()
+        rep = containment_index(n, t, cutoff)
+        over = (rep.upper_bound_pbw + 1,)
+        assert rep.index_observed == rep.upper_bound_pbw
+        assert any(key[2] == over for key in series._span_cache)
+        assert not [
+            key for key in series._span_cache
+            if key[0] == "P" and key[2] == over and key[3] > rep.witness_degree
+        ], (n, t)
+
+
+def test_containment_refuses_one_generator_before_building_spans():
+    series.clear_caches()
+    with pytest.raises(ValueError, match="witness construction needs n >= 2"):
+        containment_index(1, (2, 2), 6)
+    assert not series._span_cache
+
+
+def test_bench_containment_references():
+    # the answers the bench checks; a wrong fast path fails here first
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+    questions = json.loads(path.read_text())["containment"]
+    assert len(questions) == 13
+    for q in questions:
+        rep = containment_index(q["n"], tuple(q["tuple"]), q["cutoff"])
+        assert rep.index_observed == q["index"], q
+        assert set(rep.per_degree.values()) == {q["index"]}, q
 
 
 def test_cutoff_too_small():

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -38,7 +39,12 @@ from helpers import (
     oracle_product_span,
     padded_m_span,
     subspaces_equal,
+    whole_l_span,
+    whole_m_span,
+    whole_product_span,
 )
+
+PRODUCT_TUPLES = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2)]
 
 
 def test_l_span_frozen_values():
@@ -108,13 +114,58 @@ def test_m_span_left_ideal_build_matches_two_sided_padding():
 
 
 def test_product_span_left_ideal_build_matches_composed_products():
-    tuples = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2)]
     for n, d_max in ((2, 9), (3, 6)):
-        for t in tuples:
+        for t in PRODUCT_TUPLES:
             for d in range(d_max + 1):
                 a, b = product_span(n, t, d), composed_product_span(n, t, d)
                 assert a.pivot_words() == b.pivot_words(), (n, t, d)
                 assert a.row_polys() == b.row_polys(), (n, t, d)
+
+
+def test_block_unions_match_whole_degree_builds():
+    # reduced echelon form is unique and the blocks have disjoint supports,
+    # so the union of a degree's blocks is the whole-degree build row for row
+    for n, d_max in ((2, 9), (3, 6)):
+        for d in range(d_max + 1):
+            for k in range(1, 7):
+                assert l_span(n, k, d)._rows == whole_l_span(n, k, d)._rows, (n, k, d)
+                assert m_span(n, k, d)._rows == whole_m_span(n, k, d)._rows, (n, k, d)
+            for t in PRODUCT_TUPLES:
+                assert product_span(n, t, d)._rows == whole_product_span(n, t, d)._rows, (n, t, d)
+
+
+def test_union_shares_the_block_rows():
+    whole = m_span(3, 3, 5)
+    for c in series.contents(3, 5):
+        for pivot, row in m_span(3, 3, 5, c)._rows.items():
+            assert whole._rows[pivot] is row
+    assert whole.dim == sum(m_span(3, 3, 5, c).dim for c in series.contents(3, 5))
+
+
+def test_block_dims_are_invariant_under_permuting_the_content():
+    # the symmetry that lets dimensions and containments use sorted contents
+    spans = [lambda n, d, c, k=k: l_span(n, k, d, c) for k in range(1, 6)]
+    spans += [lambda n, d, c, k=k: m_span(n, k, d, c) for k in range(2, 6)]
+    spans += [lambda n, d, c, t=t: product_span(n, t, d, c) for t in ((2, 2), (2, 3), (3, 2))]
+    for n, d_max in ((3, 6), (4, 5)):
+        for d in range(d_max + 1):
+            for c in series.sorted_contents(n, d):
+                for span in spans:
+                    dims = {span(n, d, p).dim for p in set(permutations(c))}
+                    assert len(dims) == 1, (n, d, c)
+
+
+def test_orbit_sum_counts_every_content():
+    for n, d in ((2, 5), (3, 4), (4, 4)):
+        assert series.orbit_sum(n, d, lambda c: 1) == len(series.contents(n, d))
+        assert series.orbit_sum(n, d, lambda c: m_span(n, 1, d, c).dim) == n**d
+        assert spec_dim(IdealSpec("M", n, index=3), d) == m_span(n, 3, d).dim
+
+
+def test_block_content_is_checked():
+    for bad in ((1, 1), (2, 2, 0), (4, -1, 0)):
+        with pytest.raises(ValueError, match="not a letter content"):
+            m_span(3, 2, 3, bad)
 
 
 def test_m_span_builds_no_l_at_its_own_degree():
