@@ -62,6 +62,7 @@ def clear_caches() -> None:
     chain_poly.cache_clear()
 
 
+@cache
 def _empty(n: int, d: int) -> GradedSubspace:
     return GradedSubspace(n, max(d, 0)).freeze()
 
@@ -101,18 +102,6 @@ def word_content(n: int, w: Word) -> Content:
 def _less(c: Content, x: int) -> Content:
     """c - e_x: the content left after taking one letter x (0-based)."""
     return c[:x] + (c[x] - 1,) + c[x + 1 :]
-
-
-@cache
-def _content_words(n: int, c: Content) -> tuple[int, ...]:
-    """Ranks of the words with content c, ascending."""
-    d = sum(c)
-    if d == 0:
-        return (0,)
-    top = n ** (d - 1)
-    return tuple(
-        x * top + r for x in range(n) if c[x] for r in _content_words(n, _less(c, x))
-    )
 
 
 def _splits(c: Content | None, m: int) -> Iterator[tuple[Content | None, Content | None]]:
@@ -168,10 +157,10 @@ def l_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
 
 
 def _l_block(n: int, k: int, d: int, c: Content) -> GradedSubspace:
-    if k == 1:
-        S = GradedSubspace(n, d)
-        S._rows = {r: {r: 1} for r in _content_words(n, c)}
-        return S.freeze()
+    if k == 1:  # A(0) = span(1) and A(d) = V·A(d-1)
+        if d == 0:
+            return GradedSubspace.from_rows(n, 0, [{0: 1}])
+        return _left_ideal_step(n, d, _pads("L", n, 1, d, c), ())
     if d < k or max(c) == d:  # words in one letter commute
         return _empty(n, d)
     return GradedSubspace.from_rows(n, d, _l_candidates(n, k, d, c))
@@ -236,6 +225,12 @@ def _letter_brackets(n: int, k: int, d: int, c: Content | None) -> Iterator[IntR
         if c is None or c[x]:
             block = _span("L", n, k, d - 1, None if c is None else _less(c, x))
             yield from _bracket_rows(n, block, x, 1)
+
+
+def _pads(kind: str, n: int, index, d: int, c: Content) -> list[tuple[int, GradedSubspace]]:
+    """The pairs (x, block c - e_x one degree down) whose left pads x·b
+    start block c of a left ideal."""
+    return [(x, _span(kind, n, index, d - 1, _less(c, x))) for x in range(n) if c[x]]
 
 
 def _left_ideal_step(
@@ -353,7 +348,7 @@ def product_span(
 def _product_block(n: int, indices: tuple[int, ...], d: int, c: Content) -> GradedSubspace:
     if d < sum(indices) or max(c) == d:  # words in one letter commute
         return _empty(n, d)
-    pads = [(x, _span("P", n, indices, d - 1, _less(c, x))) for x in range(n) if c[x]]
+    pads = _pads("P", n, indices, d, c) if d > sum(indices) else ()
     return _left_ideal_step(n, d, pads, _generator_rows(n, indices, d, c))
 
 
