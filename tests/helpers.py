@@ -29,7 +29,6 @@ from lcsideals.series import (
     _necklaces,
     l_span,
     m_span,
-    product_span,
 )
 
 
