@@ -50,7 +50,7 @@ from .series import (
     generators_S,
     m_span,
     read_indices,
-    spec_span,
+    spec_contains,
 )
 
 EXIT_OK = 0
@@ -134,7 +134,7 @@ def cmd_witness(args) -> int:
     degree = w.degree()
     _check_degree_cap(args.n, degree, args.force)
     target = bound_report(args.n, indices)[1] + 1
-    inside = m_span(args.n, target, degree).contains(w)
+    inside = spec_contains(IdealSpec("M", args.n, index=target), w)
     result = {
         "witness_expr": poly_to_expr(w),
         "degree": degree,
@@ -174,7 +174,7 @@ def cmd_membership(args) -> int:
             )
     _check_degree_cap(args.n, degree or 0, args.force)
     per_degree = [
-        {"degree": d, "contained": spec_span(spec, d).contains(c)}
+        {"degree": d, "contained": spec_contains(spec, c)}
         for d, c in parts.items()
     ]
     result = {

@@ -19,13 +19,14 @@ from .freealg import Poly, adjoint_power
 from .linalg import introw_to_poly
 from .lyndon import standard_bracketing
 from .series import (
+    IdealSpec,
+    balanced_content,
     chain_poly,
     factor_indices,
     m_span,
     product_generators,
     product_span,
-    sorted_contents,
-    word_content,
+    spec_contains,
 )
 
 Matrix = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -115,10 +116,26 @@ def containment_index(
     is found by walking up or down from the PBW bound (first degree) or the
     previous degree's answer; M_{s+1} ⊆ M_s, so only the M_s between start
     and answer are built.  The observed index is the least of these maxima.
-    Containment is tested block by block, P(d)[c] ⊆ M_s(d)[c], on the sorted
-    contents c alone: permuting the generators maps both ideals onto
-    themselves and block c onto block σ(c), and each orbit holds one sorted
-    content.
+
+    Containment is tested on one block per degree: P(d) ⊆ M_s(d) if and only
+    if P(d)[μ] ⊆ M_s(d)[μ] for the balanced content μ = (⌈d/n⌉, ..., ⌊d/n⌋)
+    (balanced_content).
+    1. A linear substitution of the generators is an algebra endomorphism,
+       so it maps brackets to brackets: L_k, M_k and every product are
+       GL_n(Q)-submodules of A_n(d) = V^{⊗d}.  That representation is
+       polynomial and, in characteristic 0, semisimple; the letter-content
+       blocks are its weight spaces.
+    2. If U ⊄ W for two submodules, U/(U∩W) contains an irreducible V_λ,
+       λ a partition of d with at most n parts.  Taking a weight space is
+       exact, so U[μ] ⊄ W[μ] whenever V_λ[μ] ≠ 0, that is, whenever the
+       Kostka number K_{λμ} > 0, that is, whenever λ dominates μ.
+    3. μ is the least partition of d with at most n parts in dominance
+       order: moving a box from a longer row to a row at least two shorter
+       goes down in dominance, and this ends at μ.  So every λ dominates μ.
+    (Feigin–Shoikhet for the GL_n action on these quotients; Macdonald,
+    Symmetric Functions and Hall Polynomials, I.6–I.7, for Kostka numbers
+    and dominance.)  The pbw_witness assigns its letters cyclically, so its
+    content is μ at its own degree and its test reuses the walk's cone.
 
     The walk stops at the bound because P(d) ⊄ M_{bound+1}(d) at every
     degree d.  The witness w, of degree |t| (the sum of the tuple), is a
@@ -142,12 +159,10 @@ def containment_index(
 
     per_degree: dict[int, int] = {}
     for d in range(total, cutoff + 1):
-        blocks = sorted_contents(n, d)
+        mu = balanced_content(n, d)
 
         def inside(s: int) -> bool:
-            return s == 1 or all(
-                product_span(n, t, d, c).is_subspace_of(m_span(n, s, d, c)) for c in blocks
-            )
+            return s == 1 or product_span(n, t, d, mu).is_subspace_of(m_span(n, s, d, mu))
 
         s = per_degree.get(d - 1, upper)
         if inside(s):
@@ -159,8 +174,7 @@ def containment_index(
     index = min(per_degree.values())
 
     wdeg = witness.degree()
-    wcontent = word_content(n, next(iter(witness.terms)))
-    if m_span(n, index + 1, wdeg, wcontent).contains(witness):
+    if spec_contains(IdealSpec("M", n, index=index + 1), witness):
         witness, wdeg = _search_witness(n, t, index, cutoff)
 
     return ContainmentReport(
@@ -277,15 +291,15 @@ def check_open_elements(cutoff: int = 6) -> list[dict]:
     if cutoff not in (6, 7):
         raise ValueError(f"cutoff must be 6 or 7, got {cutoff}")
     n = 3
+    target = IdealSpec("M", n, index=5)
     gens = [Poly.gen(n, g) for g in range(1, n + 1)]
     rows = []
     for d in range(6, cutoff + 1):
-        target = m_span(n, 5, d)
         for expr, left, right in OPEN_ELEMENTS:
             p = chain_poly(n, left) * chain_poly(n, right)
             # in degree 7: p times one generator, on either side
             elems = [p] if d == 6 else [x * p for x in gens] + [p * x for x in gens]
-            contained = all(target.contains(e) for e in elems)
+            contained = all(spec_contains(target, e) for e in elems)
             rows.append({"expr": expr, "degree": d, "contained": contained})
     return rows
 

@@ -22,9 +22,15 @@ block builds only the cone of blocks below its content.
 Permuting the generators maps L_k, M_k and every product onto themselves
 and block c onto block σ(c).  Each S_n orbit of contents holds exactly one
 sorted content c_1 >= ... >= c_n, so dimensions are sums over sorted
-contents (orbit_sum) and containments are decided on sorted contents alone.
-Stored rows are never relabelled: a relabelled block is not in echelon
-form, which the left pads rely on.
+contents (orbit_sum).  Every linear substitution of the generators maps
+these spans onto themselves too, so they are GL_n-modules whose weight
+spaces are the blocks, and a containment is decided on the one balanced
+block of each degree (balanced_content; the proof is in
+containment.containment_index).  Dimensions still need every sorted block:
+dim U[c] = Σ_λ m_λ K_{λc} over the irreducibles V_λ of U is triangular in
+the Kostka matrix, not diagonal, so no single block gives it.  Stored rows
+are never relabelled: a relabelled block is not in echelon form, which the
+left pads rely on.
 
 Span closures of explicit generators, which need not be multihomogeneous,
 grow by left padding plus new rows over whole degrees (SpanIdeal).  The
@@ -83,6 +89,13 @@ def contents(n: int, d: int) -> tuple[Content, ...]:
 def sorted_contents(n: int, d: int) -> tuple[Content, ...]:
     """One content per S_n orbit: those with c_1 >= c_2 >= ... >= c_n."""
     return tuple(c for c in contents(n, d) if all(a >= b for a, b in zip(c, c[1:])))
+
+
+def balanced_content(n: int, d: int) -> Content:
+    """The content (⌈d/n⌉, ..., ⌊d/n⌋) of degree d: the least partition of
+    d with at most n parts in dominance order."""
+    q, r = divmod(d, n)
+    return (q + 1,) * r + (q,) * (n - r)
 
 
 def orbit_sum(n: int, d: int, block_dim: Callable[[Content], int]) -> int:
@@ -440,6 +453,19 @@ def spec_span(spec: IdealSpec, d: int, content: Content | None = None) -> Graded
     if spec.kind == "P":
         return product_span(spec.n, spec.factors, d, content)
     raise ValueError(f"{spec.label()} is a quotient, not a span")
+
+
+def spec_contains(spec: IdealSpec, p: Poly) -> bool:
+    """Membership of a homogeneous element in an L, M or P spec.  The spans
+    are sums of their content blocks, so p is a member iff each part of p of
+    one letter content lies in that content's block."""
+    if not p.is_homogeneous():
+        raise ValueError("membership is tested on homogeneous elements")
+    parts: dict[Content, dict[Word, Fraction]] = {}
+    for w, c in p.terms.items():
+        parts.setdefault(word_content(spec.n, w), {})[w] = c
+    d = p.degree()
+    return all(spec_span(spec, d, c).contains(Poly(spec.n, t)) for c, t in parts.items())
 
 
 def spec_dim(spec: IdealSpec, d: int) -> int:

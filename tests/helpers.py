@@ -11,7 +11,9 @@ composed_product_span multiplies m_span bases, full_slot_l_candidates
 brackets every monomial (not one per necklace) with l_span, and
 whole_l_span, whole_m_span and whole_product_span build each degree in one
 piece, the reference for the letter-content blocks of series, which
-ascending_per_degree uses to test M_s for ascending s.
+ascending_per_degree uses to test M_s for ascending s.  sorted_per_degree
+walks like containment_index but tests every sorted content, the reference
+for its one balanced block per degree.
 """
 
 from fractions import Fraction
@@ -29,6 +31,8 @@ from lcsideals.series import (
     _necklaces,
     l_span,
     m_span,
+    product_span,
+    sorted_contents,
 )
 
 
@@ -194,6 +198,30 @@ def ascending_per_degree(n: int, indices: tuple[int, ...], cutoff: int) -> dict[
                 break
             s_max = s
         per_degree[d] = s_max
+    return per_degree
+
+
+def sorted_per_degree(n: int, indices: tuple[int, ...], cutoff: int) -> dict[int, int]:
+    """Per degree, the largest s with P(d) ⊆ M_s(d) found by the walk of
+    containment_index, with P(d)[c] ⊆ M_s(d)[c] tested on every sorted
+    content c (S_n symmetry alone) in place of the one balanced block."""
+    upper = bound_report(n, indices)[1]
+    per_degree: dict[int, int] = {}
+    for d in range(sum(indices), cutoff + 1):
+        blocks = sorted_contents(n, d)
+
+        def inside(s: int) -> bool:
+            return s == 1 or all(
+                product_span(n, indices, d, c).is_subspace_of(m_span(n, s, d, c))
+                for c in blocks
+            )
+
+        s = per_degree.get(d - 1, upper)
+        if inside(s):
+            s = next((u - 1 for u in range(s + 1, upper + 1) if not inside(u)), upper)
+        else:
+            s = next(u for u in range(s - 1, 0, -1) if inside(u))
+        per_degree[d] = s
     return per_degree
 
 

@@ -23,9 +23,29 @@ from lcsideals.containment import (
 from lcsideals.freealg import Poly, bracket
 from lcsideals.lyndon import is_lyndon, pbw_degree
 from lcsideals import series
-from lcsideals.series import l_span, m_span, product_span
+from lcsideals.series import (
+    IdealSpec,
+    balanced_content,
+    l_span,
+    m_span,
+    product_span,
+    spec_contains,
+    word_content,
+)
 
-from helpers import ascending_per_degree, tuples_with_sum_at_most
+from helpers import ascending_per_degree, sorted_per_degree, tuples_with_sum_at_most
+
+# criterion 1's grid on A_2 and the A_3 bench questions sit at the PBW bound;
+# A_4 and A_5 (2,2), index 2 < bound 3, walk down from it
+WALK_CELLS = [(2, t, sum(t) + 2) for t in tuples_with_sum_at_most(7)] + [
+    (3, (3, 3), 7),
+    (3, (2, 5), 7),
+    (3, (3, 4), 7),
+    (3, (2, 2, 2), 7),
+    (4, (2, 2), 6),
+    (4, (2, 3), 6),
+    (5, (2, 2), 6),
+]
 
 
 def test_headline_example_a2_22():
@@ -51,15 +71,65 @@ def test_small_theorem1_cells():
 
 
 def test_walking_search_matches_ascending_loop():
-    # criterion 1's grid on A_2 and the A_3 bench questions sit at the PBW
-    # bound; A_4 and A_5 (2,2), index 2 < bound 3, walk down from it.  The
-    # reference tests up to bound + 1 on whole-degree spans, so the theorem
-    # that lets the walk stop at the bound is checked by computation here
-    cells = [(2, t, sum(t) + 2) for t in tuples_with_sum_at_most(7)]
-    cells += [(3, (3, 3), 7), (3, (2, 5), 7), (3, (3, 4), 7), (4, (2, 2), 6), (5, (2, 2), 6)]
-    for n, t, cutoff in cells:
+    # the ascending reference tests up to bound + 1 on whole-degree spans and
+    # uses no symmetry, so both theorems the walk rests on, the stop at the
+    # bound and the one balanced block, are checked by computation here; the
+    # sorted reference is the same walk over every sorted content
+    for n, t, cutoff in WALK_CELLS:
         got = containment_index(n, t, cutoff).per_degree
         assert got == ascending_per_degree(n, t, cutoff), (n, t)
+        assert got == sorted_per_degree(n, t, cutoff), (n, t)
+
+
+def test_containment_builds_only_the_balanced_cone():
+    # at degree 7 only the product block of μ(7) = (3,2,2) is built, and every
+    # block built lies in the cone below it; a walk over more contents fails
+    series.clear_caches()
+    containment_index(3, (3, 4), 7)
+    keys = list(series._span_cache)
+    assert {key[4] for key in keys if key[0] == "P" and key[3] == 7} == {(3, 2, 2)}
+    for key in keys:
+        assert key[4] is not None and all(a <= b for a, b in zip(key[4], (3, 2, 2))), key
+
+
+def test_witness_content_is_the_balanced_content():
+    # letters are assigned cyclically, so the witness test reuses the walk's
+    # cone at the witness degree
+    for n in range(2, 6):
+        for t in [(2,), (3,), (2, 2), (2, 3), (4, 2), (2, 2, 3), (3, 3, 3)]:
+            w = pbw_witness(n, t)
+            assert {word_content(n, v) for v in w.terms} == {balanced_content(n, sum(t))}
+
+
+def test_per_degree_is_monotone_in_n_and_stable_for_n_at_least_d():
+    # x_{n+1} -> 0 maps each ideal of A_{n+1} onto the same ideal of A_n, so
+    # per_degree can only fall as n grows; for n >= d the balanced block is
+    # the multilinear block of A_d, so it stops changing
+    per = {
+        (t, n): containment_index(n, t, 6).per_degree
+        for t in ((2, 2), (2, 3))
+        for n in range(2, 7)
+    }
+    for (t, n), got in per.items():
+        if n > 2:
+            assert all(got[d] <= per[t, n - 1][d] for d in got), (t, n)
+        for d in got:
+            if n >= d:
+                assert got[d] == per[t, d][d], (t, n, d)
+    for n in (2, 3):
+        assert per[(2, 2), n] == {4: 3, 5: 3, 6: 3}
+    for n in (4, 5, 6):
+        assert per[(2, 2), n] == {4: 2, 5: 2, 6: 2}
+    assert all(per[(2, 3), n] == {5: 4, 6: 4} for n in range(2, 7))
+
+
+def test_element_questions_build_only_their_own_blocks():
+    series.clear_caches()
+    # the witness question: (2,2,2) has PBW bound 4, so the target is M_5
+    assert not spec_contains(IdealSpec("M", 4, index=5), pbw_witness(4, (2, 2, 2)))
+    mu = balanced_content(4, 6)
+    for key in series._span_cache:
+        assert key[4] is not None and all(a <= b for a, b in zip(key[4], mu)), key
 
 
 def test_walk_builds_no_m_above_the_bound_past_the_witness_degree():

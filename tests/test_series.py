@@ -2,6 +2,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
+from random import Random
 
 import pytest
 
@@ -25,6 +26,7 @@ from lcsideals.series import (
     product_span,
     pure_product_poly,
     shapes_for_index,
+    spec_contains,
     spec_dim,
     spec_span,
 )
@@ -38,6 +40,7 @@ from helpers import (
     oracle_m_span,
     oracle_product_span,
     padded_m_span,
+    random_homogeneous,
     subspaces_equal,
     whole_l_span,
     whole_m_span,
@@ -153,6 +156,40 @@ def test_block_dims_are_invariant_under_permuting_the_content():
                 for span in spans:
                     dims = {span(n, d, p).dim for p in set(permutations(c))}
                     assert len(dims) == 1, (n, d, c)
+
+
+def test_every_sorted_content_dominates_the_balanced_content():
+    # the balanced content is the least partition of d with at most n parts,
+    # which is why one block decides a containment (containment_index)
+    def partial_sums(c):
+        return [sum(c[: j + 1]) for j in range(len(c))]
+
+    for n in range(1, 7):
+        for d in range(13):
+            mu = series.balanced_content(n, d)
+            assert mu in series.sorted_contents(n, d)
+            floor = partial_sums(mu)
+            for c in series.sorted_contents(n, d):
+                assert all(a >= b for a, b in zip(partial_sums(c), floor)), (n, d, c)
+
+
+def test_spec_contains_agrees_with_the_whole_degree_span():
+    rng = Random(11)
+    specs = [IdealSpec.parse(text, 3) for text in ("L2", "L3", "M2", "M3", "M4", "M2*M2")]
+    for spec in specs:
+        for d in range(2, 6):
+            whole = spec_span(spec, d)
+            rows = whole.row_polys()
+            for _ in range(6):
+                p = Poly.zero(3)
+                for q in rng.sample(rows, min(len(rows), 3)):
+                    p = p + q.scale(rng.randint(-3, 3))
+                if rng.random() < 0.5:
+                    p = p + random_homogeneous(rng, 3, d, terms=2)
+                assert spec_contains(spec, p) == whole.contains(p), (spec, d)
+    assert spec_contains(specs[0], Poly.zero(3))
+    with pytest.raises(ValueError, match="homogeneous"):
+        spec_contains(specs[0], Poly.gen(3, 1) + bracket(Poly.gen(3, 1), Poly.gen(3, 2)))
 
 
 def test_orbit_sum_counts_every_content():
