@@ -24,7 +24,6 @@ from .series import (
     chain_poly,
     factor_indices,
     m_span,
-    product_generators,
     product_span,
     spec_contains,
 )
@@ -142,9 +141,9 @@ def containment_index(
     product of k nonzero Lie elements, so x_1^{d-|t|}·w in P(d) is a
     product of d - |t| + k of them and has PBW degree d - |t| + k, while
     M_s(d) lies in PBW filtration d - s + 1, which for s = bound + 1 is
-    d - |t| + k - 1.  A witness failing membership in M_{index+1} at its own
-    degree makes the non-containment side definitive; at index = bound this
-    checks the theorem once by computation.
+    d - |t| + k - 1.  At d = |t| this puts the witness, of PBW degree k,
+    outside M_{bound+1}; below the bound it is tested against M_{index+1} at
+    its own degree, which makes the non-containment side definitive.
     """
     t = factor_indices(indices)
     total = sum(t)
@@ -174,7 +173,7 @@ def containment_index(
     index = min(per_degree.values())
 
     wdeg = witness.degree()
-    if spec_contains(IdealSpec("M", n, index=index + 1), witness):
+    if index < upper and spec_contains(IdealSpec("M", n, index=index + 1), witness):
         witness, wdeg = _search_witness(n, t, index, cutoff)
 
     return ContainmentReport(
@@ -194,17 +193,19 @@ def containment_index(
 def _search_witness(
     n: int, t: tuple[int, ...], index: int, cutoff: int
 ) -> tuple[Poly, int]:
-    """Fallback: scan product generators for one outside M_{index+1}.
+    """Fallback: scan the balanced blocks for an element outside M_{index+1}.
 
-    P(d) = V·P(d-1) + product_generators(d) and M_{index+1} is a left ideal,
-    so if P leaves M_{index+1} by the cutoff, some generator does, and the
-    first one found at ascending degree lies in P but not in M_{index+1}.
+    P(d) ⊄ M_{index+1}(d) if and only if P(d)[μ] ⊄ M_{index+1}(d)[μ] for
+    μ = balanced_content(n, d) (containment_index), so at the first degree
+    where P leaves M_{index+1} some basis row of P(d)[μ], a block the walk
+    has already built, lies in P but not in M_{index+1}.
     """
     for d in range(sum(t), cutoff + 1):
-        target = m_span(n, index + 1, d)
-        for g in product_generators(n, t, d):
-            if not target.contains_row(g):
-                return introw_to_poly(g, n, d), d
+        mu = balanced_content(n, d)
+        target = m_span(n, index + 1, d, mu)
+        for row in product_span(n, t, d, mu).int_rows():
+            if not target.contains_row(row):
+                return introw_to_poly(row, n, d), d
     raise AssertionError("observed index admits no witness; containment logic broken")
 
 

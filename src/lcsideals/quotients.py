@@ -10,11 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from itertools import product as iter_product
 from math import comb
 
 from .freealg import Poly, Word, all_words, bracket, nested_word_chain
 from .linalg import extension_dim
-from .series import Content, factor_indices, l_span, m_span, orbit_sum, product_span
+from .series import (
+    Content,
+    IdealSpec,
+    factor_indices,
+    l_span,
+    m_span,
+    orbit_sum,
+    product_span,
+    spec_contains,
+)
 
 
 @dataclass(frozen=True)
@@ -156,17 +166,12 @@ def metabelian_check(n: int, d_max: int) -> bool:
     """
     if d_max < 4:
         raise ValueError("instances start at degree 4")
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            for u in range(1, n + 1):
-                for v in range(1, n + 1):
-                    elem = bracket(Poly.gen(n, p), Poly.gen(n, q)) * bracket(
-                        Poly.gen(n, u), Poly.gen(n, v)
-                    )
-                    if not elem.is_zero() and not product_span(n, (2, 2), 4).contains(
-                        elem
-                    ):
-                        return False
+    p22 = IdealSpec("P", n, factors=(2, 2))
+    gens = [Poly.gen(n, g) for g in range(1, n + 1)]
+    for p, q, u, v in iter_product(gens, repeat=4):
+        elem = bracket(p, q) * bracket(u, v)
+        if not elem.is_zero() and not spec_contains(p22, elem):
+            return False
 
     # [a,[b,l]] - [b,[a,l]] = [[a,b],l] lands in M2·M2 once l is a bracket
     for total in range(4, d_max + 1):
@@ -190,8 +195,6 @@ def metabelian_check(n: int, d_max: int) -> bool:
                                     )
                                     if diff.is_zero():
                                         continue
-                                    if not product_span(n, (2, 2), total).contains(
-                                        diff
-                                    ):
+                                    if not spec_contains(p22, diff):
                                         return False
     return True

@@ -17,7 +17,9 @@ left pads x_i·P(d-1)[c - e_i] and the generator rows of content c.  For M_k
 the new rows are [V, L_{k-1}(d-1)], so M_k never needs L_k at its own
 degree (see m_span); for longer products they are [V, L_{i1-1}]·R with R
 the product of the other factors (see product_span).  A request for one
-block builds only the cone of blocks below its content.
+block builds only the cone of blocks below its content.  Containment,
+witness and membership questions are asked of blocks alone; a whole-degree
+union is built only for a caller that names no content.
 
 Permuting the generators maps L_k, M_k and every product onto themselves
 and block c onto block σ(c).  Each S_n orbit of contents holds exactly one
@@ -117,12 +119,8 @@ def _less(c: Content, x: int) -> Content:
     return c[:x] + (c[x] - 1,) + c[x + 1 :]
 
 
-def _splits(c: Content | None, m: int) -> Iterator[tuple[Content | None, Content | None]]:
-    """The pairs (a, c - a) of contents with |a| = m; (None, None) for the
-    whole degree, c None."""
-    if c is None:
-        yield None, None
-        return
+def _splits(c: Content, m: int) -> Iterator[tuple[Content, Content]]:
+    """The pairs (a, c - a) of contents with |a| = m."""
     for a in iter_product(*(range(x + 1) for x in c)):
         if sum(a) == m:
             yield a, tuple(map(sub, c, a))
@@ -163,9 +161,9 @@ def l_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
     letter content (see _l_candidates)."""
     if k < 1:
         raise ValueError("lower central series index must be >= 1")
+    _check_content(n, d, content)
     if d < 0:
         return _empty(n, d)
-    _check_content(n, d, content)
     return _span("L", n, k, d, content)
 
 
@@ -231,13 +229,11 @@ def _bracket_rows(n: int, block: GradedSubspace, rm: int, e: int) -> Iterator[In
             yield vec
 
 
-def _letter_brackets(n: int, k: int, d: int, c: Content | None) -> Iterator[IntRow]:
-    """The brackets [x, l] of content c, x a letter and l a row of L_k(d-1);
-    with c None, those of the whole degree, letter by letter."""
+def _letter_brackets(n: int, k: int, d: int, c: Content) -> Iterator[IntRow]:
+    """The brackets [x, l] of content c, x a letter and l a row of L_k(d-1)."""
     for x in range(n):
-        if c is None or c[x]:
-            block = _span("L", n, k, d - 1, None if c is None else _less(c, x))
-            yield from _bracket_rows(n, block, x, 1)
+        if c[x]:
+            yield from _bracket_rows(n, _span("L", n, k, d - 1, _less(c, x)), x, 1)
 
 
 def _pads(kind: str, n: int, index, d: int, c: Content) -> list[tuple[int, GradedSubspace]]:
@@ -293,15 +289,14 @@ def m_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
 
 def product_generators(n: int, indices: Sequence[int], d: int) -> list[IntRow]:
     """The rows that M_{i1}···M_{ik} adds at degree d to the left pads
-    V·P(d-1), as a list of fresh rows (see _generator_rows)."""
-    return list(_generator_rows(n, factor_indices(indices), d, None))
+    V·P(d-1), content block by content block (see _generator_rows)."""
+    t = factor_indices(indices)
+    return [row for c in contents(n, d) for row in _generator_rows(n, t, d, c)]
 
 
-def _generator_rows(
-    n: int, indices: tuple[int, ...], d: int, c: Content | None
-) -> Iterator[IntRow]:
+def _generator_rows(n: int, indices: tuple[int, ...], d: int, c: Content) -> Iterator[IntRow]:
     """The new rows of content c of P = M_{i1}···M_{ik} at degree d (see
-    product_span); with c None, those of the whole degree.
+    product_span).
 
     One factor k: the brackets [x, l], x a generator, l in L_{k-1}(d-1).
     More factors (i,)+rest: the products [x, l]·r, l in L_{i-1}(d1-1) and r
@@ -352,9 +347,9 @@ def product_span(
     Block c takes the pads x_i·P(d-1)[c - e_i] and the new rows of content c.
     """
     indices = factor_indices(indices)
+    _check_content(n, d, content)
     if d < sum(indices):
         return _empty(n, d)
-    _check_content(n, d, content)
     return _span("P", n, indices, d, content)
 
 

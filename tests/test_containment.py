@@ -133,18 +133,25 @@ def test_element_questions_build_only_their_own_blocks():
 
 
 def test_walk_builds_no_m_above_the_bound_past_the_witness_degree():
-    # P(d) is outside M_{bound+1}(d) at every degree by the PBW theorem; only
-    # the witness test builds M_{bound+1}, once, at the witness degree
+    # P(d) is outside M_{bound+1}(d) at every degree by the PBW theorem, the
+    # witness degree included, so M_{bound+1} is never built
     for n, t, cutoff in ((3, (3, 3), 7), (2, (2, 4), 10)):
         series.clear_caches()
         rep = containment_index(n, t, cutoff)
         over = (rep.upper_bound_pbw + 1,)
         assert rep.index_observed == rep.upper_bound_pbw
-        assert any(key[2] == over for key in series._span_cache)
         assert not [
-            key for key in series._span_cache
-            if key[0] == "P" and key[2] == over and key[3] > rep.witness_degree
+            key for key in series._span_cache if key[0] == "P" and key[2] == over
         ], (n, t)
+
+
+def test_pbw_witness_is_outside_m_above_the_bound():
+    # the theorem containment_index relies on at index = bound, checked by
+    # computation on more generators than criterion 2 covers
+    for n in (4, 5):
+        for t in tuples_with_sum_at_most(6):
+            over = IdealSpec("M", n, index=bound_report(n, t)[1] + 1)
+            assert not spec_contains(over, pbw_witness(n, t)), (n, t)
 
 
 def test_containment_refuses_one_generator_before_building_spans():
@@ -213,6 +220,21 @@ def test_search_witness_scans_generators():
     assert w.degree() == d
     assert product_span(4, (2, 2), d).contains(w)
     assert not m_span(4, 3, d).contains(w)
+
+
+def test_search_witness_asks_only_the_balanced_blocks():
+    # P(4) already leaves M_3, so the scan stops at degree 4; there it builds
+    # the product and M_3 on the balanced content alone, and nowhere does it
+    # build a whole-degree union
+    from lcsideals.containment import _search_witness
+
+    series.clear_caches()
+    _search_witness(4, (2, 2), 2, 5)
+    keys = list(series._span_cache)
+    assert all(key[4] is not None for key in keys), keys
+    scanned = [key for key in keys if key[0] == "P" and key[3] >= 4]
+    assert scanned
+    assert all(key[4] == balanced_content(4, key[3]) for key in scanned), scanned
 
 
 def test_report_witness_is_definitive():

@@ -11,6 +11,7 @@ from lcsideals.quotients import (
     structure_basis_r22,
     two_row_module_dim,
 )
+from lcsideals import series
 from lcsideals.series import l_span, m_span, product_span
 
 
@@ -138,3 +139,10 @@ def test_metabelian_check():
     assert metabelian_check(3, 4)
     with pytest.raises(ValueError):
         metabelian_check(2, 3)
+
+
+def test_metabelian_check_asks_only_blocks():
+    series.clear_caches()
+    assert metabelian_check(3, 5)
+    assert series._span_cache
+    assert all(key[4] is not None for key in series._span_cache)

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -32,6 +33,7 @@ from lcsideals.series import (
 )
 
 from helpers import (
+    _whole_generator_rows,
     commutative_monomial_count,
     composed_product_span,
     full_slot_l_candidates,
@@ -200,9 +202,33 @@ def test_orbit_sum_counts_every_content():
 
 
 def test_block_content_is_checked():
-    for bad in ((1, 1), (2, 2, 0), (4, -1, 0)):
+    # also below the least degree, where the span is empty
+    for ask in (
+        lambda: m_span(3, 2, 3, (1, 1)),
+        lambda: m_span(3, 2, 3, (2, 2, 0)),
+        lambda: m_span(3, 2, 3, (4, -1, 0)),
+        lambda: product_span(2, (2, 2), 3, (7, 7)),
+        lambda: m_span(2, 3, 2, (7, 7)),
+        lambda: l_span(2, 2, -1, (0, -1)),
+    ):
         with pytest.raises(ValueError, match="not a letter content"):
-            m_span(3, 2, 3, bad)
+            ask()
+    assert product_span(2, (2, 2), 3, (2, 1)).dim == 0
+    assert product_span(2, (2, 2), 3).dim == l_span(2, 2, -1).dim == 0
+
+
+def test_product_generators_match_the_whole_degree_rows():
+    # the concatenation of the content blocks' rows is the whole-degree
+    # reference's multiset of rows; only the order differs
+    def multiset(rows):
+        return Counter(frozenset(row.items()) for row in rows)
+
+    tuples = [(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 4)]
+    for n, d_max in ((2, 9), (3, 7), (4, 6)):
+        for t in tuples:
+            for d in range(sum(t), d_max + 1):
+                got = multiset(product_generators(n, t, d))
+                assert got == multiset(_whole_generator_rows(n, t, d)), (n, t, d)
 
 
 def test_m_span_builds_no_l_at_its_own_degree():
