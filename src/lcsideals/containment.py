@@ -2,9 +2,10 @@
 
 containment_index() computes the observed maximal s with
 M_{i1}···M_{ik} ⊆ M_s degreewise up to a cutoff, together with bounds and
-an explicit non-membership witness.  Containment evidence is stamped with
-the cutoff; non-containment of a homogeneous witness is definitive because
-each graded component is checked exhaustively.
+an explicit non-membership witness: the PBW witness, or else the first
+basis row the walk found outside M_{index+1}.  Containment evidence is
+stamped with the cutoff; non-containment of a homogeneous witness is
+definitive because each graded component is checked exhaustively.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 from .exprs import poly_to_expr
 from .freealg import Poly, adjoint_power
-from .linalg import introw_to_poly
+from .linalg import IntRow, introw_to_poly
 from .lyndon import standard_bracketing
 from .series import (
     IdealSpec,
@@ -144,6 +145,15 @@ def containment_index(
     d - |t| + k - 1.  At d = |t| this puts the witness, of PBW degree k,
     outside M_{bound+1}; below the bound it is tested against M_{index+1} at
     its own degree, which makes the non-containment side definitive.
+
+    If M_{index+1} holds the witness, the report takes a basis row of P the
+    walk found outside M_{index+1}: inside(s) keeps the first (d, row) at
+    which M_s fails, row the first in int_rows() order.  Let d* be the first
+    degree with per_degree[d*] = index.  Below d*, P(d) ⊆ M_{index+1}(d), so
+    no test of M_{index+1} fails there.  At d* the walk starts at some
+    s >= index + 1 and walks down to index, so it tests M_{index+1}, and that
+    test fails.  The row kept is therefore the first row of the first degree
+    where P leaves M_{index+1}, the one a rescan of the blocks would find.
     """
     t = factor_indices(indices)
     total = sum(t)
@@ -157,11 +167,17 @@ def containment_index(
     lower, upper = bound_report(n, t)
 
     per_degree: dict[int, int] = {}
+    outside: dict[int, tuple[int, IntRow]] = {}  # s -> first (d, row) of P not in M_s
     for d in range(total, cutoff + 1):
         mu = balanced_content(n, d)
 
         def inside(s: int) -> bool:
-            return s == 1 or product_span(n, t, d, mu).is_subspace_of(m_span(n, s, d, mu))
+            if s == 1:
+                return True
+            row = product_span(n, t, d, mu).row_outside(m_span(n, s, d, mu))
+            if row is not None:
+                outside.setdefault(s, (d, row))
+            return row is None
 
         s = per_degree.get(d - 1, upper)
         if inside(s):
@@ -174,7 +190,8 @@ def containment_index(
 
     wdeg = witness.degree()
     if index < upper and spec_contains(IdealSpec("M", n, index=index + 1), witness):
-        witness, wdeg = _search_witness(n, t, index, cutoff)
+        wdeg, row = outside[index + 1]
+        witness = introw_to_poly(row, n, wdeg)
 
     return ContainmentReport(
         n=n,
@@ -188,25 +205,6 @@ def containment_index(
         witness_target=index + 1,
         per_degree=per_degree,
     )
-
-
-def _search_witness(
-    n: int, t: tuple[int, ...], index: int, cutoff: int
-) -> tuple[Poly, int]:
-    """Fallback: scan the balanced blocks for an element outside M_{index+1}.
-
-    P(d) ⊄ M_{index+1}(d) if and only if P(d)[μ] ⊄ M_{index+1}(d)[μ] for
-    μ = balanced_content(n, d) (containment_index), so at the first degree
-    where P leaves M_{index+1} some basis row of P(d)[μ], a block the walk
-    has already built, lies in P but not in M_{index+1}.
-    """
-    for d in range(sum(t), cutoff + 1):
-        mu = balanced_content(n, d)
-        target = m_span(n, index + 1, d, mu)
-        for row in product_span(n, t, d, mu).int_rows():
-            if not target.contains_row(row):
-                return introw_to_poly(row, n, d), d
-    raise AssertionError("observed index admits no witness; containment logic broken")
 
 
 # -- sl(2) trace witness ---------------------------------------------------

@@ -217,10 +217,14 @@ class GradedSubspace:
         """Exact membership of a degree-d homogeneous element."""
         return self.contains_row(poly_to_introw(p, self.n, self.degree))
 
-    def is_subspace_of(self, other: "GradedSubspace") -> bool:
+    def row_outside(self, other: "GradedSubspace") -> IntRow | None:
+        """The first stored row, in descending pivot order, not in other."""
         if self.n != other.n or self.degree != other.degree:
             raise ValueError("subspace comparison needs matching n and degree")
-        return all(other.contains_row(row) for row in self._rows.values())
+        return next((row for row in self.int_rows() if not other.contains_row(row)), None)
+
+    def is_subspace_of(self, other: "GradedSubspace") -> bool:
+        return self.row_outside(other) is None
 
     def pivot_words(self) -> list[Word]:
         return [rank_word(r, self.n, self.degree) for r in sorted(self._rows, reverse=True)]

@@ -20,6 +20,7 @@ from .series import (
     IdealSpec,
     factor_indices,
     l_span,
+    l_span_chains,
     m_span,
     orbit_sum,
     product_span,
@@ -177,24 +178,15 @@ def metabelian_check(n: int, d_max: int) -> bool:
     for total in range(4, d_max + 1):
         for da in range(1, total - 2):
             for db in range(1, total - 1 - da):
-                dl = total - da - db
-                if dl < 2:
-                    continue
                 for wa in all_words(n, da):
                     a = Poly.monomial(n, wa)
                     for wb in all_words(n, db):
                         b = Poly.monomial(n, wb)
-                        for dl1 in range(1, dl):
-                            for wl1 in all_words(n, dl1):
-                                for wl2 in all_words(n, dl - dl1):
-                                    l = nested_word_chain(n, [wl1, wl2])
-                                    if l.is_zero():
-                                        continue
-                                    diff = bracket(a, bracket(b, l)) - bracket(
-                                        b, bracket(a, l)
-                                    )
-                                    if diff.is_zero():
-                                        continue
-                                    if not spec_contains(p22, diff):
-                                        return False
+                        for chain in l_span_chains(n, 2, total - da - db):
+                            l = nested_word_chain(n, chain)
+                            if l.is_zero():
+                                continue
+                            diff = bracket(a, bracket(b, l)) - bracket(b, bracket(a, l))
+                            if not diff.is_zero() and not spec_contains(p22, diff):
+                                return False
     return True

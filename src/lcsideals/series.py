@@ -231,9 +231,8 @@ def _bracket_rows(n: int, block: GradedSubspace, rm: int, e: int) -> Iterator[In
 
 def _letter_brackets(n: int, k: int, d: int, c: Content) -> Iterator[IntRow]:
     """The brackets [x, l] of content c, x a letter and l a row of L_k(d-1)."""
-    for x in range(n):
-        if c[x]:
-            yield from _bracket_rows(n, _span("L", n, k, d - 1, _less(c, x)), x, 1)
+    for x, block in _pads("L", n, k, d, c):
+        yield from _bracket_rows(n, block, x, 1)
 
 
 def _pads(kind: str, n: int, index, d: int, c: Content) -> list[tuple[int, GradedSubspace]]:

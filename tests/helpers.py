@@ -13,7 +13,9 @@ whole_l_span, whole_m_span and whole_product_span build each degree in one
 piece, the reference for the letter-content blocks of series, which
 ascending_per_degree uses to test M_s for ascending s.  sorted_per_degree
 walks like containment_index but tests every sorted content, the reference
-for its one balanced block per degree.
+for its one balanced block per degree.  search_witness rescans the
+balanced blocks for a row outside M_{index+1}, the reference for the row
+the walk of containment_index keeps.
 """
 
 from fractions import Fraction
@@ -24,11 +26,12 @@ from random import Random
 
 from lcsideals.containment import bound_report
 from lcsideals.freealg import Poly, all_words, nested_word_chain
-from lcsideals.linalg import GradedSubspace
+from lcsideals.linalg import GradedSubspace, introw_to_poly
 from lcsideals.series import (
     _bracket_rows,
     _left_ideal_step,
     _necklaces,
+    balanced_content,
     l_span,
     m_span,
     product_span,
@@ -223,6 +226,25 @@ def sorted_per_degree(n: int, indices: tuple[int, ...], cutoff: int) -> dict[int
             s = next(u for u in range(s - 1, 0, -1) if inside(u))
         per_degree[d] = s
     return per_degree
+
+
+def search_witness(
+    n: int, t: tuple[int, ...], index: int, cutoff: int
+) -> tuple[Poly, int]:
+    """Fallback: scan the balanced blocks for an element outside M_{index+1}.
+
+    P(d) ⊄ M_{index+1}(d) if and only if P(d)[μ] ⊄ M_{index+1}(d)[μ] for
+    μ = balanced_content(n, d) (containment_index), so at the first degree
+    where P leaves M_{index+1} some basis row of P(d)[μ], a block the walk
+    has already built, lies in P but not in M_{index+1}.
+    """
+    for d in range(sum(t), cutoff + 1):
+        mu = balanced_content(n, d)
+        target = m_span(n, index + 1, d, mu)
+        for row in product_span(n, t, d, mu).int_rows():
+            if not target.contains_row(row):
+                return introw_to_poly(row, n, d), d
+    raise AssertionError("observed index admits no witness; containment logic broken")
 
 
 def composed_product_span(n: int, indices: tuple[int, ...], d: int) -> GradedSubspace:

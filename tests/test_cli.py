@@ -224,6 +224,14 @@ def test_membership_tests_every_component(capsys):
         {"degree": 1, "contained": False},
         {"degree": 2, "contained": True},
     ]
+    # with --degree only that component is tested, and stderr says so
+    code, out, err = run(
+        capsys, "membership", "--n", "2", "--expr", "x1 + [x1,x2]", "--ideal", "M2",
+        "--degree", "2",
+    )
+    assert (code, err) == (0, "note: testing the degree-2 homogeneous component\n")
+    doc = json.loads(out)["result"]
+    assert (doc["expr"], doc["contained"]) == ("x1*x2 - x2*x1", True)
 
 
 def test_membership_of_zero_has_no_degree(capsys):
@@ -305,6 +313,15 @@ def test_report_envelope(capsys, line, n, cutoff):
         (["structure-check", "--which", "r22", "--r-max", "1"], "--r-max must be >= 2, got 1"),
         (["conjecture-sweep", "--n-max", "1"], "--n-max must be >= 2, got 1"),
         (["conjecture-sweep", "--k-max", "0"], "--k-max must be >= 1, got 0"),
+        # --force lifts the size caps, not the sweep's desk-scale limit
+        (
+            ["conjecture-sweep", "--n-max", "6", "--k-max", "1", "--force"],
+            "sweep is desk-scale only: n_max <= 5, k_max <= 4",
+        ),
+        (
+            ["quotient-dims", "--n", "2", "--mod", "2,3,4", "--series", "N", "--r", "1"],
+            "expected 2 comma-separated indices, got '2,3,4'",
+        ),
     ],
 )
 def test_refusal_message_and_exit_code(capsys, tmp_path, argv, message):

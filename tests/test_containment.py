@@ -22,7 +22,7 @@ from lcsideals.containment import (
 )
 from lcsideals.freealg import Poly, bracket
 from lcsideals.lyndon import is_lyndon, pbw_degree
-from lcsideals import series
+from lcsideals import containment, series
 from lcsideals.series import (
     IdealSpec,
     balanced_content,
@@ -33,7 +33,12 @@ from lcsideals.series import (
     word_content,
 )
 
-from helpers import ascending_per_degree, sorted_per_degree, tuples_with_sum_at_most
+from helpers import (
+    ascending_per_degree,
+    search_witness,
+    sorted_per_degree,
+    tuples_with_sum_at_most,
+)
 
 # criterion 1's grid on A_2 and the A_3 bench questions sit at the PBW bound;
 # A_4 and A_5 (2,2), index 2 < bound 3, walk down from it
@@ -213,28 +218,50 @@ def test_even_pair_on_four_generators_drops_below_upper_bound():
     assert not m_span(4, 3, rep.witness_degree).contains(rep.witness)
 
 
-def test_search_witness_scans_generators():
-    from lcsideals.containment import _search_witness
+@pytest.fixture
+def square_witness(monkeypatch):
+    # [x1,x2]·[x1,x2] lies in P(4) of (2,2) and, by the pigeonhole identity,
+    # in M_3, so containment_index must report a row its walk kept
+    def square(n, indices):
+        c = bracket(Poly.gen(n, 1), Poly.gen(n, 2))
+        return c * c
 
-    w, d = _search_witness(4, (2, 2), 2, 5)
+    monkeypatch.setattr(containment, "pbw_witness", square)
+    return square
+
+
+def test_search_witness_scans_generators(square_witness):
+    rep = containment_index(4, (2, 2), 5)
+    assert m_span(4, 3, 4).contains(square_witness(4, (2, 2)))
+    w, d = rep.witness, rep.witness_degree
     assert w.degree() == d
     assert product_span(4, (2, 2), d).contains(w)
     assert not m_span(4, 3, d).contains(w)
 
 
-def test_search_witness_asks_only_the_balanced_blocks():
-    # P(4) already leaves M_3, so the scan stops at degree 4; there it builds
-    # the product and M_3 on the balanced content alone, and nowhere does it
-    # build a whole-degree union
-    from lcsideals.containment import _search_witness
-
+def test_search_witness_asks_only_the_balanced_blocks(square_witness):
+    # P(4) already leaves M_3, so the walk keeps its row at degree 4; there it
+    # builds the product and each M_s on the balanced content alone, the
+    # forced witness is asked of its own block, and nowhere is a whole-degree
+    # union built
     series.clear_caches()
-    _search_witness(4, (2, 2), 2, 5)
+    containment_index(4, (2, 2), 4)
     keys = list(series._span_cache)
     assert all(key[4] is not None for key in keys), keys
-    scanned = [key for key in keys if key[0] == "P" and key[3] >= 4]
+    own = ("P", 4, (3,), 4, (2, 2, 0, 0))
+    assert own in keys
+    scanned = [key for key in keys if key[0] == "P" and key[3] >= 4 and key != own]
     assert scanned
     assert all(key[4] == balanced_content(4, key[3]) for key in scanned), scanned
+
+
+@pytest.mark.parametrize("n,cutoff", [(4, 6), (4, 7), (5, 6)])
+def test_walk_keeps_the_row_a_rescan_finds(square_witness, n, cutoff):
+    # P leaves M_3 at degree 4 and again at every later degree, so only the
+    # first failure the walk records is the rescan's witness
+    rep = containment_index(n, (2, 2), cutoff)
+    assert rep.index_observed == 2
+    assert (rep.witness, rep.witness_degree) == search_witness(n, (2, 2), 2, cutoff)
 
 
 def test_report_witness_is_definitive():

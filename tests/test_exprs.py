@@ -48,11 +48,17 @@ def test_syntax_errors_carry_position():
         parse_expr("[x1,x2", 2)
     with pytest.raises(ExprSyntaxError):
         parse_expr("x1 x2 )", 2)
+    with pytest.raises(ExprSyntaxError, match="zero denominator") as err:
+        parse_expr("1/0", 2)
+    assert err.value.pos == 3
 
 
 def test_generator_out_of_range():
     with pytest.raises(ExprSyntaxError):
         parse_expr("x3", 2)
+    for n in (0, 10):  # the grammar reads one-digit generator indices
+        with pytest.raises(ValueError, match="supports n in 1..9"):
+            parse_expr("x1", n)
 
 
 def test_digit_after_generator_index_is_an_error():

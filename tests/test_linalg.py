@@ -68,6 +68,27 @@ def test_is_subspace_examples():
     assert S.is_subspace_of(S)
     assert empty.is_subspace_of(T)
     assert not T.is_subspace_of(S)
+    assert S.row_outside(S) is None and empty.row_outside(T) is None
+    assert T.row_outside(S) == next(T.int_rows())
+
+
+def test_row_outside_is_the_first_row_in_descending_pivot_order():
+    # x1x2 and x2x1 lie outside span([x1,x2]); the pivot x2x1 comes first
+    S = GradedSubspace(2, 2).insert(bracket(Poly.gen(2, 1), Poly.gen(2, 2))).freeze()
+    T = GradedSubspace(2, 2)
+    for w in ((1, 1), (1, 2), (2, 1)):
+        T.insert(Poly.monomial(2, w))
+    T.freeze()
+    assert T.row_outside(S) == {word_rank((2, 1), 2): 1}
+
+
+@pytest.mark.parametrize("n,degree", [(3, 2), (2, 3)])
+def test_subspace_comparison_needs_matching_n_and_degree(n, degree):
+    S = GradedSubspace(2, 2).freeze()
+    other = GradedSubspace(n, degree).freeze()
+    for compare in (S.row_outside, S.is_subspace_of):
+        with pytest.raises(ValueError, match="matching n and degree"):
+            compare(other)
 
 
 def test_dim_growth_and_membership_agree():

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from lcsideals.freealg import Poly, bracket, nested
+from lcsideals import lyndon
 from lcsideals.lyndon import (
     _lyndon_coefficients,
     is_lyndon,
@@ -156,3 +157,12 @@ def test_peeling_rejects_non_lie_elements():
     with pytest.raises(ValueError, match="not in the free Lie algebra"):
         _lyndon_coefficients(2, Poly.monomial(2, (1, 2)))
     assert _lyndon_coefficients(2, Poly.zero(2)) == {}
+
+
+def test_clear_caches_empties_the_three_caches():
+    # the pbw_straighten bench workload resets with it before each question
+    straighten(nested([Poly.gen(2, 2), Poly.gen(2, 1), Poly.gen(2, 1)]) * Poly.gen(2, 2))
+    caches = (lyndon._bracketing_cached, lyndon._swap_pair, lyndon._straighten_word)
+    assert all(f.cache_info().currsize for f in caches)
+    lyndon.clear_caches()
+    assert [f.cache_info().currsize for f in caches] == [0, 0, 0]
