@@ -2,9 +2,15 @@
 
 Elements are rational linear combinations of words; a word is a tuple of
 generator indices in 1..n and the empty tuple is the unit.  All arithmetic
-is exact (fractions.Fraction); zero coefficients are never stored (the
-constructor drops them, so arithmetic need not), and two equal elements
-compare equal structurally.
+is exact: a coefficient is an int when it is integral and a
+fractions.Fraction otherwise, and no float is accepted.  Zero coefficients
+are never stored, and two equal elements compare equal structurally (an
+int equals the Fraction of the same value and hashes alike).
+
+Words and coefficients are checked once, where they enter: the Poly
+constructor.  Arithmetic builds its result from operands that are already
+valid, drops the zeros it makes, and skips the check.  No coefficient is
+ever divided: int / int would be a float.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
+Rational = int | Fraction
 
 EMPTY_WORD: Word = ()
 
@@ -28,25 +35,40 @@ def check_word(w: Word, n: int) -> None:
             raise ValueError(f"letter {letter} outside 1..{n} in word {w}")
 
 
+def _check_count(n: int) -> int:
+    if n < 1:
+        raise ValueError("generator count must be >= 1")
+    return n
+
+
+def check_rational(c) -> Rational:
+    """c as an int if integral, else as a Fraction; TypeError for a non-rational."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
+
 class Poly:
     """An element of the free associative algebra on ``n`` generators.
 
-    ``terms`` maps words to nonzero Fractions.  Instances are treated as
-    immutable once constructed; all operations return new objects.
+    ``terms`` maps words to nonzero coefficients: ints, or Fractions for the
+    values that are not integral (arithmetic may also leave an integral
+    Fraction, which equals and hashes like its int).  Instances are treated
+    as immutable once constructed; all operations return new objects.
     """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[Word, Fraction | int] | None = None):
-        if n < 1:
-            raise ValueError("generator count must be >= 1")
-        self.n = n
-        clean: dict[Word, Fraction] = {}
+    def __init__(self, n: int, terms: Mapping[Word, Rational] | None = None):
+        self.n = _check_count(n)
+        clean: dict[Word, Rational] = {}
         if terms:
             for w, c in terms.items():
-                c = Fraction(c)
+                check_word(w, n)
+                c = check_rational(c)
                 if c:
-                    check_word(w, n)
                     clean[w] = c
         self.terms = clean
 
@@ -58,21 +80,21 @@ class Poly:
 
     @classmethod
     def one(cls, n: int) -> "Poly":
-        return cls(n, {EMPTY_WORD: Fraction(1)})
+        return _trusted(_check_count(n), {EMPTY_WORD: 1})
 
     @classmethod
     def gen(cls, n: int, i: int) -> "Poly":
         if not 1 <= i <= n:
             raise ValueError(f"generator x{i} not available with n={n}")
-        return cls(n, {(i,): Fraction(1)})
+        return _trusted(n, {(i,): 1})
 
     @classmethod
-    def monomial(cls, n: int, word: Iterable[int], coeff: Fraction | int = 1) -> "Poly":
-        return cls(n, {tuple(word): Fraction(coeff)})
+    def monomial(cls, n: int, word: Iterable[int], coeff: Rational = 1) -> "Poly":
+        return cls(n, {tuple(word): coeff})
 
     @classmethod
-    def scalar(cls, n: int, c: Fraction | int) -> "Poly":
-        return cls(n, {EMPTY_WORD: Fraction(c)})
+    def scalar(cls, n: int, c: Rational) -> "Poly":
+        return cls(n, {EMPTY_WORD: c})
 
     # -- structure ----------------------------------------------------
 
@@ -90,57 +112,65 @@ class Poly:
         return len(degs) <= 1
 
     def homogeneous_component(self, d: int) -> "Poly":
-        return Poly(self.n, {w: c for w, c in self.terms.items() if len(w) == d})
+        return _trusted(self.n, {w: c for w, c in self.terms.items() if len(w) == d})
 
     def homogeneous_components(self) -> dict[int, "Poly"]:
-        out: dict[int, dict[Word, Fraction]] = {}
+        out: dict[int, dict[Word, Rational]] = {}
         for w, c in self.terms.items():
             out.setdefault(len(w), {})[w] = c
-        return {d: Poly(self.n, t) for d, t in sorted(out.items())}
+        return {d: _trusted(self.n, t) for d, t in sorted(out.items())}
 
-    def coefficient(self, word: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
+    def coefficient(self, word: Iterable[int]) -> Rational:
+        return self.terms.get(tuple(word), 0)
 
     # -- arithmetic ---------------------------------------------------
+    # A rational operand of + and - stands for that multiple of the unit.
 
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return Poly(self.n, out)
+    def __add__(self, other) -> "Poly":
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        return _trusted(self.n, _sum(self.terms, other.terms, 1))
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return Poly(self.n, out)
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Poly":
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        return _trusted(self.n, _sum(self.terms, other.terms, -1))
+
+    def __rsub__(self, other) -> "Poly":
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        return _trusted(self.n, _sum(other.terms, self.terms, -1))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.n, {w: -c for w, c in self.terms.items()})
+        return _trusted(self.n, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, Poly):
+            return self.__rmul__(other)
         self._check_compatible(other)
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Rational] = {}
+        get = out.get
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return Poly(self.n, out)
+                out[w] = get(w, 0) + c1 * c2
+        return _trusted(self.n, {w: c for w, c in out.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, c: Fraction | int) -> "Poly":
-        c = Fraction(c)
+    def scale(self, c: Rational) -> "Poly":
+        c = check_rational(c)
         if not c:
             return Poly(self.n)
-        return Poly(self.n, {w: c * v for w, v in self.terms.items()})
+        return _trusted(self.n, {w: c * v for w, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -157,11 +187,43 @@ class Poly:
             return f"Poly({self.n}, 0)"
         return f"Poly({self.n}, {poly_to_expr(self)})"
 
+    def _operand(self, other) -> "Poly":
+        """other as a Poly on the same generators; NotImplemented if it is
+        neither a Poly nor a rational."""
+        if isinstance(other, Poly):
+            self._check_compatible(other)
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Poly.scalar(self.n, other)
+        return NotImplemented
+
     def _check_compatible(self, other: "Poly") -> None:
         if self.n != other.n:
             raise ValueError(
                 f"generator-count mismatch: {self.n} vs {other.n}"
             )
+
+
+def _trusted(n: int, terms: dict[Word, Rational]) -> Poly:
+    """The Poly holding ``terms`` as given: the caller vouches that the words
+    are valid and the coefficients nonzero rationals, so nothing is checked."""
+    p = Poly.__new__(Poly)
+    p.n = n
+    p.terms = terms
+    return p
+
+
+def _sum(a: dict[Word, Rational], b: dict[Word, Rational], sign: int) -> dict[Word, Rational]:
+    """The terms of a + sign*b, without zeros."""
+    out = dict(a)
+    get = out.get
+    for w, c in b.items():
+        s = get(w, 0) + c if sign > 0 else get(w, 0) - c
+        if s:
+            out[w] = s
+        else:
+            del out[w]
+    return out
 
 
 def bracket(p: Poly, q: Poly) -> Poly:

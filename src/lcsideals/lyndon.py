@@ -10,15 +10,15 @@ The basis is triangular: the standard bracketing b_w of a Lyndon word w is
 w plus lexicographically larger words of the same degree (Reutenauer, Free
 Lie Algebras, ch. 5).  A Lie element is therefore written in the basis by
 peeling: take the smallest word w left, which must be Lyndon, record its
-coefficient c, subtract c*b_w, and repeat until nothing is left.
+coefficient c, subtract c*b_w, and repeat until nothing is left.  As every
+b_w has integer coefficients, straightening a word runs in ints alone.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
-from .freealg import Poly, Word, bracket
+from .freealg import Poly, Rational, Word, bracket
 
 # A PBW monomial is a nondecreasing tuple of Lyndon words.
 PbwMonomial = tuple[Word, ...]
@@ -62,26 +62,31 @@ def lyndon_factor_split(w: Word) -> tuple[Word, Word]:
 
 
 def standard_bracketing(w: Word, n: int) -> Poly:
-    """The Lie element obtained by recursively bracketing a Lyndon word."""
+    """The Lie element obtained by recursively bracketing a Lyndon word.
+
+    The factors come from the cache, so each sub-bracketing is built once.
+    """
     if not is_lyndon(w):
         raise ValueError(f"{w} is not a Lyndon word")
     if len(w) == 1:
         return Poly.gen(n, w[0])
     u, v = lyndon_factor_split(w)
-    return bracket(standard_bracketing(u, n), standard_bracketing(v, n))
+    return bracket(_bracketing_cached(n, u), _bracketing_cached(n, v))
 
 
 class PbwExpansion:
     """An element written in the PBW basis.
 
     terms maps each PBW monomial (nondecreasing tuple of Lyndon words) to a
-    nonzero rational.  Re-expanding every factor and multiplying reproduces
-    the original element exactly.
+    nonzero rational: an int when the element has integer coefficients, as
+    straightening a word produces only ints, and a Fraction where a rational
+    coefficient of the element enters.  Re-expanding every factor and
+    multiplying reproduces the original element exactly.
     """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[PbwMonomial, Fraction]):
+    def __init__(self, n: int, terms: dict[PbwMonomial, Rational]):
         self.n = n
         self.terms = {m: c for m, c in terms.items() if c}
 
@@ -121,14 +126,14 @@ def _bracketing_cached(n: int, w: Word) -> Poly:
     return standard_bracketing(w, n)
 
 
-def _lyndon_coefficients(n: int, p: Poly) -> dict[Word, Fraction]:
+def _lyndon_coefficients(n: int, p: Poly) -> dict[Word, Rational]:
     """Coefficients of the Lie element p in the standard-bracketing basis.
 
     Peels off the smallest word w left: it must be Lyndon, and as b_w is w
     plus larger words, its coefficient c is the coefficient of b_w.
     """
     rest = dict(p.terms)
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, Rational] = {}
     while rest:
         w = min(rest)
         if not is_lyndon(w):
@@ -144,7 +149,7 @@ def _lyndon_coefficients(n: int, p: Poly) -> dict[Word, Fraction]:
 
 
 @cache
-def _swap_pair(n: int, u: Word, v: Word) -> dict[Word, Fraction]:
+def _swap_pair(n: int, u: Word, v: Word) -> dict[Word, int]:
     """Lyndon-basis coefficients of [b_u, b_v], cached."""
     return _lyndon_coefficients(
         n, bracket(_bracketing_cached(n, u), _bracketing_cached(n, v))
@@ -152,10 +157,10 @@ def _swap_pair(n: int, u: Word, v: Word) -> dict[Word, Fraction]:
 
 
 @cache
-def _straighten_word(n: int, word: Word) -> dict[PbwMonomial, Fraction]:
-    done: dict[PbwMonomial, Fraction] = {}
+def _straighten_word(n: int, word: Word) -> dict[PbwMonomial, int]:
+    done: dict[PbwMonomial, int] = {}
     # Each letter is a Lyndon word, so a word is a factor sequence already.
-    work: dict[PbwMonomial, Fraction] = {tuple((l,) for l in word): Fraction(1)}
+    work: dict[PbwMonomial, int] = {tuple((l,) for l in word): 1}
     while work:
         seq, coeff = work.popitem()
         bad = next(
@@ -188,7 +193,7 @@ def _straighten_word(n: int, word: Word) -> dict[PbwMonomial, Fraction]:
 
 def straighten(p: Poly) -> PbwExpansion:
     """Rewrite p in the PBW basis of nondecreasing Lyndon bracketings."""
-    out: dict[PbwMonomial, Fraction] = {}
+    out: dict[PbwMonomial, Rational] = {}
     for word, coeff in p.terms.items():
         for mono, c in _straighten_word(p.n, word).items():
             out[mono] = out.get(mono, 0) + coeff * c

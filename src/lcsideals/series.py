@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from itertools import product as iter_product
 from math import factorial, prod
@@ -52,7 +51,7 @@ from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exprs import DIGITS
-from .freealg import Poly, Word, all_words, bracket, nested_word_chain
+from .freealg import Poly, Rational, Word, all_words, bracket, nested_word_chain
 from .linalg import GradedSubspace, IntRow, poly_to_introw, rank_word
 
 # Right-normed pure commutator, given by its letters; length 1 = generator.
@@ -455,7 +454,7 @@ def spec_contains(spec: IdealSpec, p: Poly) -> bool:
     one letter content lies in that content's block."""
     if not p.is_homogeneous():
         raise ValueError("membership is tested on homogeneous elements")
-    parts: dict[Content, dict[Word, Fraction]] = {}
+    parts: dict[Content, dict[Word, Rational]] = {}
     for w, c in p.terms.items():
         parts.setdefault(word_content(spec.n, w), {})[w] = c
     d = p.degree()
@@ -547,7 +546,7 @@ def pure_product_poly(n: int, factors: Sequence[Chain]) -> Poly:
 
 def decompose_pure(
     n: int, slots: Sequence[Word]
-) -> list[tuple[Fraction, tuple[Chain, ...]]]:
+) -> list[tuple[int, tuple[Chain, ...]]]:
     """Rewrite a right-normed commutator with monomial slots as a combination
     of pure-commutator products.
 
@@ -562,20 +561,20 @@ def decompose_pure(
         if len(w) < 1:
             raise ValueError("slots must be nonempty monomials")
 
-    def merge(acc: dict, factors: tuple[Chain, ...], c: Fraction) -> None:
+    def merge(acc: dict, factors: tuple[Chain, ...], c: int) -> None:
         s = acc.get(factors, 0) + c
         if s:
             acc[factors] = s
         else:
             acc.pop(factors, None)
 
-    def walk(slots: tuple[Word, ...]) -> dict[tuple[Chain, ...], Fraction]:
+    def walk(slots: tuple[Word, ...]) -> dict[tuple[Chain, ...], int]:
         if len(slots) == 1:
-            return {tuple((l,) for l in slots[0]): Fraction(1)}
+            return {tuple((l,) for l in slots[0]): 1}
         head = slots[0]
         if len(head) == 1:
             x = head[0]
-            out: dict[tuple[Chain, ...], Fraction] = {}
+            out: dict[tuple[Chain, ...], int] = {}
             for factors, c in walk(slots[1:]).items():
                 # bracketing against a letter acts as a derivation on the
                 # factor product; [x, chain] is again right-normed

@@ -15,7 +15,9 @@ ascending_per_degree uses to test M_s for ascending s.  sorted_per_degree
 walks like containment_index but tests every sorted content, the reference
 for its one balanced block per degree.  search_witness rescans the
 balanced blocks for a row outside M_{index+1}, the reference for the row
-the walk of containment_index keeps.
+the walk of containment_index keeps.  ref_add, ref_mul, ref_scale and
+ref_bracket redo the arithmetic of Poly on plain word -> Fraction dicts,
+the reference for its int-first kernel.
 """
 
 from fractions import Fraction
@@ -50,6 +52,42 @@ def spanning_chains(n: int, k: int, d: int):
         for m in iproduct(range(1, n + 1), repeat=e):
             for chain in spanning_chains(n, k - 1, d - e):
                 yield (m,) + chain
+
+
+# -- Fraction-only reference of the Poly kernel ---------------------------------
+
+
+def ref_terms(p: Poly) -> dict:
+    """The terms of p as a word -> Fraction dict."""
+    return {w: Fraction(c) for w, c in p.terms.items()}
+
+
+def _nonzero(terms: dict) -> dict:
+    return {w: c for w, c in terms.items() if c}
+
+
+def ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign*b."""
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = out.get(w, Fraction(0)) + Fraction(sign) * c
+    return _nonzero(out)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            out[w1 + w2] = out.get(w1 + w2, Fraction(0)) + c1 * c2
+    return _nonzero(out)
+
+
+def ref_scale(a: dict, c) -> dict:
+    return _nonzero({w: Fraction(c) * v for w, v in a.items()})
+
+
+def ref_bracket(a: dict, b: dict) -> dict:
+    return ref_add(ref_mul(a, b), ref_mul(b, a), -1)
 
 
 def random_poly(rng: Random, n: int, max_deg: int, terms: int = 4) -> Poly:

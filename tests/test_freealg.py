@@ -1,6 +1,9 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcsideals.freealg import (
     IDENTITY_NAMES,
@@ -11,7 +14,15 @@ from lcsideals.freealg import (
     verify_identity,
 )
 
-from helpers import random_homogeneous, random_poly
+from helpers import (
+    random_homogeneous,
+    random_poly,
+    ref_add,
+    ref_bracket,
+    ref_mul,
+    ref_scale,
+    ref_terms,
+)
 
 
 def gens(n):
@@ -128,8 +139,117 @@ def test_poly_validation():
     with pytest.raises(ValueError):
         Poly(2, {(3,): 1})
     with pytest.raises(ValueError):
+        Poly(2, {(3,): 0})
+    with pytest.raises(ValueError):
         Poly(0)
+    with pytest.raises(ValueError):
+        Poly.one(0)
     assert Poly(2, {(1,): 0}).is_zero()
+    assert Poly(2, {(1,): Fraction(0)}).is_zero()
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    p = Poly(2, {(1,): Fraction(4, 2), (2,): 3, (1, 2): Fraction(1, 2)})
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
+    assert p.terms == {(1,): 2, (2,): 3, (1, 2): Fraction(1, 2)}
+    assert type(Poly.scalar(2, Fraction(-6, 3)).terms[()]) is int
+    assert type(Poly.gen(2, 1).scale(Fraction(5, 5)).terms[(1,)]) is int
+    assert type(Poly.one(2).terms[()]) is int
+    assert Poly.gen(2, 1).coefficient((2,)) == 0
+
+
+def test_floats_are_refused():
+    p = Poly.gen(2, 1)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Poly(2, {(1,): 0.1})
+    with pytest.raises(TypeError):
+        Poly(2, {(1,): 0.0})
+    with pytest.raises(TypeError):
+        p.scale(0.1)
+    with pytest.raises(TypeError):
+        Poly.monomial(2, (1, 2), 0.5)
+    with pytest.raises(TypeError):
+        Poly.scalar(2, 2.0)
+
+
+@pytest.mark.parametrize("other", [0.5, 1.0, "x1", None, [1]])
+def test_non_rational_operands_are_not_implemented(other):
+    p = Poly.gen(2, 1)
+    for method in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        assert getattr(p, method)(other) is NotImplemented, method
+    with pytest.raises(TypeError):
+        p * other
+    with pytest.raises(TypeError):
+        other * p
+    with pytest.raises(TypeError):
+        p + other
+    with pytest.raises(TypeError):
+        other + p
+    with pytest.raises(TypeError):
+        p - other
+    with pytest.raises(TypeError):
+        other - p
+
+
+def test_rational_operands_are_multiples_of_the_unit():
+    p = Poly.gen(2, 1) * Poly.gen(2, 2)
+    half = Fraction(1, 2)
+    assert p + 1 == 1 + p == p + Poly.one(2)
+    assert p - half == p - Poly.scalar(2, half)
+    assert 1 - p == Poly.one(2) - p
+    assert p * 3 == 3 * p == p + p + p
+    assert half * p == p.scale(half)
+    assert sum([p, p]) == p.scale(2)
+    with pytest.raises(ValueError):
+        Poly.gen(2, 1) + Poly.gen(3, 1)
+
+
+# -- differential: the int-first kernel against the Fraction-only reference ----------
+
+N = 2
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+raw_terms = st.dictionaries(
+    st.lists(st.integers(1, N), max_size=3).map(tuple), coefficients, max_size=5
+)
+
+
+def _well_stored(p: Poly) -> bool:
+    return all(type(c) in (int, Fraction) and c != 0 for c in p.terms.values())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(raw_terms)
+def test_boundary_stores_ints_for_integral_values(raw):
+    p = Poly(N, raw)
+    assert ref_terms(p) == {w: Fraction(c) for w, c in raw.items() if c}
+    for w, c in p.terms.items():
+        assert type(c) is (int if Fraction(raw[w]).denominator == 1 else Fraction)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(raw_terms, raw_terms, coefficients)
+def test_arithmetic_matches_the_fraction_reference(raw_a, raw_b, c):
+    a, b = Poly(N, raw_a), Poly(N, raw_b)
+    ra, rb = ref_terms(a), ref_terms(b)
+    # (a * geo) * (1 - x1) = a * (1 - x1^4): the second product cancels terms
+    geo, step = Poly(N, {(1,) * k: 1 for k in range(4)}), Poly(N, {(): 1, (1,): -1})
+    cases = [
+        ((a * geo) * step, ref_mul(ref_mul(ra, ref_terms(geo)), ref_terms(step))),
+        (a + b, ref_add(ra, rb)),
+        (a - b, ref_add(ra, rb, -1)),
+        (-a, ref_scale(ra, -1)),
+        (a * b, ref_mul(ra, rb)),
+        (a.scale(c), ref_scale(ra, c)),
+        (c * a, ref_scale(ra, c)),
+        (a + c, ref_add(ra, {(): Fraction(c)})),
+        (bracket(a, b), ref_bracket(ra, rb)),
+    ]
+    for got, want in cases:
+        assert ref_terms(got) == want
+        assert _well_stored(got)
 
 
 def test_scalar_and_unit_embedding():

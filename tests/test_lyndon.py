@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -159,10 +160,61 @@ def test_peeling_rejects_non_lie_elements():
     assert _lyndon_coefficients(2, Poly.zero(2)) == {}
 
 
-def test_clear_caches_empties_the_three_caches():
-    # the pbw_straighten bench workload resets with it before each question
+def test_clear_caches_empties_every_cache():
+    # the pbw_straighten bench workload resets with it before each question,
+    # so a cache it missed would make later questions cheaper
     straighten(nested([Poly.gen(2, 2), Poly.gen(2, 1), Poly.gen(2, 1)]) * Poly.gen(2, 2))
-    caches = (lyndon._bracketing_cached, lyndon._swap_pair, lyndon._straighten_word)
-    assert all(f.cache_info().currsize for f in caches)
+    caches = [f for f in vars(lyndon).values() if hasattr(f, "cache_clear")]
+    known = (lyndon._bracketing_cached, lyndon._swap_pair, lyndon._straighten_word)
+    assert set(known) <= set(caches)
+    assert all(f.cache_info().currsize for f in known)
     lyndon.clear_caches()
-    assert [f.cache_info().currsize for f in caches] == [0, 0, 0]
+    assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
+
+
+def test_standard_bracketing_builds_each_sub_bracketing_once(monkeypatch):
+    calls = Counter()
+    build = lyndon.standard_bracketing
+
+    def counted(w, n):
+        calls[w] += 1
+        return build(w, n)
+
+    monkeypatch.setattr(lyndon, "standard_bracketing", counted)
+    lyndon.clear_caches()
+    for w in lyndon_words(2, 8):
+        lyndon._bracketing_cached(2, w)
+    assert set(calls.values()) == {1}
+    assert len(calls) == lyndon._bracketing_cached.cache_info().currsize
+    lyndon.clear_caches()
+
+
+def _integer_poly(rng: Random, n: int, max_deg: int) -> Poly:
+    return Poly(n, {
+        tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_deg))): rng.randint(-4, 4)
+        for _ in range(4)
+    })
+
+
+def test_straightening_integers_stays_in_ints():
+    rng = Random(12)
+    for _ in range(30):
+        p = _integer_poly(rng, rng.randint(1, 3), 6)
+        e = straighten(p)
+        assert all(type(c) is int for c in e.terms.values())
+        assert e.to_poly() == p
+    for w in lyndon_words(3, 5):
+        for u in lyndon_words(3, 5):
+            if u > w:
+                assert all(type(c) is int for c in lyndon._swap_pair(3, u, w).values())
+
+
+def test_straightening_rationals_stays_exact():
+    rng = Random(13)
+    two_thirds = Fraction(2, 3)
+    for _ in range(20):
+        p = _integer_poly(rng, rng.randint(1, 3), 6)
+        e = straighten(p.scale(two_thirds))
+        assert all(type(c) in (int, Fraction) for c in e.terms.values())
+        assert e.terms == {m: two_thirds * c for m, c in straighten(p).terms.items()}
+        assert e.to_poly() == p.scale(two_thirds)
