@@ -33,7 +33,7 @@ from .containment import (
     default_cutoff,
     pbw_witness,
 )
-from .exprs import ExprSyntaxError, parse_expr, poly_to_expr
+from .exprs import ExprDegreeError, ExprSyntaxError, parse_expr, poly_to_expr
 from .freealg import IDENTITY_NAMES, verify_identity
 from .lyndon import pbw_degree
 from .quotients import (
@@ -105,6 +105,19 @@ def _check_degree_cap(n: int, degree: int, force: bool) -> None:
         )
 
 
+def _parse_capped(args):
+    """args.expr parsed under the size caps: refused as soon as a product's
+    words, as written, pass the largest degree the caps allow for args.n."""
+    limit = None if args.force else max(
+        d for d in range(HARD_DEGREE_CAP + 1) if args.n**d <= HARD_SIZE_CAP
+    )
+    try:
+        return parse_expr(args.expr, args.n, max_degree=limit)
+    except ExprDegreeError as exc:
+        _check_degree_cap(args.n, exc.degree, force=False)  # past limit: refuses
+        raise
+
+
 def _check_least(flag: str, value: int, least: int) -> None:
     if value < least:  # a sweep that checks nothing is not a pass
         raise SystemExit(f"{flag} must be >= {least}, got {value}")
@@ -147,16 +160,15 @@ def cmd_witness(args) -> int:
 
 
 def cmd_pbw_degree(args) -> int:
-    p = parse_expr(args.expr, args.n)
+    p = _parse_capped(args)
     if p.is_zero():
         raise SystemExit("zero element has no PBW degree")
-    _check_degree_cap(args.n, p.degree(), args.force)
     emit(args, {"expr": poly_to_expr(p), "pbw_degree": pbw_degree(p)}, n=args.n)
     return EXIT_OK
 
 
 def cmd_membership(args) -> int:
-    p = parse_expr(args.expr, args.n)
+    p = _parse_capped(args)
     spec = IdealSpec.parse(args.ideal, args.n)
     if spec.kind == "N":
         raise SystemExit("membership applies to L, M, or product ideals")

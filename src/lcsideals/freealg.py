@@ -227,8 +227,19 @@ def _sum(a: dict[Word, Rational], b: dict[Word, Rational], sign: int) -> dict[Wo
 
 
 def bracket(p: Poly, q: Poly) -> Poly:
-    """Commutator pq - qp."""
-    return p * q - q * p
+    """Commutator pq - qp, in one pass over pairs of terms: c1*w1 and c2*w2
+    put +c1c2 on w1+w2 and -c1c2 on w2+w1."""
+    p._check_compatible(q)
+    out: dict[Word, Rational] = {}
+    get = out.get
+    for w1, c1 in p.terms.items():
+        for w2, c2 in q.terms.items():
+            c = c1 * c2
+            w = w1 + w2
+            out[w] = get(w, 0) + c
+            w = w2 + w1
+            out[w] = get(w, 0) - c
+    return _trusted(p.n, {w: c for w, c in out.items() if c})
 
 
 def nested(args: Sequence[Poly]) -> Poly:

@@ -17,7 +17,9 @@ for its one balanced block per degree.  search_witness rescans the
 balanced blocks for a row outside M_{index+1}, the reference for the row
 the walk of containment_index keeps.  ref_add, ref_mul, ref_scale and
 ref_bracket redo the arithmetic of Poly on plain word -> Fraction dicts,
-the reference for its int-first kernel.
+the reference for its int-first kernel and its one-pass bracket.
+ref_parse_expr is the character-at-a-time parser that builds a Poly per
+factor, the reference for the tokenising parser of exprs.
 """
 
 from fractions import Fraction
@@ -27,7 +29,8 @@ from math import comb
 from random import Random
 
 from lcsideals.containment import bound_report
-from lcsideals.freealg import Poly, all_words, nested_word_chain
+from lcsideals.exprs import DIGITS, ExprSyntaxError
+from lcsideals.freealg import Poly, all_words, nested, nested_word_chain
 from lcsideals.linalg import GradedSubspace, introw_to_poly
 from lcsideals.series import (
     _bracket_rows,
@@ -88,6 +91,123 @@ def ref_scale(a: dict, c) -> dict:
 
 def ref_bracket(a: dict, b: dict) -> dict:
     return ref_add(ref_mul(a, b), ref_mul(b, a), -1)
+
+
+# -- reference of the expression parser -----------------------------------------
+
+
+class _RefParser:
+    def __init__(self, text: str, n: int):
+        self.text = text
+        self.n = n
+        self.pos = 0
+
+    def _skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def _peek(self) -> str:
+        self._skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def _expect(self, ch: str) -> None:
+        if self._peek() != ch:
+            raise ExprSyntaxError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def parse(self) -> Poly:
+        out = self.parse_expr()
+        self._skip_ws()
+        if self.pos != len(self.text):
+            raise ExprSyntaxError("trailing input", self.pos)
+        return out
+
+    def parse_expr(self) -> Poly:
+        negate = False
+        if self._peek() == "-":
+            self.pos += 1
+            negate = True
+        elif self._peek() == "+":
+            self.pos += 1
+        acc = self.parse_term()
+        if negate:
+            acc = -acc
+        while self._peek() in ("+", "-"):
+            op = self._peek()
+            self.pos += 1
+            t = self.parse_term()
+            acc = acc + t if op == "+" else acc - t
+        return acc
+
+    def parse_term(self) -> Poly:
+        acc = self.parse_factor()
+        while True:
+            ch = self._peek()
+            if ch == "*":
+                self.pos += 1
+                acc = acc * self.parse_factor()
+            elif ch in DIGITS or ch in ("x", "(", "["):
+                acc = acc * self.parse_factor()
+            else:
+                return acc
+
+    def parse_factor(self) -> Poly:
+        ch = self._peek()
+        if ch == "(":
+            self.pos += 1
+            inner = self.parse_expr()
+            self._expect(")")
+            return inner
+        if ch == "[":
+            self.pos += 1
+            args = [self.parse_expr()]
+            while self._peek() == ",":
+                self.pos += 1
+                args.append(self.parse_expr())
+            self._expect("]")
+            return nested(args)
+        if ch == "x":
+            start = self.pos
+            self.pos += 1
+            d = self.text[self.pos : self.pos + 1]
+            if d not in DIGITS or d == "0":
+                raise ExprSyntaxError("expected generator index 1..9 after 'x'", self.pos)
+            self.pos += 1
+            if self.text[self.pos : self.pos + 1] in DIGITS:
+                raise ExprSyntaxError("generator index must be one digit 1..9", self.pos)
+            idx = int(d)
+            if idx > self.n:
+                raise ExprSyntaxError(
+                    f"generator x{idx} exceeds configured n={self.n}", start
+                )
+            return Poly.gen(self.n, idx)
+        if ch in DIGITS:
+            num = self._read_digits()
+            if self._peek() == "/":
+                self.pos += 1
+                if self._peek() not in DIGITS:
+                    raise ExprSyntaxError("expected denominator digits", self.pos)
+                den = self._read_digits()
+                if den == 0:
+                    raise ExprSyntaxError("zero denominator", self.pos)
+                return Poly.scalar(self.n, Fraction(num, den))
+            return Poly.scalar(self.n, num)
+        raise ExprSyntaxError("expected a factor", self.pos)
+
+    def _read_digits(self) -> int:
+        self._skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
+            self.pos += 1
+        return int(self.text[start : self.pos])
+
+
+def ref_parse_expr(text: str, n: int) -> Poly:
+    """The parser before tokenising and gathering monomials: one Poly per
+    factor, a product per juxtaposition and a new Poly per summand."""
+    if not 1 <= n <= 9:
+        raise ValueError("expression grammar supports n in 1..9")
+    return _RefParser(text, n).parse()
 
 
 def random_poly(rng: Random, n: int, max_deg: int, terms: int = 4) -> Poly:

@@ -1,5 +1,10 @@
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -426,3 +431,51 @@ def test_open_elements_refuses_a_cutoff_it_does_not_check(capsys):
     code, out, err = run(capsys, "open-elements", "--cutoff", "9")
     assert (code, out) == (1, "")
     assert "cutoff must be 6 or 7" in err
+
+
+def test_expression_degree_is_capped_while_parsing():
+    # expanded, (x1+x2)^40 has 2^40 words: only a refusal made while parsing
+    # ends in time
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def limit_memory():  # an expanding parser fails with MemoryError, not the host
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for verb in (["pbw-degree"], ["membership", "--ideal", "M2"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "lcsideals.cli", *verb, "--n", "2", "--expr", "(x1+x2)" * 40],
+            capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_memory,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            "error: degree 11 exceeds the safety cap 10; pass --force to override\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # the cap applies to the expression, not only to --degree
+        (
+            ["membership", "--n", "2", "--ideal", "M2", "--degree", "2", "--expr", "x1" * 11],
+            "degree 11 exceeds the safety cap 10; pass --force to override",
+        ),
+        # on four generators the size cap stops at degree 7
+        (
+            ["pbw-degree", "--n", "4", "--expr", "[x1,x2]" * 4],
+            "component size 4^8 exceeds the safety cap 3^10; pass --force to override",
+        ),
+        (
+            ["pbw-degree", "--n", "2", "--expr", "(" * 2000 + "x1" + ")" * 2000],
+            "nesting deeper than 100 levels (at position 100)",
+        ),
+    ],
+)
+def test_expression_refusals(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_force_lifts_the_expression_cap(capsys):
+    code, out, _ = run(capsys, "pbw-degree", "--n", "2", "--expr", "x1" * 11, "--force")
+    assert code == 0
+    assert json.loads(out)["result"]["pbw_degree"] == 11
