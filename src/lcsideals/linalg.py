@@ -1,19 +1,20 @@
 """Echelonized subspaces of homogeneous components of A_n.
 
-A GradedSubspace holds a row echelon basis of a subspace of the degree-d
-component, with pivot = maximal word in lexicographic order.  Rows are
-stored as sparse integer vectors (content-stripped, positive leading
-coefficient); the rational rows with leading coefficient 1 are recovered on
+A GradedSubspace holds the reduced row echelon basis of a subspace of the
+degree-d component, with pivot = maximal word in lexicographic order: no
+stored row holds the pivot of another.  Rows are stored as sparse integer
+vectors (content-stripped, positive leading coefficient), which makes the
+basis unique; the rational rows with leading coefficient 1 are recovered on
 demand.
 
-Against reduced rows, one descending pass over the pivots of a vector
-clears them all, because a reduced row brings in no other pivot.  That one
-pass (_clear) is the only elimination against a reduced basis: freezing
-runs it on each row in ascending pivot order, which yields the unique
-reduced echelon form and makes the subspace immutable; membership runs it
-on a frozen subspace; and residues(rows) runs it on each new row and
-echelonizes what is left, which builds every span (from_rows), extension
-(extension_dim) and left-ideal step.
+Against reduced rows, one pass over the pivots of a vector clears them all,
+in any order, because eliminating one pivot brings in no other.  That pass
+(_clear) is the only elimination: membership runs it on the vector, and
+insert_row runs it on the new row and then eliminates the new pivot from
+each stored row that holds it, so the basis is reduced after every
+insertion and freezing only makes it immutable.  residues(rows) inserts the residues of rows
+modulo a basis, which builds every span (from_rows), extension
+(extension_dim) and left-ideal step (from_pads).
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _strip(row: IntRow) -> IntRow:
 
 
 class GradedSubspace:
-    """Span of homogeneous degree-d elements, as an echelonized basis.
+    """Span of homogeneous degree-d elements, as its reduced echelon basis.
 
     Mutable (single writer) until freeze(); frozen instances are immutable
     and safe to share.
@@ -117,31 +118,48 @@ class GradedSubspace:
         S._frozen = True
         return S
 
+    @classmethod
+    def from_pads(
+        cls,
+        n: int,
+        degree: int,
+        pads: Iterable[tuple[int, "GradedSubspace"]],
+        rows: Iterable[IntRow | Poly],
+    ) -> "GradedSubspace":
+        """Frozen span of Σ x_i·b + span(rows) over the pairs (i, b) of pads,
+        each b a subspace one degree down and each i at most once.
+
+        The left pads of b's reduced rows are reduced again, with distinct
+        pivots i·n^(d-1) + pivot, so they go in as copies.  The residues of
+        rows modulo the pads are echelonized apart; their pivots are then
+        cleared from the pad rows, and the two row sets merged.
+        """
+        S = cls(n, degree)
+        pad_rows = S._rows
+        top = n ** (degree - 1)
+        for i, prev in pads:
+            base = i * top
+            for p, row in prev._rows.items():
+                pad_rows[base + p] = {base + r: c for r, c in row.items()}
+        side = S.residues(rows)
+        if side._rows:
+            for p, row in pad_rows.items():
+                pad_rows[p] = _strip(side._clear(row))
+            pad_rows.update(side._rows)
+        return S.freeze()
+
     # -- core reduction -------------------------------------------------
 
-    def _clear(self, vec: IntRow, own: int = -1) -> IntRow:
-        """Eliminate every pivot of vec except own, in one descending pass.
+    def _clear(self, vec: IntRow) -> IntRow:
+        """Eliminate every pivot of vec, in one pass over those it holds.
 
         Exact up to a positive scalar, which is all membership and rank
-        need.  Valid only against reduced rows, which bring in no other
-        pivot.
+        need.  The stored rows are reduced, so eliminating one pivot never
+        brings in or cancels another, and the order of the pass is free.
         """
         rows = self._rows
-        for r in sorted((r for r in vec if r != own and r in rows), reverse=True):
+        for r in [r for r in vec if r in rows]:
             self._eliminate(vec, rows[r], r, vec[r])
-        return vec
-
-    def _reduce(self, vec: IntRow) -> IntRow:
-        """Eliminate pivot coordinates of vec against the stored rows."""
-        if self._frozen:
-            return self._clear(vec)
-        rows = self._rows
-        while vec:
-            m = max(vec)
-            row = rows.get(m)
-            if row is None:
-                return vec
-            self._eliminate(vec, row, m, vec[m])
         return vec
 
     @staticmethod
@@ -164,13 +182,24 @@ class GradedSubspace:
     # -- construction -----------------------------------------------------
 
     def insert_row(self, vec: IntRow) -> bool:
-        """Reduce vec and install it as a new pivot row; True if dim grew."""
+        """Clear vec and install it as a new pivot row; True if dim grew.
+
+        vec becomes a stored row.  Its pivot is eliminated from the stored
+        rows that hold it, which keeps the basis reduced.
+        """
         if self._frozen:
             raise RuntimeError("cannot insert into a frozen subspace")
-        vec = self._reduce(vec)
+        vec = self._clear(vec)
         if not vec:
             return False
-        self._rows[max(vec)] = _strip(vec)
+        vec = _strip(vec)
+        pivot = max(vec)
+        rows = self._rows
+        for p, row in rows.items():
+            if pivot in row:
+                self._eliminate(row, vec, pivot, row[pivot])
+                rows[p] = _strip(row)
+        rows[pivot] = vec
         return True
 
     def insert(self, p: Poly) -> "GradedSubspace":
@@ -179,21 +208,15 @@ class GradedSubspace:
         return self
 
     def freeze(self) -> "GradedSubspace":
-        """Back-eliminate to reduced echelon form and make immutable."""
-        if self._frozen:
-            return self
-        rows = self._rows
-        for pivot in sorted(rows):
-            rows[pivot] = _strip(self._clear(rows[pivot], pivot))
+        """Make immutable; the rows are already in reduced echelon form."""
         self._frozen = True
         return self
 
     def residues(self, rows: Iterable[IntRow | Poly]) -> "GradedSubspace":
         """Unfrozen echelon span of the residues of rows modulo this basis.
 
-        The stored rows must be reduced (frozen, or reduced by
-        construction).  rows are IntRows or degree-d Polys; each is copied,
-        so the rows of a cached span can be passed.
+        rows are IntRows or degree-d Polys; each is copied, so the rows of a
+        cached span can be passed.
         """
         side = GradedSubspace(self.n, self.degree)
         for r in rows:
@@ -211,7 +234,7 @@ class GradedSubspace:
         return len(self._rows)
 
     def contains_row(self, vec: IntRow) -> bool:
-        return not self._reduce(dict(vec))
+        return not self._clear(dict(vec))
 
     def contains(self, p: Poly) -> bool:
         """Exact membership of a degree-d homogeneous element."""

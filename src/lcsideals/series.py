@@ -13,13 +13,14 @@ of one word m per necklace with l in block c - content(m) of L_{k-1}.
 M_k = A·L_k·A is the one-factor product ideal, and every product
 P = M_{i1}···M_{ik} is built as a left ideal, P(d) = V·P(d-1) +
 product_generators(d), V the span of the generators: block c takes the
-left pads x_i·P(d-1)[c - e_i] and the generator rows of content c.  For M_k
-the new rows are [V, L_{k-1}(d-1)], so M_k never needs L_k at its own
-degree (see m_span); for longer products they are [V, L_{i1-1}]·R with R
-the product of the other factors (see product_span).  A request for one
-block builds only the cone of blocks below its content.  Containment,
-witness and membership questions are asked of blocks alone; a whole-degree
-union is built only for a caller that names no content.
+left pads x_i·P(d-1)[c - e_i] and the generator rows of content c, merged
+by GradedSubspace.from_pads.  For M_k the new rows are [V, L_{k-1}(d-1)], so
+M_k never needs L_k at its own degree (see m_span); for longer products they
+are [V, L_{i1-1}]·R with R the product of the other factors (see
+product_span).  A request for one block builds only the cone of blocks below
+its content.  Containment, witness and membership questions are asked of
+blocks alone; a whole-degree union is built only for a caller that names no
+content.
 
 Permuting the generators maps L_k, M_k and every product onto themselves
 and block c onto block σ(c).  Each S_n orbit of contents holds exactly one
@@ -31,8 +32,8 @@ block of each degree (balanced_content; the proof is in
 containment.containment_index).  Dimensions still need every sorted block:
 dim U[c] = Σ_λ m_λ K_{λc} over the irreducibles V_λ of U is triangular in
 the Kostka matrix, not diagonal, so no single block gives it.  Stored rows
-are never relabelled: a relabelled block is not in echelon form, which the
-left pads rely on.
+are never relabelled: a relabelled block is not in echelon form, and
+from_pads copies the left pads without elimination.
 
 Span closures of explicit generators, which need not be multihomogeneous,
 grow by left padding plus new rows over whole degrees (SpanIdeal).  The
@@ -170,7 +171,7 @@ def _l_block(n: int, k: int, d: int, c: Content) -> GradedSubspace:
     if k == 1:  # A(0) = span(1) and A(d) = V·A(d-1)
         if d == 0:
             return GradedSubspace.from_rows(n, 0, [{0: 1}])
-        return _left_ideal_step(n, d, _pads("L", n, 1, d, c), ())
+        return GradedSubspace.from_pads(n, d, _pads("L", n, 1, d, c), ())
     if d < k or max(c) == d:  # words in one letter commute
         return _empty(n, d)
     return GradedSubspace.from_rows(n, d, _l_candidates(n, k, d, c))
@@ -238,32 +239,6 @@ def _pads(kind: str, n: int, index, d: int, c: Content) -> list[tuple[int, Grade
     """The pairs (x, block c - e_x one degree down) whose left pads x·b
     start block c of a left ideal."""
     return [(x, _span(kind, n, index, d - 1, _less(c, x))) for x in range(n) if c[x]]
-
-
-def _left_ideal_step(
-    n: int,
-    d: int,
-    pads: Iterable[tuple[int, GradedSubspace]],
-    extra_rows: Iterable[IntRow],
-) -> GradedSubspace:
-    """Echelon basis of Σ x_i·prev + span(extra_rows) at degree d, over the
-    pairs (i, prev) of pads, each prev frozen and each i at most once.
-
-    The left pads x_i·b of prev's reduced rows are again reduced, with
-    distinct pivots i·n^(d-1) + pivot(b), so they go in without elimination.
-    Only the residues of the extra rows modulo the pads are echelonized
-    (GradedSubspace.residues, which leaves the extra rows unchanged) before
-    the two row sets are merged and frozen.
-    """
-    S = GradedSubspace(n, d)
-    rows = S._rows
-    top = n ** (d - 1)
-    for i, prev in pads:
-        base = i * top
-        for p, row in prev._rows.items():
-            rows[base + p] = {base + r: c for r, c in row.items()}
-    rows.update(S.residues(extra_rows)._rows)
-    return S.freeze()
 
 
 def m_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubspace:
@@ -355,7 +330,7 @@ def _product_block(n: int, indices: tuple[int, ...], d: int, c: Content) -> Grad
     if d < sum(indices) or max(c) == d:  # words in one letter commute
         return _empty(n, d)
     pads = _pads("P", n, indices, d, c) if d > sum(indices) else ()
-    return _left_ideal_step(n, d, pads, _generator_rows(n, indices, d, c))
+    return GradedSubspace.from_pads(n, d, pads, _generator_rows(n, indices, d, c))
 
 
 # -- index tuples and ideal specifications ----------------------------------
@@ -698,6 +673,6 @@ class SpanIdeal:
                     for row in prev.int_rows()
                     for i in range(self.n)
                 ]
-            S = _left_ideal_step(self.n, d, [(i, prev) for i in range(self.n)], rows)
+            S = GradedSubspace.from_pads(self.n, d, [(i, prev) for i in range(self.n)], rows)
         self._memo[d] = S
         return S

@@ -19,7 +19,12 @@ the walk of containment_index keeps.  ref_add, ref_mul, ref_scale and
 ref_bracket redo the arithmetic of Poly on plain word -> Fraction dicts,
 the reference for its int-first kernel and its one-pass bracket.
 ref_parse_expr is the character-at-a-time parser that builds a Poly per
-factor, the reference for the tokenising parser of exprs.
+factor, the reference for the tokenising parser of exprs.  RefSubspace is
+the echelon before every basis was kept reduced (a while-max reduction loop
+and a back-eliminating freeze), the reference for the reduced insert_row of
+linalg; _left_ideal_step is the pad merge of series on it, the reference for
+GradedSubspace.from_pads, and reference_block rebuilds any cached block of
+series on the two.
 """
 
 from fractions import Fraction
@@ -27,15 +32,18 @@ from functools import cache
 from itertools import product as iproduct
 from math import comb
 from random import Random
+from typing import Iterable
 
 from lcsideals.containment import bound_report
 from lcsideals.exprs import DIGITS, ExprSyntaxError
 from lcsideals.freealg import Poly, all_words, nested, nested_word_chain
-from lcsideals.linalg import GradedSubspace, introw_to_poly
+from lcsideals.linalg import GradedSubspace, IntRow, _strip, introw_to_poly, poly_to_introw
 from lcsideals.series import (
     _bracket_rows,
-    _left_ideal_step,
+    _generator_rows,
+    _l_candidates,
     _necklaces,
+    _pads,
     balanced_content,
     l_span,
     m_span,
@@ -225,6 +233,129 @@ def random_homogeneous(rng: Random, n: int, deg: int, terms: int = 4) -> Poly:
         w = tuple(rng.randint(1, n) for _ in range(deg))
         out[w] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return Poly(n, out)
+
+
+# -- reference of the echelon build ----------------------------------------------
+
+
+class RefSubspace(GradedSubspace):
+    """The echelon of GradedSubspace before every basis was kept reduced:
+    an unfrozen basis is echelonized by the while-max loop of _reduce, which
+    walks fill-in, and freeze back-eliminates each row in ascending pivot
+    order with a descending _clear.  The reference for the reduced
+    insert_row and the flag-only freeze of linalg."""
+
+    __slots__ = ()
+
+    def _clear(self, vec: IntRow, own: int = -1) -> IntRow:
+        """Eliminate every pivot of vec except own, in one descending pass.
+
+        Exact up to a positive scalar, which is all membership and rank
+        need.  Valid only against reduced rows, which bring in no other
+        pivot.
+        """
+        rows = self._rows
+        for r in sorted((r for r in vec if r != own and r in rows), reverse=True):
+            self._eliminate(vec, rows[r], r, vec[r])
+        return vec
+
+    def _reduce(self, vec: IntRow) -> IntRow:
+        """Eliminate pivot coordinates of vec against the stored rows."""
+        if self._frozen:
+            return self._clear(vec)
+        rows = self._rows
+        while vec:
+            m = max(vec)
+            row = rows.get(m)
+            if row is None:
+                return vec
+            self._eliminate(vec, row, m, vec[m])
+        return vec
+
+    def insert_row(self, vec: IntRow) -> bool:
+        """Reduce vec and install it as a new pivot row; True if dim grew."""
+        if self._frozen:
+            raise RuntimeError("cannot insert into a frozen subspace")
+        vec = self._reduce(vec)
+        if not vec:
+            return False
+        self._rows[max(vec)] = _strip(vec)
+        return True
+
+    def freeze(self) -> "RefSubspace":
+        """Back-eliminate to reduced echelon form and make immutable."""
+        if self._frozen:
+            return self
+        rows = self._rows
+        for pivot in sorted(rows):
+            rows[pivot] = _strip(self._clear(rows[pivot], pivot))
+        self._frozen = True
+        return self
+
+    def residues(self, rows: Iterable[IntRow | Poly]) -> "RefSubspace":
+        """Unfrozen echelon span of the residues of rows modulo this basis.
+
+        The stored rows must be reduced (frozen, or reduced by
+        construction).  rows are IntRows or degree-d Polys; each is copied,
+        so the rows of a cached span can be passed.
+        """
+        side = RefSubspace(self.n, self.degree)
+        for r in rows:
+            if isinstance(r, Poly):
+                r = poly_to_introw(r, self.n, self.degree)
+            vec = self._clear(dict(r))
+            if vec:
+                side.insert_row(vec)
+        return side
+
+    def contains_row(self, vec: IntRow) -> bool:
+        return not self._reduce(dict(vec))
+
+
+def _left_ideal_step(
+    n: int,
+    d: int,
+    pads: Iterable[tuple[int, GradedSubspace]],
+    extra_rows: Iterable[IntRow],
+) -> GradedSubspace:
+    """Echelon basis of Σ x_i·prev + span(extra_rows) at degree d, over the
+    pairs (i, prev) of pads, each prev frozen and each i at most once.
+
+    The left pads x_i·b of prev's reduced rows are again reduced, with
+    distinct pivots i·n^(d-1) + pivot(b), so they go in without elimination.
+    Only the residues of the extra rows modulo the pads are echelonized
+    (GradedSubspace.residues, which leaves the extra rows unchanged) before
+    the two row sets are merged and frozen.
+
+    The pad merge of series before GradedSubspace.from_pads, on RefSubspace:
+    the reference for from_pads.
+    """
+    S = RefSubspace(n, d)
+    rows = S._rows
+    top = n ** (d - 1)
+    for i, prev in pads:
+        base = i * top
+        for p, row in prev._rows.items():
+            rows[base + p] = {base + r: c for r, c in row.items()}
+    rows.update(S.residues(extra_rows)._rows)
+    return S.freeze()
+
+
+def reference_block(kind: str, n: int, index, d: int, c: tuple[int, ...]) -> GradedSubspace:
+    """Block c of series._span built on RefSubspace from the same pads and
+    candidate rows: L_1 and product blocks by _left_ideal_step, the other L
+    blocks by RefSubspace.from_rows."""
+    if kind == "L" and index == 1:
+        if d == 0:
+            return RefSubspace.from_rows(n, 0, [{0: 1}])
+        return _left_ideal_step(n, d, _pads("L", n, 1, d, c), ())
+    low = index if kind == "L" else sum(index)
+    if d < low or max(c) == d:
+        return _empty(n, d)
+    if kind == "L":
+        return RefSubspace.from_rows(n, d, _l_candidates(n, index, d, c))
+    pads = _pads("P", n, index, d, c) if d > low else ()
+    return _left_ideal_step(n, d, pads, _generator_rows(n, index, d, c))
 
 
 def oracle_l_span(n: int, k: int, d: int) -> GradedSubspace:

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from lcsideals.freealg import Poly, bracket
 from lcsideals.linalg import (
     GradedSubspace,
+    _strip,
     extension_dim,
     poly_to_introw,
     rank_word,
     word_rank,
 )
 
-from helpers import random_homogeneous
+from helpers import RefSubspace, random_homogeneous
 
 
 def test_rank_round_trip():
@@ -203,3 +204,108 @@ def test_poly_to_introw_clears_denominators():
     p = Poly(2, {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 3)})
     row = poly_to_introw(p, 2, 2)
     assert sorted(row.values()) == [2, 3]
+
+
+# cells of the reference comparisons: (n, degree)
+ECHELON_CELLS = [(2, 4), (2, 6), (3, 3), (3, 4)]
+
+
+@st.composite
+def dependent_rows(draw):
+    """A cell and a row list with many dependent rows (scalar multiples, sums
+    and repeats of a few base rows), offered in ascending, descending or
+    shuffled pivot order."""
+    n, d = draw(st.sampled_from(ECHELON_CELLS))
+    rng = draw(st.randoms(use_true_random=False))
+    size = n**d
+    coefficients = (-3, -2, -1, 1, 2, 3)
+    base = [
+        {rng.randrange(size): rng.choice(coefficients) for _ in range(rng.randint(1, 6))}
+        for _ in range(rng.randint(1, 8))
+    ]
+    rows = list(base)
+    for _ in range(rng.randint(0, 24)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            k = rng.choice((-4, -2, -1, 2, 3))
+            rows.append({r: k * v for r, v in rng.choice(base).items()})
+        elif kind == 1:
+            acc: dict[int, int] = {}
+            for row in rng.sample(base, min(len(base), rng.randint(2, 3))):
+                k = rng.randint(-2, 2)
+                for r, v in row.items():
+                    acc[r] = acc.get(r, 0) + k * v
+            rows.append({r: v for r, v in acc.items() if v})
+        else:
+            rows.append(dict(rng.choice(rows)))
+    order = draw(st.sampled_from(("ascending", "descending", "shuffled")))
+    if order == "shuffled":
+        rng.shuffle(rows)
+    else:
+        rows.sort(key=lambda row: max(row, default=-1), reverse=order == "descending")
+    return n, d, rows
+
+
+def assert_reduced(S: GradedSubspace) -> None:
+    """Each stored row is keyed by its pivot, holds no other pivot, and is
+    content-stripped with a positive leading coefficient."""
+    for pivot, row in S._rows.items():
+        assert max(row) == pivot and row[pivot] > 0
+        assert all(k == pivot or k not in S._rows for k in row)
+        assert _strip(dict(row)) == row
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(dependent_rows())
+def test_from_rows_equals_the_reference_echelon(case):
+    n, d, rows = case
+    offered = [dict(r) for r in rows]
+    got, want = GradedSubspace.from_rows(n, d, rows), RefSubspace.from_rows(n, d, rows)
+    assert got._rows == want._rows
+    assert got.pivot_words() == want.pivot_words()
+    assert rows == offered
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(dependent_rows())
+def test_unfrozen_basis_is_reduced_after_each_insert(case):
+    n, d, rows = case
+    S = GradedSubspace(n, d)
+    for row in rows:
+        before = S.dim
+        assert S.insert_row(dict(row)) == (S.dim == before + 1)
+        assert_reduced(S)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(dependent_rows())
+def test_freeze_changes_no_row(case):
+    n, d, rows = case
+    S = GradedSubspace(n, d)
+    for row in rows:
+        S.insert_row(dict(row))
+    held = dict(S._rows)
+    values = {p: dict(row) for p, row in held.items()}
+    S.freeze()
+    assert S._rows == values
+    assert all(S._rows[p] is row for p, row in held.items())
+
+
+def test_from_pads_leaves_pads_and_offered_rows_as_they_were():
+    rng = Random(17)
+    n, d = 2, 5
+    pads = [
+        (x, GradedSubspace.from_rows(n, d - 1, [random_homogeneous(rng, n, d - 1) for _ in range(6)]))
+        for x in range(n)
+    ]
+    rows = [poly_to_introw(random_homogeneous(rng, n, d, terms=6), n, d) for _ in range(12)]
+    pad_rows = [{p: dict(row) for p, row in b._rows.items()} for _, b in pads]
+    offered = [dict(r) for r in rows]
+    S = GradedSubspace.from_pads(n, d, pads, rows)
+    assert [b._rows for _, b in pads] == pad_rows
+    assert rows == offered
+    assert_reduced(S)
+    top = n ** (d - 1)
+    padded = [{x * top + r: c for r, c in row.items()} for x, b in pads for row in b.int_rows()]
+    want = RefSubspace.from_rows(n, d, padded + rows)
+    assert S._rows == want._rows

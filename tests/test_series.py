@@ -43,6 +43,7 @@ from helpers import (
     oracle_product_span,
     padded_m_span,
     random_homogeneous,
+    reference_block,
     subspaces_equal,
     whole_l_span,
     whole_m_span,
@@ -137,6 +138,51 @@ def test_block_unions_match_whole_degree_builds():
                 assert m_span(n, k, d)._rows == whole_m_span(n, k, d)._rows, (n, k, d)
             for t in PRODUCT_TUPLES:
                 assert product_span(n, t, d)._rows == whole_product_span(n, t, d)._rows, (n, t, d)
+
+
+def assert_cached_blocks_match_the_reference() -> int:
+    """Every cached block equals its build on the reference echelon row for
+    row; returns how many blocks were compared."""
+    blocks = [(key, S) for key, S in series._span_cache.items() if key[4] is not None]
+    for key, S in blocks:
+        assert S._rows == reference_block(*key)._rows, key
+    return len(blocks)
+
+
+# the differential cells: (n, largest M index, largest degree)
+DIFFERENTIAL_CELLS = [(2, 4, 6), (3, 3, 5)]
+DIFFERENTIAL_PRODUCTS = [(2, 2), (2, 3), (3, 2), (2, 2, 2)]
+
+
+def test_blocks_of_the_differential_cells_match_the_reference_echelon():
+    series.clear_caches()
+    for n, k_max, d_max in DIFFERENTIAL_CELLS:
+        for d in range(d_max + 1):
+            for k in range(1, k_max + 1):
+                m_span(n, k, d)
+            for t in DIFFERENTIAL_PRODUCTS:
+                product_span(n, t, d)
+    kinds = {(key[0], key[2] == 1) for key in series._span_cache}
+    assert {("L", True), ("L", False), ("P", False)} <= kinds
+    assert assert_cached_blocks_match_the_reference() > 100
+
+
+@pytest.mark.parametrize("n,t,cutoff", [(2, (2, 4), 10), (3, (3, 3), 7)])
+def test_balanced_blocks_and_cones_match_the_reference_echelon(n, t, cutoff):
+    series.clear_caches()
+    containment_index(n, t, cutoff)
+    assert assert_cached_blocks_match_the_reference()
+
+
+def test_building_a_block_leaves_the_cached_blocks_as_they_were():
+    series.clear_caches()
+    for c in series.contents(3, 4):
+        m_span(3, 3, 4, c)
+    held = {
+        key: {p: dict(row) for p, row in S._rows.items()} for key, S in series._span_cache.items()
+    }
+    m_span(3, 3, 5, (2, 2, 1))
+    assert {key: series._span_cache[key]._rows for key in held} == held
 
 
 def test_union_shares_the_block_rows():
