@@ -18,22 +18,24 @@ by GradedSubspace.from_pads.  For M_k the new rows are [V, L_{k-1}(d-1)], so
 M_k never needs L_k at its own degree (see m_span); for longer products they
 are [V, L_{i1-1}]·R with R the product of the other factors (see
 product_span).  A request for one block builds only the cone of blocks below
-its content.  Containment, witness and membership questions are asked of
-blocks alone; a whole-degree union is built only for a caller that names no
-content.
+its content (below sorted(c) for a relabelled block; see _span).
+Containment, witness and membership questions are asked of blocks alone; a
+whole-degree union is built only for a caller that names no content.
 
 Permuting the generators maps L_k, M_k and every product onto themselves
 and block c onto block σ(c).  Each S_n orbit of contents holds exactly one
 sorted content c_1 >= ... >= c_n, so dimensions are sums over sorted
-contents (orbit_sum).  Every linear substitution of the generators maps
-these spans onto themselves too, so they are GL_n-modules whose weight
-spaces are the blocks, and a containment is decided on the one balanced
-block of each degree (balanced_content; the proof is in
-containment.containment_index).  Dimensions still need every sorted block:
-dim U[c] = Σ_λ m_λ K_{λc} over the irreducibles V_λ of U is triangular in
-the Kostka matrix, not diagonal, so no single block gives it.  Stored rows
-are never relabelled: a relabelled block is not in echelon form, and
-from_pads copies the left pads without elimination.
+contents (orbit_sum), and only sorted blocks are built from candidate rows:
+every other block is the relabelled image of its orbit's sorted block.
+Every linear substitution of the generators maps these spans onto
+themselves too, so they are GL_n-modules whose weight spaces are the
+blocks, and a containment is decided on the one balanced block of each
+degree (balanced_content; the proof is in containment.containment_index).
+Dimensions still need every sorted block: dim U[c] = Σ_λ m_λ K_{λc} over
+the irreducibles V_λ of U is triangular in the Kostka matrix, not
+diagonal, so no single block gives it.  Relabelled rows are
+re-echelonized: a relabelled block is not in echelon form, and from_pads
+copies the left pads without elimination.
 
 Span closures of explicit generators, which need not be multihomogeneous,
 grow by left padding plus new rows over whole degrees (SpanIdeal).  The
@@ -53,7 +55,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .exprs import DIGITS
 from .freealg import Poly, Rational, Word, all_words, bracket, nested_word_chain
-from .linalg import GradedSubspace, IntRow, poly_to_introw, rank_word
+from .linalg import GradedSubspace, IntRow, poly_to_introw, rank_word, word_rank
 
 # Right-normed pure commutator, given by its letters; length 1 = generator.
 Chain = tuple[int, ...]
@@ -132,7 +134,11 @@ def _splits(c: Content, m: int) -> Iterator[tuple[Content, Content]]:
 def _span(kind: str, n: int, index, d: int, c: Content | None) -> GradedSubspace:
     """Block c of the degree-d piece of L_index (kind "L") or of the product
     with factor indices index (kind "P"), cached; c None gives the union of
-    the degree's blocks, which shares their rows."""
+    the degree's blocks, which shares their rows.
+
+    Only a sorted content (c_1 >= ... >= c_n) is built from candidate rows;
+    any other block is the relabelled image of the block of sorted(c), the
+    one sorted content of its S_n orbit (see _relabel)."""
     key = (kind, n, index, d, c)
     got = _span_cache.get(key)
     if got is not None:
@@ -143,6 +149,8 @@ def _span(kind: str, n: int, index, d: int, c: Content | None) -> GradedSubspace
             if c is None:
                 blocks = [_span(kind, n, index, d, b) for b in contents(n, d)]
                 got = GradedSubspace.direct_sum(n, d, blocks)
+            elif (top := tuple(sorted(c, reverse=True))) != c:
+                got = _relabel(_span(kind, n, index, d, top), c)
             elif kind == "L":
                 got = _l_block(n, index, d, c)
             else:
@@ -151,9 +159,29 @@ def _span(kind: str, n: int, index, d: int, c: Content | None) -> GradedSubspace
         return got
 
 
-def _check_content(n: int, d: int, c: Content | None) -> None:
-    if c is not None and (len(c) != n or sum(c) != d or min(c) < 0):
+def _relabel(block: GradedSubspace, c: Content) -> GradedSubspace:
+    """The image of a sorted block under the letter permutation σ that maps
+    it onto block c: letter i goes to the i-th index of c in descending
+    order of its entry, ties in ascending order.  σ is an automorphism
+    fixing every L_k and product, and it maps independent rows to
+    independent rows, which are re-echelonized: the reduced echelon form is
+    unique, so this is the block a build of c would give."""
+    n, d = block.n, block.degree
+    sigma = sorted(range(1, n + 1), key=lambda x: -c[x - 1])
+    rows = list(block.int_rows())
+    words = {r for row in rows for r in row}
+    image = {r: word_rank([sigma[x - 1] for x in rank_word(r, n, d)], n) for r in words}
+    return GradedSubspace.from_rows(n, d, ({image[r]: v for r, v in row.items()} for row in rows))
+
+
+def _check_content(n: int, d: int, c: Sequence[int] | None) -> Content | None:
+    """c as a tuple, checked to be a letter content of degree d in A_n."""
+    if c is None:
+        return None
+    c = tuple(c)
+    if len(c) != n or sum(c) != d or min(c) < 0:
         raise ValueError(f"{c} is not a letter content of degree {d} in A_{n}")
+    return c
 
 
 def l_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubspace:
@@ -161,7 +189,7 @@ def l_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
     letter content (see _l_candidates)."""
     if k < 1:
         raise ValueError("lower central series index must be >= 1")
-    _check_content(n, d, content)
+    content = _check_content(n, d, content)
     if d < 0:
         return _empty(n, d)
     return _span("L", n, k, d, content)
@@ -320,7 +348,7 @@ def product_span(
     Block c takes the pads x_i·P(d-1)[c - e_i] and the new rows of content c.
     """
     indices = factor_indices(indices)
-    _check_content(n, d, content)
+    content = _check_content(n, d, content)
     if d < sum(indices):
         return _empty(n, d)
     return _span("P", n, indices, d, content)

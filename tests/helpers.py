@@ -24,13 +24,17 @@ the echelon before every basis was kept reduced (a while-max reduction loop
 and a back-eliminating freeze), the reference for the reduced insert_row of
 linalg; _left_ideal_step is the pad merge of series on it, the reference for
 GradedSubspace.from_pads, and reference_block rebuilds any cached block of
-series on the two.
+series on the two, from the block's own candidate rows, the reference for the
+blocks that series relabels.  even_forms_dim and closed_even_forms_dim are the
+Feigin–Shoikhet theorems dim (A/M_3)[c] = 2^(s-1) and
+dim (L_2/L_3)[c] = 2^(s-2), s the number of letters in c: closed forms that
+share no code with series and reach past the brute-force oracles.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
-from math import comb
+from math import comb, factorial, prod
 from random import Random
 from typing import Iterable
 
@@ -590,6 +594,37 @@ def commutative_monomial_count(n: int, d: int) -> int:
     return comb(d + n - 1, n - 1)
 
 
+def multinomial(c: tuple[int, ...]) -> int:
+    """The number of words of letter content c."""
+    return factorial(sum(c)) // prod(factorial(x) for x in c)
+
+
+def even_forms_dim(c: tuple[int, ...]) -> int:
+    """dim (A/M_3)[c] by Feigin–Shoikhet: A/M_3 is the algebra of
+    even-degree polynomial differential forms, whose content-c forms
+    x^a dx_I have I an even subset of the s letters that occur in c."""
+    s = sum(1 for x in c if x)
+    return 2 ** (s - 1) if s else 1
+
+
+def poincare_closed_even_forms(s: int) -> int:
+    """Σ over even k of the closed k-forms of a content with s letters: the
+    content-c de Rham complex has C(s, j) forms of degree j and is exact
+    for s >= 1 (Poincaré lemma), so the closed k-forms number
+    Σ_{j<k} (-1)^(k-1-j) C(s, j)."""
+    return sum(
+        (-1) ** (k - 1 - j) * comb(s, j) for k in range(0, s + 1, 2) for j in range(k)
+    )
+
+
+def closed_even_forms_dim(c: tuple[int, ...]) -> int:
+    """dim (L_2/L_3)[c] by Feigin–Shoikhet: L_2/L_3 is the space of closed
+    (equivalently exact) even forms of positive degree, 2^(s-2) of content
+    c for s >= 2 letters, the closed form of poincare_closed_even_forms."""
+    s = sum(1 for x in c if x)
+    return 2 ** (s - 2) if s >= 2 else 0
+
+
 def brute_lyndon_words(n: int, d_max: int) -> list[tuple[int, ...]]:
     """Lyndon words by the rotation-test definition, exhaustively."""
     out = []
@@ -622,6 +657,15 @@ def filtration_space(n: int, r: int, d: int) -> GradedSubspace:
 
     rec(d, r, [])
     return GradedSubspace.from_rows(n, d, rows)
+
+
+def assert_reduced(S: GradedSubspace) -> None:
+    """Each stored row is keyed by its pivot, holds no other pivot, and is
+    content-stripped with a positive leading coefficient."""
+    for pivot, row in S._rows.items():
+        assert max(row) == pivot and row[pivot] > 0
+        assert all(k == pivot or k not in S._rows for k in row)
+        assert _strip(dict(row)) == row
 
 
 def subspaces_equal(a: GradedSubspace, b: GradedSubspace) -> bool:

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from lcsideals.freealg import Poly, bracket
 from lcsideals.linalg import (
     GradedSubspace,
-    _strip,
     extension_dim,
     poly_to_introw,
     rank_word,
     word_rank,
 )
 
-from helpers import RefSubspace, random_homogeneous
+from helpers import RefSubspace, assert_reduced, random_homogeneous
 
 
 def test_rank_round_trip():
@@ -244,15 +243,6 @@ def dependent_rows(draw):
     else:
         rows.sort(key=lambda row: max(row, default=-1), reverse=order == "descending")
     return n, d, rows
-
-
-def assert_reduced(S: GradedSubspace) -> None:
-    """Each stored row is keyed by its pivot, holds no other pivot, and is
-    content-stripped with a positive leading coefficient."""
-    for pivot, row in S._rows.items():
-        assert max(row) == pivot and row[pivot] > 0
-        assert all(k == pivot or k not in S._rows for k in row)
-        assert _strip(dict(row)) == row
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

@@ -1,8 +1,10 @@
+import json
 import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -34,14 +36,19 @@ from lcsideals.series import (
 
 from helpers import (
     _whole_generator_rows,
+    assert_reduced,
+    closed_even_forms_dim,
     commutative_monomial_count,
     composed_product_span,
+    even_forms_dim,
     full_slot_l_candidates,
+    multinomial,
     necklace_count,
     oracle_l_span,
     oracle_m_span,
     oracle_product_span,
     padded_m_span,
+    poincare_closed_even_forms,
     random_homogeneous,
     reference_block,
     subspaces_equal,
@@ -141,10 +148,12 @@ def test_block_unions_match_whole_degree_builds():
 
 
 def assert_cached_blocks_match_the_reference() -> int:
-    """Every cached block equals its build on the reference echelon row for
+    """Every cached block, built or relabelled, is reduced and equals its
+    build on the reference echelon from its own candidate rows, row for
     row; returns how many blocks were compared."""
     blocks = [(key, S) for key, S in series._span_cache.items() if key[4] is not None]
     for key, S in blocks:
+        assert_reduced(S)
         assert S._rows == reference_block(*key)._rows, key
     return len(blocks)
 
@@ -167,11 +176,81 @@ def test_blocks_of_the_differential_cells_match_the_reference_echelon():
     assert assert_cached_blocks_match_the_reference() > 100
 
 
-@pytest.mark.parametrize("n,t,cutoff", [(2, (2, 4), 10), (3, (3, 3), 7)])
+BENCH_QUESTIONS = [
+    (q["n"], tuple(q["tuple"]), q["cutoff"])
+    for q in json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
+    )["containment"]
+]
+# the containment_cold questions of the bench, two of them first, and one on A_4
+CONE_QUESTIONS = [(2, (2, 4), 10), (3, (3, 3), 7)]
+CONE_QUESTIONS += [q for q in BENCH_QUESTIONS if q not in CONE_QUESTIONS] + [(4, (2, 2), 7)]
+
+
+@pytest.mark.parametrize("n,t,cutoff", CONE_QUESTIONS)
 def test_balanced_blocks_and_cones_match_the_reference_echelon(n, t, cutoff):
     series.clear_caches()
     containment_index(n, t, cutoff)
     assert assert_cached_blocks_match_the_reference()
+
+
+def is_sorted(c) -> bool:
+    return list(c) == sorted(c, reverse=True)
+
+
+def test_only_sorted_contents_are_built_from_candidate_rows(monkeypatch):
+    built = []
+    for name in ("_l_block", "_product_block"):
+        real = getattr(series, name)
+
+        def spy(n, index, d, c, real=real):
+            built.append(c)
+            return real(n, index, d, c)
+
+        monkeypatch.setattr(series, name, spy)
+    series.clear_caches()
+    containment_index(3, (3, 3), 7)
+    m_span(3, 4, 6)
+    product_span(3, (2, 3), 6)
+    l_span(4, 3, 5)
+    assert built and all(is_sorted(c) for c in built)
+    relabelled = [key for key in series._span_cache if key[4] and not is_sorted(key[4])]
+    assert {key[0] for key in relabelled} == {"L", "P"}
+
+
+def test_a_content_may_be_any_sequence_of_ints():
+    series.clear_caches()
+    assert l_span(2, 2, 3, [1, 2]) is l_span(2, 2, 3, (1, 2))
+    assert m_span(3, 3, 5, [1, 2, 2]) is m_span(3, 3, 5, (1, 2, 2))
+    assert product_span(3, (2, 2), 5, [2, 1, 2]) is product_span(3, (2, 2), 5, (2, 1, 2))
+    with pytest.raises(ValueError, match="not a letter content"):
+        l_span(2, 2, 3, [1, 1])
+
+
+def test_feigin_shoikhet_closed_form_is_the_poincare_sum():
+    for s in range(12):
+        assert closed_even_forms_dim((1,) * s) == poincare_closed_even_forms(s), s
+
+
+def assert_feigin_shoikhet(n: int, d: int, c) -> None:
+    assert multinomial(c) - m_span(n, 3, d, c).dim == even_forms_dim(c), (n, d, c)
+    assert l_span(n, 2, d, c).dim - l_span(n, 3, d, c).dim == closed_even_forms_dim(c), (n, d, c)
+
+
+def test_a_mod_m3_and_l2_mod_l3_blocks_have_the_feigin_shoikhet_dims():
+    for n, d_max in ((2, 8), (3, 6), (4, 5)):
+        for d in range(d_max + 1):
+            for c in series.contents(n, d):
+                assert_feigin_shoikhet(n, d, c)
+
+
+@pytest.mark.parametrize("n,d", [(3, 8), (4, 7), (5, 6)])
+def test_feigin_shoikhet_dims_on_a_balanced_and_an_unsorted_block(n, d):
+    series.clear_caches()
+    mu = series.balanced_content(n, d)
+    assert not is_sorted(mu[::-1])
+    for c in (mu, mu[::-1]):
+        assert_feigin_shoikhet(n, d, c)
 
 
 def test_building_a_block_leaves_the_cached_blocks_as_they_were():
