@@ -143,9 +143,9 @@ def cmd_containment(args) -> int:
 
 def cmd_witness(args) -> int:
     indices = read_indices(args.tuple)
-    w = pbw_witness(args.n, indices)
-    degree = w.degree()
+    degree = sum(indices)  # capped before the witness, whose terms multiply per factor
     _check_degree_cap(args.n, degree, args.force)
+    w = pbw_witness(args.n, indices)
     target = bound_report(args.n, indices)[1] + 1
     inside = spec_contains(IdealSpec("M", args.n, index=target), w)
     result = {
@@ -212,7 +212,7 @@ def cmd_generators(args) -> int:
     }
     rows = []
     if args.verify:
-        ideal = SpanIdeal(2, gens, two_sided=True)
+        ideal = SpanIdeal(2, gens)
         for d in range(args.max_degree + 1):
             want, got = m_span(2, args.index, d), ideal.span(d)
             equal = want.dim == got.dim and got.is_subspace_of(want)
@@ -254,7 +254,9 @@ def cmd_quotient_dims(args) -> int:
 
 
 def cmd_structure_check(args) -> int:
-    n = args.n if args.which == "r22" else 2
+    n = args.n
+    if args.which == "r23" and n != 2:  # the formula is stated on A_2 only
+        raise SystemExit(f"structure-check r23 applies to n = 2, got --n {n}")
     _check_degree_cap(n, args.max_degree, args.force)
     degrees = range(args.max_degree + 1)
     if args.which == "r22":

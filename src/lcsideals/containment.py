@@ -16,7 +16,7 @@ from math import ceil
 from typing import Sequence
 
 from .exprs import poly_to_expr
-from .freealg import Poly, adjoint_power
+from .freealg import Poly
 from .linalg import IntRow, introw_to_poly
 from .lyndon import standard_bracketing
 from .series import (
@@ -267,8 +267,9 @@ def sl2_witness(i: int, j: int, n: int) -> tuple[Matrix, Fraction]:
 
 
 def ad_string_poly(n: int, i: int, core: int) -> Poly:
-    """ad^{i-1}(x2) applied to the given generator, as an element of A_n."""
-    return adjoint_power(Poly.gen(n, 2), i - 1, Poly.gen(n, core))
+    """ad^{i-1}(x2) applied to the given generator, as an element of A_n:
+    the right-normed commutator [x2, ..., x2, x_core]."""
+    return chain_poly(n, (2,) * (i - 1) + (core,))
 
 
 # -- open degree-6 elements on three generators ----------------------------

@@ -35,7 +35,7 @@ def check_word(w: Word, n: int) -> None:
             raise ValueError(f"letter {letter} outside 1..{n} in word {w}")
 
 
-def _check_count(n: int) -> int:
+def check_count(n: int) -> int:
     if n < 1:
         raise ValueError("generator count must be >= 1")
     return n
@@ -62,7 +62,7 @@ class Poly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[Word, Rational] | None = None):
-        self.n = _check_count(n)
+        self.n = check_count(n)
         clean: dict[Word, Rational] = {}
         if terms:
             for w, c in terms.items():
@@ -80,7 +80,7 @@ class Poly:
 
     @classmethod
     def one(cls, n: int) -> "Poly":
-        return _trusted(_check_count(n), {EMPTY_WORD: 1})
+        return _trusted(check_count(n), {EMPTY_WORD: 1})
 
     @classmethod
     def gen(cls, n: int, i: int) -> "Poly":
@@ -259,14 +259,6 @@ def nested(args: Sequence[Poly]) -> Poly:
 def nested_word_chain(n: int, slots: Sequence[Word]) -> Poly:
     """Right-normed commutator of monomial slots, given as words."""
     return nested([Poly.monomial(n, w) for w in slots])
-
-
-def adjoint_power(a: Poly, k: int, b: Poly) -> Poly:
-    """k-fold bracket of a against b: [a,[a,...,[a,b]...]]."""
-    out = b
-    for _ in range(k):
-        out = bracket(a, out)
-    return out
 
 
 IDENTITY_NAMES = ("leibniz", "jacobi", "pigeonhole", "fun1", "fun2")

@@ -38,8 +38,7 @@ def lyndon_words(n: int, d: int) -> list[Word]:
     Duval's generation: extend periodically, bump the last non-maximal
     letter, truncate.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    _check_sizes(n, d)
     out: list[Word] = []
     w = [0]
     while w:
@@ -51,6 +50,11 @@ def lyndon_words(n: int, d: int) -> list[Word]:
         while w and w[-1] == n:
             w.pop()
     return sorted(out)
+
+
+def _check_sizes(n: int, d: int) -> None:
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
 
 
 def lyndon_factor_split(w: Word) -> tuple[Word, Word]:
@@ -209,6 +213,8 @@ def pbw_degree(p: Poly) -> int:
 
 def witt_dimension(n: int, d: int) -> int:
     """Number of Lyndon words of degree exactly d over n letters."""
+    _check_sizes(n, d)
+
     def mobius(m: int) -> int:
         out, k, mm = 1, 2, m
         while k * k <= mm:

@@ -1,9 +1,11 @@
 """Dimension computations in the quotients R_{i,j} = A_n / (M_i · M_j).
 
 Everything is done by span differences: the degree-d dimension of a series
-member inside the quotient is dim(span(S ∪ I)) - dim(I) with I the graded
-piece of the modded-out product ideal.  No coset representatives are ever
-constructed.
+member S inside the quotient is dim(span(S ∪ I)) - dim(I) with I the graded
+piece of the modded-out product ideal.  series.spec_dim computes it, given
+the factors (i, j) of I, block by block over the sorted letter contents, as
+it computes every graded dimension; quotient_dim names the quotient and
+the series.  No coset representatives are ever constructed.
 """
 
 from __future__ import annotations
@@ -13,19 +15,8 @@ from itertools import combinations_with_replacement
 from itertools import product as iter_product
 from math import comb
 
-from .freealg import Poly, Word, all_words, bracket, nested_word_chain
-from .linalg import extension_dim
-from .series import (
-    Content,
-    IdealSpec,
-    factor_indices,
-    l_span,
-    l_span_chains,
-    m_span,
-    orbit_sum,
-    product_span,
-    spec_contains,
-)
+from .freealg import Poly, Word, all_words, bracket, check_count, nested_word_chain
+from .series import IdealSpec, factor_indices, l_span_chains, spec_contains, spec_dim
 
 
 @dataclass(frozen=True)
@@ -37,6 +28,7 @@ class QuotientSpec:
     j: int
 
     def __post_init__(self):
+        check_count(self.n)
         factor_indices((self.i, self.j))
 
     def label(self) -> str:
@@ -48,24 +40,13 @@ SERIES_KINDS = ("L", "M", "N", "B")
 
 def quotient_dim(spec: QuotientSpec, kind: str, r: int, d: int) -> int:
     """dim of the degree-d piece of L_r, M_r, N_r = M_r/M_{r+1} or
-    B_r = L_r/L_{r+1} computed inside the quotient, block by block over the
-    sorted letter contents (series.orbit_sum): the product ideal and the
-    series are both stable under permutations of the generators."""
+    B_r = L_r/L_{r+1} computed inside the quotient: series.spec_dim with
+    the product ideal's factors as its mod."""
     if kind not in SERIES_KINDS:
         raise ValueError(f"series kind must be one of {SERIES_KINDS}")
-    if r < 1:
-        raise ValueError("series index must be >= 1")
-    if kind == "N":
-        return quotient_dim(spec, "M", r, d) - quotient_dim(spec, "M", r + 1, d)
     if kind == "B":
         return quotient_dim(spec, "L", r, d) - quotient_dim(spec, "L", r + 1, d)
-    n, series_span = spec.n, l_span if kind == "L" else m_span
-
-    def block_dim(c: Content) -> int:
-        ideal = product_span(n, (spec.i, spec.j), d, c)
-        return extension_dim(ideal, series_span(n, r, d, c).int_rows())
-
-    return orbit_sum(n, d, block_dim)
+    return spec_dim(IdealSpec(kind, spec.n, index=r), d, (spec.i, spec.j))
 
 
 def iso_check(

@@ -9,7 +9,9 @@ is the union of its blocks, which have disjoint supports, so that union is
 already the reduced echelon form of the whole degree.
 
 L_1 is the whole algebra; block c of L_k(d) is spanned by brackets [m, l]
-of one word m per necklace with l in block c - content(m) of L_{k-1}.
+of one word m per necklace with l in block c - content(m) of L_{k-1}: the
+rows [V, L_{k-1}] that M_k adds for one-letter m, and for longer m the
+powers of Lyndon words (lyndon.lyndon_words), which are the necklaces.
 M_k = A·L_k·A is the one-factor product ideal, and every product
 P = M_{i1}···M_{ik} is built as a left ideal, P(d) = V·P(d-1) +
 product_generators(d), V the span of the generators: block c takes the
@@ -24,9 +26,10 @@ whole-degree union is built only for a caller that names no content.
 
 Permuting the generators maps L_k, M_k and every product onto themselves
 and block c onto block σ(c).  Each S_n orbit of contents holds exactly one
-sorted content c_1 >= ... >= c_n, so dimensions are sums over sorted
-contents (orbit_sum), and only sorted blocks are built from candidate rows:
-every other block is the relabelled image of its orbit's sorted block.
+sorted content c_1 >= ... >= c_n, so dimensions, in A_n or in its quotient
+by a product ideal, are sums over sorted contents (spec_dim, orbit_sum),
+and only sorted blocks are built from candidate rows: every other block is
+the relabelled image of its orbit's sorted block.
 Every linear substitution of the generators maps these spans onto
 themselves too, so they are GL_n-modules whose weight spaces are the
 blocks, and a containment is decided on the one balanced block of each
@@ -38,9 +41,9 @@ re-echelonized: a relabelled block is not in echelon form, and from_pads
 copies the left pads without elimination.
 
 Span closures of explicit generators, which need not be multihomogeneous,
-grow by left padding plus new rows over whole degrees (SpanIdeal).  The
-test suite cross-checks every span against brute-force oracles and the
-blocks against whole-degree reference builds.
+grow by left and right padding plus new rows over whole degrees
+(SpanIdeal).  The test suite cross-checks every span against brute-force
+oracles and the blocks against whole-degree reference builds.
 """
 
 from __future__ import annotations
@@ -54,8 +57,9 @@ from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exprs import DIGITS
-from .freealg import Poly, Rational, Word, all_words, bracket, nested_word_chain
-from .linalg import GradedSubspace, IntRow, poly_to_introw, rank_word, word_rank
+from .freealg import Poly, Rational, Word, all_words, bracket, check_count, nested_word_chain
+from .linalg import GradedSubspace, IntRow, extension_dim, poly_to_introw, rank_word, word_rank
+from .lyndon import lyndon_words
 
 # Right-normed pure commutator, given by its letters; length 1 = generator.
 Chain = tuple[int, ...]
@@ -83,6 +87,7 @@ def _empty(n: int, d: int) -> GradedSubspace:
 @cache
 def contents(n: int, d: int) -> tuple[Content, ...]:
     """The letter contents of the degree-d words of A_n."""
+    check_count(n)
     if d < 0:
         return ()
     if n == 1:
@@ -212,8 +217,15 @@ def _l_candidates(n: int, k: int, d: int, c: Content) -> Iterator[IntRow]:
     with [a, l], [b, l] in L_k ⊆ L_{k-1}: rotating m changes [m, l] only by
     brackets with shorter slots, so by induction on e one rotation per class
     spans.  L_2 = [V, A] needs only e = 1: letter brackets span all monomial
-    brackets by telescoping m1 m2 - m2 m1 across one-letter rotations."""
-    for e in range(1, 2 if k == 2 else d - k + 2):
+    brackets by telescoping m1 m2 - m2 m1 across one-letter rotations.
+
+    The slot e = 1 gives the rows [V, L_{k-1}(d-1)] of _letter_brackets,
+    the new rows of M_k; the longer slots take the necklaces of
+    _necklace_classes."""
+    yield from _letter_brackets(n, k - 1, d, c)
+    if k == 2:
+        return
+    for e in range(2, d - k + 2):
         for cm, ranks in _necklace_classes(n, e).items():
             rest = tuple(map(sub, c, cm))
             if min(rest) < 0:
@@ -225,18 +237,13 @@ def _l_candidates(n: int, k: int, d: int, c: Content) -> Iterator[IntRow]:
 
 
 @cache
-def _necklaces(n: int, e: int) -> tuple[int, ...]:
-    """Ranks of the degree-e words that are least among their rotations."""
-    words = enumerate(iter_product(range(n), repeat=e))
-    return tuple(r for r, w in words if all(w <= w[i:] + w[:i] for i in range(e)))
-
-
-@cache
 def _necklace_classes(n: int, e: int) -> dict[Content, tuple[int, ...]]:
-    """_necklaces(n, e) grouped by content."""
+    """Ranks of the degree-e words that are least among their rotations,
+    grouped by content in rank order.  These are the powers u^(e/|u|) of
+    the Lyndon words u with |u| dividing e."""
     out: dict[Content, list[int]] = {}
-    for r in _necklaces(n, e):
-        out.setdefault(word_content(n, rank_word(r, n, e)), []).append(r)
+    for w in sorted(u * (e // len(u)) for u in lyndon_words(n, e) if e % len(u) == 0):
+        out.setdefault(word_content(n, w), []).append(word_rank(w, n))
     return {c: tuple(ranks) for c, ranks in out.items()}
 
 
@@ -401,6 +408,7 @@ class IdealSpec:
     factors: tuple[int, ...] = ()
 
     def __post_init__(self):
+        check_count(self.n)
         if self.kind in ("L", "M", "N"):
             if self.index < 1:
                 raise ValueError("series index must be >= 1")
@@ -464,12 +472,21 @@ def spec_contains(spec: IdealSpec, p: Poly) -> bool:
     return all(spec_span(spec, d, c).contains(Poly(spec.n, t)) for c, t in parts.items())
 
 
-def spec_dim(spec: IdealSpec, d: int) -> int:
-    """Degree-d dimension, summed over the sorted contents (orbit_sum)."""
-    n, k = spec.n, spec.index
+def spec_dim(spec: IdealSpec, d: int, mod: tuple[int, ...] = ()) -> int:
+    """Degree-d dimension, summed over the sorted contents (orbit_sum), in
+    A_n or, given the factor indices mod of a product ideal I, in A_n/I:
+    there block c counts what spec's block adds to I[c] (extension_dim).
+    An N spec is M_k/M_{k+1}, a difference taken block by block."""
+    n = spec.n
+
+    def block_dim(s: IdealSpec, c: Content) -> int:
+        S = spec_span(s, d, c)
+        return extension_dim(product_span(n, mod, d, c), S.int_rows()) if mod else S.dim
+
     if spec.kind == "N":
-        return orbit_sum(n, d, lambda c: m_span(n, k, d, c).dim - m_span(n, k + 1, d, c).dim)
-    return orbit_sum(n, d, lambda c: spec_span(spec, d, c).dim)
+        top, low = IdealSpec("M", n, index=spec.index), IdealSpec("M", n, index=spec.index + 1)
+        return orbit_sum(n, d, lambda c: block_dim(top, c) - block_dim(low, c))
+    return orbit_sum(n, d, lambda c: block_dim(spec, c))
 
 
 @dataclass
@@ -616,12 +633,8 @@ def free_permute(
         raise ValueError("positions must be adjacent and in range")
     factors = list(factors)
     swapped = factors[:i] + [factors[j], factors[i]] + factors[j + 1 :]
-    err = Poly.one(n)
-    for ch in factors[:i]:
-        err = err * chain_poly(n, ch)
-    err = err * bracket(chain_poly(n, factors[i]), chain_poly(n, factors[j]))
-    for ch in factors[j + 1 :]:
-        err = err * chain_poly(n, ch)
+    joined = bracket(chain_poly(n, factors[i]), chain_poly(n, factors[j]))
+    err = pure_product_poly(n, factors[:i]) * joined * pure_product_poly(n, factors[j + 1 :])
     return swapped, err
 
 
@@ -668,15 +681,16 @@ def generators_S(i: int, d_max: int) -> list[Poly]:
 
 
 class SpanIdeal:
-    """Graded pieces of the ideal closure of explicit homogeneous generators.
-
-    Degree d is V·span(d-1) plus the degree-d generators; two_sided also
-    adds the right pads span(d-1)·V.
+    """Graded pieces of the two-sided ideal closure of explicit homogeneous
+    generators: degree d is V·span(d-1) + span(d-1)·V plus the degree-d
+    generators.  two_sided=True is accepted for callers that name it; no
+    other closure is built.
     """
 
     def __init__(self, n: int, generators: Iterable[Poly], two_sided: bool = True):
+        if two_sided is not True:
+            raise ValueError("SpanIdeal builds two-sided closures only")
         self.n = n
-        self.two_sided = two_sided
         self.by_degree: dict[int, list[Poly]] = {}
         for g in generators:
             if g.is_zero():
@@ -695,12 +709,11 @@ class SpanIdeal:
         else:
             prev = self.span(d - 1)
             rows = [poly_to_introw(g, self.n, d) for g in self.by_degree.get(d, [])]
-            if self.two_sided:
-                rows += [
-                    {r * self.n + i: c for r, c in row.items()}
-                    for row in prev.int_rows()
-                    for i in range(self.n)
-                ]
+            rows += [
+                {r * self.n + i: c for r, c in row.items()}
+                for row in prev.int_rows()
+                for i in range(self.n)
+            ]
             S = GradedSubspace.from_pads(self.n, d, [(i, prev) for i in range(self.n)], rows)
         self._memo[d] = S
         return S

@@ -28,32 +28,133 @@ series on the two, from the block's own candidate rows, the reference for the
 blocks that series relabels.  even_forms_dim and closed_even_forms_dim are the
 Feigin–Shoikhet theorems dim (A/M_3)[c] = 2^(s-1) and
 dim (L_2/L_3)[c] = 2^(s-2), s the number of letters in c: closed forms that
-share no code with series and reach past the brute-force oracles.
+share no code with series and reach past the brute-force oracles, and
+gl_multiplicities solves the block dimensions for the multiplicities of the
+irreducible GL_n-modules with a Kostka counter (kostka), which must be
+counts and independent of n.  The builders that a shared builder of the
+package replaced are kept as its references: adjoint_power for the
+ad-strings of containment, the rotation scan _necklaces and
+ref_necklace_classes for the Lyndon necklaces of series, ref_l_candidates
+for the L_k candidate rows, and ref_quotient_dim, the orbit loop and N
+recursion of quotients, for series.spec_dim in a quotient.  left_ideal_span
+closes generators under left multiplication only.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 from math import comb, factorial, prod
+from operator import sub
 from random import Random
 from typing import Iterable
 
 from lcsideals.containment import bound_report
 from lcsideals.exprs import DIGITS, ExprSyntaxError
-from lcsideals.freealg import Poly, all_words, nested, nested_word_chain
-from lcsideals.linalg import GradedSubspace, IntRow, _strip, introw_to_poly, poly_to_introw
+from lcsideals.freealg import Poly, all_words, bracket, nested, nested_word_chain
+from lcsideals.linalg import (
+    GradedSubspace,
+    IntRow,
+    _strip,
+    extension_dim,
+    introw_to_poly,
+    poly_to_introw,
+    rank_word,
+)
+from lcsideals.quotients import SERIES_KINDS, QuotientSpec
 from lcsideals.series import (
+    Content,
     _bracket_rows,
     _generator_rows,
     _l_candidates,
-    _necklaces,
     _pads,
+    _span,
     balanced_content,
     l_span,
     m_span,
+    orbit_sum,
     product_span,
     sorted_contents,
+    word_content,
 )
+
+
+# -- the builders that one shared builder of the package replaced ----------------
+
+
+def adjoint_power(a: Poly, k: int, b: Poly) -> Poly:
+    """k-fold bracket of a against b: [a,[a,...,[a,b]...]]."""
+    out = b
+    for _ in range(k):
+        out = bracket(a, out)
+    return out
+
+
+@cache
+def _necklaces(n: int, e: int) -> tuple[int, ...]:
+    """Ranks of the degree-e words that are least among their rotations."""
+    words = enumerate(iproduct(range(n), repeat=e))
+    return tuple(r for r, w in words if all(w <= w[i:] + w[:i] for i in range(e)))
+
+
+@cache
+def ref_necklace_classes(n: int, e: int) -> dict[Content, tuple[int, ...]]:
+    """_necklaces(n, e) grouped by content."""
+    out: dict[Content, list[int]] = {}
+    for r in _necklaces(n, e):
+        out.setdefault(word_content(n, rank_word(r, n, e)), []).append(r)
+    return {c: tuple(ranks) for c, ranks in out.items()}
+
+
+def ref_l_candidates(n: int, k: int, d: int, c: Content):
+    """Rows spanning block c of L_k(d): [m, l] with l in L_{k-1}(d-e) of
+    content c - content(m), m one degree-e word per necklace, every slot
+    length read off the rotation scan ref_necklace_classes."""
+    for e in range(1, 2 if k == 2 else d - k + 2):
+        for cm, ranks in ref_necklace_classes(n, e).items():
+            rest = tuple(map(sub, c, cm))
+            if min(rest) < 0:
+                continue
+            block = _span("L", n, k - 1, d - e, rest)
+            if block.dim:
+                for rm in ranks:
+                    yield from _bracket_rows(n, block, rm, e)
+
+
+def ref_quotient_dim(spec: QuotientSpec, kind: str, r: int, d: int) -> int:
+    """dim of the degree-d piece of L_r, M_r, N_r = M_r/M_{r+1} or
+    B_r = L_r/L_{r+1} computed inside the quotient, block by block over the
+    sorted letter contents (series.orbit_sum): the product ideal and the
+    series are both stable under permutations of the generators."""
+    if kind not in SERIES_KINDS:
+        raise ValueError(f"series kind must be one of {SERIES_KINDS}")
+    if r < 1:
+        raise ValueError("series index must be >= 1")
+    if kind == "N":
+        return ref_quotient_dim(spec, "M", r, d) - ref_quotient_dim(spec, "M", r + 1, d)
+    if kind == "B":
+        return ref_quotient_dim(spec, "L", r, d) - ref_quotient_dim(spec, "L", r + 1, d)
+    n, series_span = spec.n, l_span if kind == "L" else m_span
+
+    def block_dim(c: Content) -> int:
+        ideal = product_span(n, (spec.i, spec.j), d, c)
+        return extension_dim(ideal, series_span(n, r, d, c).int_rows())
+
+    return orbit_sum(n, d, block_dim)
+
+
+def left_ideal_span(n: int, generators: Iterable[Poly], d: int) -> GradedSubspace:
+    """Degree-d piece of the left ideal A·span(generators) of homogeneous
+    generators: V·(degree e-1) plus the degree-e generators, degree by
+    degree, merged by GradedSubspace.from_pads."""
+    gens = list(generators)
+    S = _empty(n, -1)
+    for e in range(d + 1):
+        rows = [poly_to_introw(g, n, e) for g in gens if g.degree() == e]
+        S = GradedSubspace.from_pads(n, e, [(i, S) for i in range(n)], rows)
+    return S
+
+
+# -- first principles --------------------------------------------------------------
 
 
 def spanning_chains(n: int, k: int, d: int):
@@ -623,6 +724,48 @@ def closed_even_forms_dim(c: tuple[int, ...]) -> int:
     c for s >= 2 letters, the closed form of poincare_closed_even_forms."""
     s = sum(1 for x in c if x)
     return 2 ** (s - 2) if s >= 2 else 0
+
+
+def partitions(d: int, parts: int) -> list[tuple[int, ...]]:
+    """The partitions of d into at most parts parts, padded with zeros to
+    that length, in descending lexicographic order."""
+    if parts == 0:
+        return [()] if d == 0 else []
+    return [
+        (a,) + rest
+        for a in range(d, -1, -1)
+        for rest in partitions(d - a, parts - 1)
+        if not rest or rest[0] <= a
+    ]
+
+
+@cache
+def kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """K_{λμ}, the semistandard tableaux of shape λ and content μ (λ padded
+    to any length): the entries equal to the last letter form a horizontal
+    strip λ/ν of size μ_last, whose removal leaves a tableau of shape ν and
+    content μ without its last letter.  ν is a horizontal strip inside λ
+    exactly when λ_{i+1} <= ν_i <= λ_i."""
+    if not mu:
+        return int(not any(lam))
+    nxt = lam[1:] + (0,)
+    return sum(
+        kostka(nu, mu[:-1])
+        for nu in iproduct(*(range(b, a + 1) for a, b in zip(lam, nxt)))
+        if sum(lam) - sum(nu) == mu[-1]
+    )
+
+
+def gl_multiplicities(n: int, d: int, weight_dim) -> dict[tuple[int, ...], int]:
+    """The multiplicities m_λ of the irreducible GL_n-modules V_λ in a
+    polynomial module U of degree d, given weight_dim(μ) = dim U[μ] on the
+    partitions μ (padded to n parts): dim U[μ] = Σ_{λ ⊵ μ} m_λ K_{λμ}, solved
+    down the dominance order.  The descending lexicographic order extends
+    dominance, and K_{μμ} = 1.  Keys are the partitions without their zeros."""
+    m: dict[tuple[int, ...], int] = {}
+    for mu in partitions(d, n):
+        m[mu] = weight_dim(mu) - sum(v * kostka(lam, mu) for lam, v in m.items())
+    return {tuple(x for x in lam if x): v for lam, v in m.items()}
 
 
 def brute_lyndon_words(n: int, d_max: int) -> list[tuple[int, ...]]:

@@ -2,7 +2,8 @@
 
 perfbench/tracer.py wraps each TRACED entry by module and attribute name;
 a rename in the package would make traced bench runs fail at install time.
-Its from_rows hook also finds the offered rows by position.
+Its from_rows hook also finds the offered rows by position, and the bench
+workloads call the series and quotient entry points by position.
 """
 
 import importlib
@@ -10,6 +11,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from lcsideals import quotients, series
 from lcsideals.linalg import GradedSubspace
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -44,3 +46,18 @@ def test_from_rows_takes_the_rows_fourth():
     params = inspect.signature(vars(GradedSubspace)["from_rows"].__func__).parameters
     assert list(params)[:4] == ["cls", "n", "degree", "rows"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+
+
+def test_bench_calls_keep_their_positional_parameters():
+    # the quotient_dims and membership_warm workloads call these by position
+    calls = {
+        quotients.QuotientSpec: ["n", "i", "j"],
+        quotients.quotient_dim: ["spec", "kind", "r", "d"],
+        series.m_span: ["n", "k", "d"],
+        series.l_span: ["n", "k", "d"],
+    }
+    for fn, names in calls.items():
+        params = list(inspect.signature(fn).parameters.values())
+        assert [p.name for p in params[: len(names)]] == names, fn
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[: len(names)]), fn
+        assert all(p.default is not p.empty for p in params[len(names) :]), fn

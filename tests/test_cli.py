@@ -131,7 +131,7 @@ def test_generators_verify_passes(capsys):
     assert all(r["equal"] for r in doc["result"]["verification"])
     # a generator set truncated below the degree of some shapes does lose
     # span (the library exposes that; the CLI always verifies within budget)
-    ideal = SpanIdeal(2, generators_S(4, 4), two_sided=True)
+    ideal = SpanIdeal(2, generators_S(4, 4))
     assert ideal.span(5).dim < m_span(2, 4, 5).dim
 
 
@@ -200,14 +200,18 @@ def test_structure_check_r22(capsys):
     assert all(r["equal"] for r in json.loads(out)["result"]["rows"])
 
 
-def test_structure_check_r23_reports_the_n_it_computes_on(capsys):
-    # R_{2,3} is checked on A_2 whatever --n says
-    code, out, _ = run(
-        capsys, "structure-check", "--which", "r23", "--n", "3", "--r", "5",
-        "--max-degree", "6",
-    )
-    assert code == 0
-    assert json.loads(out)["meta"]["n"] == 2
+def test_witness_checks_the_degree_cap_before_building(capsys, monkeypatch):
+    # the witness has 2^k terms for k factors: 20 factors of 2 took seconds
+    # to build before degree 40 was refused
+    import lcsideals.cli as cli_mod
+
+    def refuse(*args):
+        raise AssertionError("pbw_witness called past the degree cap")
+
+    monkeypatch.setattr(cli_mod, "pbw_witness", refuse)
+    code, out, err = run(capsys, "witness", "--n", "2", "--tuple", ",".join(["2"] * 20))
+    assert (code, out) == (1, "")
+    assert err == "error: degree 40 exceeds the safety cap 10; pass --force to override\n"
 
 
 def test_open_elements_command(capsys):
@@ -327,6 +331,18 @@ def test_report_envelope(capsys, line, n, cutoff):
             ["quotient-dims", "--n", "2", "--mod", "2,3,4", "--series", "N", "--r", "1"],
             "expected 2 comma-separated indices, got '2,3,4'",
         ),
+        # the R_{2,3} formula is stated on A_2, where --n 3 once ran silently
+        (
+            ["structure-check", "--which", "r23", "--n", "3"],
+            "structure-check r23 applies to n = 2, got --n 3",
+        ),
+        # no generators: dims and quotient-dims recursed until RecursionError
+        (["dims", "--n", "0", "--ideal", "M2"], "generator count must be >= 1"),
+        (
+            ["quotient-dims", "--n", "0", "--mod", "2,2", "--series", "N", "--r", "2"],
+            "generator count must be >= 1",
+        ),
+        (["structure-check", "--which", "r22", "--n", "0"], "generator count must be >= 1"),
     ],
 )
 def test_refusal_message_and_exit_code(capsys, tmp_path, argv, message):

@@ -34,6 +34,7 @@ from lcsideals.series import (
 )
 
 from helpers import (
+    adjoint_power,
     ascending_per_degree,
     search_witness,
     sorted_per_degree,
@@ -378,6 +379,16 @@ def test_sl2_matches_free_algebra_evaluation():
         got, trace = sl2_witness(i, j, 2)
         assert phi(elem) == got
         assert trace == got[0][0] + got[1][1]
+
+
+def test_ad_string_poly_matches_the_adjoint_power_reference():
+    # ad^{i-1}(x2)(x_core) is the pure commutator chain (2, ..., 2, core)
+    for n in (2, 3):
+        x2 = Poly.gen(n, 2)
+        for i in range(1, 7):
+            for core in range(1, n + 1):
+                want = adjoint_power(x2, i - 1, Poly.gen(n, core))
+                assert ad_string_poly(n, i, core) == want, (n, i, core)
 
 
 def test_open_elements_contained_at_degree_six():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lcsideals.freealg import (
     IDENTITY_NAMES,
     Poly,
-    adjoint_power,
     bracket,
     nested,
     verify_identity,
@@ -127,12 +126,6 @@ def test_homogeneous_grading():
         assert (a * b).is_zero() or (a * b).degree() == da + db
         br = bracket(a, b)
         assert br.is_zero() or br.degree() == da + db
-
-
-def test_adjoint_power():
-    x1, x2 = gens(2)
-    assert adjoint_power(x2, 0, x1) == x1
-    assert adjoint_power(x2, 2, x1) == bracket(x2, bracket(x2, x1))
 
 
 def test_poly_validation():

@@ -37,6 +37,14 @@ def test_witt_counts_up_to_degree_eight():
             assert sum(1 for w in words if len(w) == d) == witt_dimension(n, d)
 
 
+def test_witt_dimension_refuses_what_lyndon_words_refuses():
+    # degree 0 raised ZeroDivisionError and a negative degree returned 0
+    for n, d in ((2, 0), (2, -1), (0, 3)):
+        for ask in (witt_dimension, lyndon_words):
+            with pytest.raises(ValueError, match="need n >= 1 and d >= 1"):
+                ask(n, d)
+
+
 def test_standard_bracketing_examples():
     x1, x2 = Poly.gen(2, 1), Poly.gen(2, 2)
     assert standard_bracketing((1, 2), 2) == bracket(x1, x2)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from lcsideals.quotients import (
@@ -14,10 +17,16 @@ from lcsideals.quotients import (
 from lcsideals import series
 from lcsideals.series import l_span, m_span, product_span
 
+from helpers import ref_quotient_dim
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuotientSpec(2, 1, 2)
+    with pytest.raises(ValueError, match="generator count must be >= 1"):
+        QuotientSpec(0, 2, 2)
     assert QuotientSpec(2, 2, 3).label() == "R[2,3](A_2)"
 
 
@@ -54,6 +63,30 @@ def test_quotient_dim_leaves_cached_spans_unchanged():
         quotient_dim(spec, kind, 3, 6)
     assert l_span(2, 3, 6) is spans[0] and m_span(2, 3, 6) is spans[1]
     assert [[dict(r) for r in S.int_rows()] for S in spans] == before
+
+
+@pytest.mark.parametrize(
+    "n,mods,d_max", [(2, ((2, 2), (2, 3), (3, 3)), 8), (3, ((2, 2), (2, 3)), 6)]
+)
+def test_quotient_dim_matches_the_orbit_loop_reference(n, mods, d_max):
+    # series.spec_dim in a quotient against the orbit loop and N recursion
+    # of the reference
+    for mod in mods:
+        spec = QuotientSpec(n, *mod)
+        for kind in ("L", "M", "N", "B"):
+            for r in range(1, 6):
+                for d in range(d_max + 1):
+                    want = ref_quotient_dim(spec, kind, r, d)
+                    assert quotient_dim(spec, kind, r, d) == want, (spec, kind, r, d)
+
+
+def test_quotient_dim_matches_the_bench_references():
+    cells = json.loads(REFERENCES.read_text())["quotient_dims"]
+    assert len(cells) == 41
+    for q in cells:
+        spec = QuotientSpec(q["n"], *q["mod"])
+        got = quotient_dim(spec, "N", q["r"], q["d"])
+        assert got == ref_quotient_dim(spec, "N", q["r"], q["d"]) == q["dim"], q
 
 
 def test_quotient_dim_validation():

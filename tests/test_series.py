@@ -42,6 +42,8 @@ from helpers import (
     composed_product_span,
     even_forms_dim,
     full_slot_l_candidates,
+    gl_multiplicities,
+    left_ideal_span,
     multinomial,
     necklace_count,
     oracle_l_span,
@@ -50,6 +52,8 @@ from helpers import (
     padded_m_span,
     poincare_closed_even_forms,
     random_homogeneous,
+    ref_l_candidates,
+    ref_necklace_classes,
     reference_block,
     subspaces_equal,
     whole_l_span,
@@ -92,10 +96,37 @@ def test_l_span_necklace_build_matches_full_slot_brackets():
 def test_necklace_representatives_are_one_per_rotation_class():
     for n, e_max in ((2, 8), (3, 5), (4, 4)):
         for e in range(1, e_max + 1):
-            words = [rank_word(r, n, e) for r in series._necklaces(n, e)]
+            classes = series._necklace_classes(n, e)
+            words = [rank_word(r, n, e) for ranks in classes.values() for r in ranks]
             classes = {min(w[i:] + w[:i] for i in range(e)) for w in words}
             assert len(words) == len(classes) == necklace_count(n, e), (n, e)
             assert all(w == min(w[i:] + w[:i] for i in range(e)) for w in words)
+
+
+def test_necklace_classes_match_the_rotation_scan():
+    # the necklaces read off the Lyndon words, against the scan of all n^e
+    # words that they replaced: the same dict in the same key order
+    for n in range(1, 6):
+        for e in range(1, 8):
+            got, want = series._necklace_classes(n, e), ref_necklace_classes(n, e)
+            assert got == want and list(got) == list(want), (n, e)
+
+
+def test_l_candidates_match_the_rotation_scan_reference():
+    # the one-letter slot from _letter_brackets and the longer ones from
+    # the Lyndon necklaces offer the rows of the old build, in its order, on
+    # every block that is built from candidates, so every block is unchanged
+    cells = [
+        (n, k, d, c)
+        for n, d_max in ((2, 9), (3, 7), (4, 6))
+        for k in range(2, 6)
+        for d in range(k, d_max + 1)
+        for c in series.contents(n, d)
+        if max(c) < d
+    ]
+    assert len(cells) == 1150
+    for cell in cells:
+        assert list(series._l_candidates(*cell)) == list(ref_l_candidates(*cell)), cell
 
 
 def test_m_span_frozen_values():
@@ -324,6 +355,43 @@ def test_orbit_sum_counts_every_content():
         assert series.orbit_sum(n, d, lambda c: 1) == len(series.contents(n, d))
         assert series.orbit_sum(n, d, lambda c: m_span(n, 1, d, c).dim) == n**d
         assert spec_dim(IdealSpec("M", n, index=3), d) == m_span(n, 3, d).dim
+
+
+def test_layer_dims_are_differences_of_m_dims():
+    # spec_dim takes N_k = M_k/M_{k+1} block by block, with no quotient
+    for n, d_max in ((2, 8), (3, 6)):
+        for k in range(1, 6):
+            for d in range(d_max + 1):
+                layer = spec_dim(IdealSpec("N", n, index=k), d)
+                assert layer == m_span(n, k, d).dim - m_span(n, k + 1, d).dim, (n, k, d)
+
+
+def test_no_generators_is_refused():
+    # contents(n - 1, ...) never bottomed out: RecursionError
+    for ask in (
+        lambda: l_span(0, 2, 3),
+        lambda: m_span(0, 2, 3),
+        lambda: series.contents(0, 3),
+        lambda: IdealSpec("M", 0, index=2),
+        lambda: IdealSpec.parse("L2", -1),
+    ):
+        with pytest.raises(ValueError, match="generator count must be >= 1"):
+            ask()
+
+
+@pytest.mark.parametrize("label", ["M4", "L3", "M2*M2"])
+def test_gl_multiplicities_are_stable_and_nonnegative(label):
+    # the blocks of a degree are the weight spaces of a polynomial
+    # GL_n-module: the multiplicity of V_λ solved from them is a count, and
+    # does not depend on n once n >= ℓ(λ)
+    d = 7
+    mult = {}
+    for n in (3, 4, 5):
+        spec = IdealSpec.parse(label, n)
+        mult[n] = gl_multiplicities(n, d, lambda c: spec_span(spec, d, c).dim)
+        assert min(mult[n].values()) >= 0, (label, n, mult[n])
+    for n in (3, 4):
+        assert mult[n] == {lam: m for lam, m in mult[5].items() if len(lam) <= n}, (label, n)
 
 
 def test_block_content_is_checked():
@@ -592,7 +660,7 @@ def test_generators_S_enumerates_only_shapes_within_the_degree():
 def test_generators_S_two_sided_span_equals_ideal():
     for i in (2, 3):
         d_max = i + 3
-        ideal = SpanIdeal(2, generators_S(i, d_max), two_sided=True)
+        ideal = SpanIdeal(2, generators_S(i, d_max))
         for d in range(d_max + 1):
             assert subspaces_equal(ideal.span(d), m_span(2, i, d))
 
@@ -602,6 +670,11 @@ def test_span_ideal_requires_homogeneous_generators():
         SpanIdeal(2, [Poly.gen(2, 1) + Poly.one(2)])
 
 
+def test_span_ideal_builds_two_sided_closures_only():
+    with pytest.raises(ValueError, match="two-sided closures only"):
+        SpanIdeal(2, [], two_sided=False)
+
+
 def test_ideals_are_one_sided():
     # right multiples reduce to left multiples: A·L_k·A = A·L_k
     n, k = 2, 2
@@ -609,8 +682,7 @@ def test_ideals_are_one_sided():
         gens = []
         for e in range(k, d + 1):
             gens += l_span(n, k, e).row_polys()
-        left_only = SpanIdeal(n, gens, two_sided=False)
-        assert subspaces_equal(left_only.span(d), m_span(n, k, d))
+        assert subspaces_equal(left_ideal_span(n, gens, d), m_span(n, k, d))
 
 
 # -- classical containments at unit-test scale (acceptance runs the full
