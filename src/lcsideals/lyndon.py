@@ -12,11 +12,19 @@ Lie Algebras, ch. 5).  A Lie element is therefore written in the basis by
 peeling: take the smallest word w left, which must be Lyndon, record its
 coefficient c, subtract c*b_w, and repeat until nothing is left.  As every
 b_w has integer coefficients, straightening a word runs in ints alone.
+
+A word is straightened by rewriting factor sequences, the first descent
+u > v into v u plus [b_u, b_v].  Each rewrite lowers (number of factors,
+number of inversions), so taking pending sequences in decreasing order of
+that key rewrites each one once, with every contribution summed: x2·x1^L
+takes L(L+1)/2 rewrites, not one per rewrite path (2^L - 1).
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations, starmap
+from operator import gt
 
 from .freealg import Poly, Rational, Word, bracket
 
@@ -160,38 +168,48 @@ def _swap_pair(n: int, u: Word, v: Word) -> dict[Word, int]:
     )
 
 
+def _inversions(seq: PbwMonomial) -> int:
+    return sum(starmap(gt, combinations(seq, 2)))
+
+
+def _accumulate(bucket: dict[PbwMonomial, int], seq: PbwMonomial, c: int) -> None:
+    s = bucket.get(seq, 0) + c
+    if s:
+        bucket[seq] = s
+    else:
+        bucket.pop(seq, None)
+
+
 @cache
 def _straighten_word(n: int, word: Word) -> dict[PbwMonomial, int]:
+    """The PBW expansion of one word, each factor sequence rewritten once.
+
+    A factor sequence is keyed by (number of factors, number of inversions).
+    Rewriting its first descent u > v yields the swapped sequence, with one
+    inversion fewer, and one sequence per Lyndon word of [b_u, b_v], with
+    one factor fewer, so every rewrite lowers the key.  Pending sequences
+    wait in buckets by key and the largest key is emptied first: by then
+    every contribution to its sequences has arrived, so each is rewritten,
+    or stored once sorted, with its full coefficient.
+    """
     done: dict[PbwMonomial, int] = {}
     # Each letter is a Lyndon word, so a word is a factor sequence already.
-    work: dict[PbwMonomial, int] = {tuple((l,) for l in word): 1}
-    while work:
-        seq, coeff = work.popitem()
-        bad = next(
-            (i for i in range(len(seq) - 1) if seq[i] > seq[i + 1]),
-            None,
-        )
-        if bad is None:
-            s = done.get(seq, 0) + coeff
-            if s:
-                done[seq] = s
-            else:
-                done.pop(seq, None)
-            continue
-        u, v = seq[bad], seq[bad + 1]
-        swapped = seq[:bad] + (v, u) + seq[bad + 2 :]
-        s = work.get(swapped, 0) + coeff
-        if s:
-            work[swapped] = s
-        else:
-            work.pop(swapped, None)
-        for w, c in _swap_pair(n, u, v).items():
-            merged = seq[:bad] + (w,) + seq[bad + 2 :]
-            s = work.get(merged, 0) + coeff * c
-            if s:
-                work[merged] = s
-            else:
-                work.pop(merged, None)
+    start = tuple((l,) for l in word)
+    buckets = {(len(start), _inversions(start)): {start: 1}}
+    while buckets:
+        count, inv = key = max(buckets)
+        for seq, coeff in buckets.pop(key).items():
+            if not inv:
+                done[seq] = coeff
+                continue
+            bad = next(i for i in range(count - 1) if seq[i] > seq[i + 1])
+            u, v = seq[bad], seq[bad + 1]
+            swapped = seq[:bad] + (v, u) + seq[bad + 2 :]
+            _accumulate(buckets.setdefault((count, inv - 1), {}), swapped, coeff)
+            for w, c in _swap_pair(n, u, v).items():
+                merged = seq[:bad] + (w,) + seq[bad + 2 :]
+                fewer = (count - 1, _inversions(merged))
+                _accumulate(buckets.setdefault(fewer, {}), merged, coeff * c)
     return done
 
 

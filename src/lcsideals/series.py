@@ -181,6 +181,7 @@ def _relabel(block: GradedSubspace, c: Content) -> GradedSubspace:
 
 def _check_content(n: int, d: int, c: Sequence[int] | None) -> Content | None:
     """c as a tuple, checked to be a letter content of degree d in A_n."""
+    check_count(n)
     if c is None:
         return None
     c = tuple(c)

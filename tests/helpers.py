@@ -36,8 +36,10 @@ package replaced are kept as its references: adjoint_power for the
 ad-strings of containment, the rotation scan _necklaces and
 ref_necklace_classes for the Lyndon necklaces of series, ref_l_candidates
 for the L_k candidate rows, and ref_quotient_dim, the orbit loop and N
-recursion of quotients, for series.spec_dim in a quotient.  left_ideal_span
-closes generators under left multiplication only.
+recursion of quotients, for series.spec_dim in a quotient, and
+ref_straighten_word, the last-in-first-out worklist of lyndon, for its
+bucketed straightening loop.  left_ideal_span closes generators under left
+multiplication only.
 """
 
 from fractions import Fraction
@@ -50,7 +52,7 @@ from typing import Iterable
 
 from lcsideals.containment import bound_report
 from lcsideals.exprs import DIGITS, ExprSyntaxError
-from lcsideals.freealg import Poly, all_words, bracket, nested, nested_word_chain
+from lcsideals.freealg import Poly, Word, all_words, bracket, nested, nested_word_chain
 from lcsideals.linalg import (
     GradedSubspace,
     IntRow,
@@ -60,6 +62,7 @@ from lcsideals.linalg import (
     poly_to_introw,
     rank_word,
 )
+from lcsideals.lyndon import PbwMonomial, _swap_pair
 from lcsideals.quotients import SERIES_KINDS, QuotientSpec
 from lcsideals.series import (
     Content,
@@ -168,6 +171,45 @@ def spanning_chains(n: int, k: int, d: int):
         for m in iproduct(range(1, n + 1), repeat=e):
             for chain in spanning_chains(n, k - 1, d - e):
                 yield (m,) + chain
+
+
+# -- reference of the PBW straightening loop ------------------------------------
+
+
+def ref_straighten_word(n: int, word: Word) -> dict[PbwMonomial, int]:
+    """The last-in-first-out worklist: a factor sequence reached along several
+    rewrite paths is rewritten once per path."""
+    done: dict[PbwMonomial, int] = {}
+    # Each letter is a Lyndon word, so a word is a factor sequence already.
+    work: dict[PbwMonomial, int] = {tuple((l,) for l in word): 1}
+    while work:
+        seq, coeff = work.popitem()
+        bad = next(
+            (i for i in range(len(seq) - 1) if seq[i] > seq[i + 1]),
+            None,
+        )
+        if bad is None:
+            s = done.get(seq, 0) + coeff
+            if s:
+                done[seq] = s
+            else:
+                done.pop(seq, None)
+            continue
+        u, v = seq[bad], seq[bad + 1]
+        swapped = seq[:bad] + (v, u) + seq[bad + 2 :]
+        s = work.get(swapped, 0) + coeff
+        if s:
+            work[swapped] = s
+        else:
+            work.pop(swapped, None)
+        for w, c in _swap_pair(n, u, v).items():
+            merged = seq[:bad] + (w,) + seq[bad + 2 :]
+            s = work.get(merged, 0) + coeff * c
+            if s:
+                work[merged] = s
+            else:
+                work.pop(merged, None)
+    return done
 
 
 # -- Fraction-only reference of the Poly kernel ---------------------------------

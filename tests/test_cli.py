@@ -491,6 +491,19 @@ def test_expression_refusals(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+def test_pbw_degree_of_a_long_word_ends_in_time():
+    # x2·x1^30 straightened with a last-in-first-out worklist took 2^30 - 1
+    # rewrites; each factor sequence is now rewritten once
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["pbw-degree", "--n", "2", "--force", "--expr", "*".join(["x2"] + ["x1"] * 30)]
+    done = subprocess.run(
+        [sys.executable, "-m", "lcsideals.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["pbw_degree"] == 31
+
+
 def test_force_lifts_the_expression_cap(capsys):
     code, out, _ = run(capsys, "pbw-degree", "--n", "2", "--expr", "x1" * 11, "--force")
     assert code == 0

@@ -1,10 +1,11 @@
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
 
-from lcsideals.freealg import Poly, bracket, nested
+from lcsideals.freealg import Poly, all_words, bracket, nested
 from lcsideals import lyndon
 from lcsideals.lyndon import (
     _lyndon_coefficients,
@@ -16,7 +17,7 @@ from lcsideals.lyndon import (
     witt_dimension,
 )
 
-from helpers import brute_lyndon_words, filtration_space, random_poly
+from helpers import brute_lyndon_words, filtration_space, random_poly, ref_straighten_word
 
 
 def test_lyndon_words_small_sets():
@@ -226,3 +227,63 @@ def test_straightening_rationals_stays_exact():
         assert all(type(c) in (int, Fraction) for c in e.terms.values())
         assert e.terms == {m: two_thirds * c for m, c in straighten(p).terms.items()}
         assert e.to_poly() == p.scale(two_thirds)
+
+
+# (n, largest degree) of the words on which the bucketed loop must match the
+# last-in-first-out reference
+REFERENCE_WORDS = ((2, 9), (3, 6), (4, 4))
+
+
+def test_straighten_word_matches_the_worklist_reference():
+    # each word once with every cache cleared before it, then all words
+    # again with the caches shared
+    words = [
+        (n, w) for n, d_max in REFERENCE_WORDS for d in range(d_max + 1) for w in all_words(n, d)
+    ]
+    want = {}
+    for n, w in words:
+        lyndon.clear_caches()
+        got = lyndon._straighten_word(n, w)
+        want[n, w] = ref_straighten_word(n, w)
+        assert got == want[n, w], (n, w)
+    lyndon.clear_caches()
+    for n, w in words:
+        assert lyndon._straighten_word(n, w) == want[n, w], (n, w)
+    lyndon.clear_caches()
+
+
+def _x2_x1_power(length: int) -> Poly:
+    return Poly.monomial(2, (2,) + (1,) * length)
+
+
+@pytest.mark.parametrize("length", [8, 12, 16])
+def test_each_factor_sequence_is_rewritten_once(monkeypatch, length):
+    # the sequences x1^a·b_(1^k 2)·x1^b with b >= 1 are rewritten, one
+    # lookup each; a last-in-first-out worklist made 2^L - 1 lookups
+    calls = 0
+    swap = lyndon._swap_pair
+
+    def counted(n, u, v):
+        nonlocal calls
+        calls += 1
+        return swap(n, u, v)
+
+    lyndon.clear_caches()
+    monkeypatch.setattr(lyndon, "_swap_pair", counted)
+    straighten(_x2_x1_power(length))
+    assert calls == length * (length + 1) // 2
+    monkeypatch.undo()
+    lyndon.clear_caches()
+
+
+def test_x2_times_a_power_of_x1_in_closed_form():
+    # x2·x1^L = Σ_k (-1)^k C(L,k) · x1^(L-k) · b_(1^k 2), out of reach of the
+    # worklist reference, which needs 2^L - 1 rewrites
+    length = 40
+    want = {
+        ((1,),) * (length - k) + ((1,) * k + (2,),): (-1) ** k * comb(length, k)
+        for k in range(length + 1)
+    }
+    assert straighten(_x2_x1_power(length)).terms == want
+    assert pbw_degree(_x2_x1_power(length)) == length + 1
+    lyndon.clear_caches()

@@ -371,6 +371,10 @@ def test_no_generators_is_refused():
     for ask in (
         lambda: l_span(0, 2, 3),
         lambda: m_span(0, 2, 3),
+        # an empty content raised "min() arg is an empty sequence"
+        lambda: l_span(0, 1, 0, ()),
+        lambda: m_span(0, 2, 0, ()),
+        lambda: product_span(0, (2,), 0, ()),
         lambda: series.contents(0, 3),
         lambda: IdealSpec("M", 0, index=2),
         lambda: IdealSpec.parse("L2", -1),
