@@ -1,19 +1,24 @@
-"""Echelonized subspaces of homogeneous components of A_n.
+"""Reduced bases of subspaces of homogeneous components of A_n.
 
-A GradedSubspace holds the reduced row echelon basis of a subspace of the
-degree-d component, with pivot = maximal word in lexicographic order: no
-stored row holds the pivot of another.  Rows are stored as sparse integer
-vectors (content-stripped, positive leading coefficient), which makes the
+A GradedSubspace holds a reduced basis of a subspace of the degree-d
+component: each stored row is keyed by a pivot column that no other row
+holds.  Rows are sparse integer vectors, content-stripped with a positive
+coefficient at the pivot.  Every space built here is in reduced row echelon
+form, with pivot = maximal word in lexicographic order, which makes the
 basis unique; the rational rows with leading coefficient 1 are recovered on
-demand.
+demand.  A relabelled block (from_reduced) and a union with such a part are
+reduced but not in that order until their rows are read in order.
 
 Against reduced rows, one pass over the pivots of a vector clears them all,
 in any order, because eliminating one pivot brings in no other.  That pass
 (_clear) is the only elimination: membership runs it on the vector, and
 insert_row runs it on the new row and then eliminates the new pivot from
 each stored row that holds it, so the basis is reduced after every
-insertion and freezing only makes it immutable.  residues(rows) inserts the residues of rows
-modulo a basis, which builds every span (from_rows), extension
+insertion and freezing only makes it immutable.  Membership, dimension and
+residues therefore work on any reduced basis; only the readers of ordered
+rows (int_rows, pivot_words, row_polys, the pads of from_pads) echelonize
+an unordered one, once (_echelon).  residues(rows) inserts the residues of
+rows modulo a basis, which builds every span (from_rows), extension
 (extension_dim) and left-ideal step (from_pads).
 """
 
@@ -82,13 +87,17 @@ def _strip(row: IntRow) -> IntRow:
 
 
 class GradedSubspace:
-    """Span of homogeneous degree-d elements, as its reduced echelon basis.
+    """Span of homogeneous degree-d elements, as a reduced basis.
 
+    _ordered says that the basis is the reduced echelon form (pivot =
+    largest word of its row); it is false only for from_reduced and for a
+    direct_sum of parts of which one is unordered, until _echelon.
     Mutable (single writer) until freeze(); frozen instances are immutable
-    and safe to share.
+    and safe to share: echelonizing swaps in a new row dict, and concurrent
+    readers see either basis.
     """
 
-    __slots__ = ("n", "degree", "_rows", "_frozen")
+    __slots__ = ("n", "degree", "_rows", "_frozen", "_ordered", "_parts")
 
     def __init__(self, n: int, degree: int):
         if n < 1 or degree < 0:
@@ -97,6 +106,8 @@ class GradedSubspace:
         self.degree = degree
         self._rows: dict[int, IntRow] = {}
         self._frozen = False
+        self._ordered = True
+        self._parts: tuple[GradedSubspace, ...] = ()
 
     @classmethod
     def from_rows(
@@ -111,10 +122,27 @@ class GradedSubspace:
     ) -> "GradedSubspace":
         """Frozen sum of frozen subspaces whose supports are pairwise
         disjoint, sharing their row dicts: reduced rows with disjoint
-        supports are together again reduced, so no elimination is needed."""
+        supports are together again reduced, so no elimination is needed.
+        The sum is unordered if a part is, and is then ordered part by
+        part."""
         S = cls(n, degree)
+        S._parts = parts = tuple(parts)
+        # flags before rows: a part ordered meanwhile has swapped its rows first
+        S._ordered = all(part._ordered for part in parts)
         for part in parts:
             S._rows.update(part._rows)
+        S._frozen = True
+        return S
+
+    @classmethod
+    def from_reduced(cls, n: int, degree: int, rows: dict[int, IntRow]) -> "GradedSubspace":
+        """Frozen span of a reduced basis that need not be in echelon order:
+        rows maps pivot columns to rows, and no row holds the pivot of
+        another.  It is taken as it is, and echelonized by from_rows, in the
+        order of rows, when its rows are first read in order."""
+        S = cls(n, degree)
+        S._rows = rows
+        S._ordered = False
         S._frozen = True
         return S
 
@@ -129,8 +157,9 @@ class GradedSubspace:
         """Frozen span of Σ x_i·b + span(rows) over the pairs (i, b) of pads,
         each b a subspace one degree down and each i at most once.
 
-        The left pads of b's reduced rows are reduced again, with distinct
-        pivots i·n^(d-1) + pivot, so they go in as copies.  The residues of
+        The left pads of b's reduced echelon rows (b is echelonized first
+        if it is not) are reduced again, with distinct pivots
+        i·n^(d-1) + pivot, so they go in as copies.  The residues of
         rows modulo the pads are echelonized apart; their pivots are then
         cleared from the pad rows, and the two row sets merged.
         """
@@ -139,7 +168,7 @@ class GradedSubspace:
         top = n ** (degree - 1)
         for i, prev in pads:
             base = i * top
-            for p, row in prev._rows.items():
+            for p, row in prev._echelon().items():
                 pad_rows[base + p] = {base + r: c for r, c in row.items()}
         side = S.residues(rows)
         if side._rows:
@@ -148,14 +177,32 @@ class GradedSubspace:
             pad_rows.update(side._rows)
         return S.freeze()
 
+    def _echelon(self) -> dict[int, IntRow]:
+        """The stored rows in reduced echelon form, echelonizing them on the
+        first call: a union part by part, any other basis by from_rows in
+        the order of its rows.  The new dict is swapped in before the flag
+        is set, and no row dict is edited in place, because unions share
+        them."""
+        if not self._ordered:
+            if self._parts:
+                rows: dict[int, IntRow] = {}
+                for part in self._parts:
+                    rows.update(part._echelon())
+            else:
+                rows = type(self).from_rows(self.n, self.degree, self._rows.values())._rows
+            self._rows = rows
+            self._ordered = True
+        return self._rows
+
     # -- core reduction -------------------------------------------------
 
     def _clear(self, vec: IntRow) -> IntRow:
         """Eliminate every pivot of vec, in one pass over those it holds.
 
         Exact up to a positive scalar, which is all membership and rank
-        need.  The stored rows are reduced, so eliminating one pivot never
-        brings in or cancels another, and the order of the pass is free.
+        need.  The stored rows are reduced, in echelon order or not, so
+        eliminating one pivot never brings in or cancels another, and the
+        order of the pass is free.
         """
         rows = self._rows
         for r in [r for r in vec if r in rows]:
@@ -250,12 +297,13 @@ class GradedSubspace:
         return self.row_outside(other) is None
 
     def pivot_words(self) -> list[Word]:
-        return [rank_word(r, self.n, self.degree) for r in sorted(self._rows, reverse=True)]
+        return [rank_word(r, self.n, self.degree) for r in sorted(self._echelon(), reverse=True)]
 
     def int_rows(self) -> Iterator[IntRow]:
-        """The stored rows, in descending pivot order."""
-        for r in sorted(self._rows, reverse=True):
-            yield self._rows[r]
+        """The reduced echelon rows, in descending pivot order."""
+        rows = self._echelon()
+        for r in sorted(rows, reverse=True):
+            yield rows[r]
 
     def row_polys(self) -> list[Poly]:
         """Basis rows as Polys with leading coefficient 1."""

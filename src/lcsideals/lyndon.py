@@ -33,11 +33,24 @@ PbwMonomial = tuple[Word, ...]
 
 
 def is_lyndon(w: Word) -> bool:
-    """True iff w is strictly smaller than every proper cyclic rotation."""
+    """True iff w is strictly smaller than every proper cyclic rotation.
+
+    One pass of Duval's scan.  Before step j, w[:j] is a prefix of a power
+    of the Lyndon word w[:j-i], and w[j] is compared with w[i]: a larger
+    letter makes w[:j+1] Lyndon (i back to 0), an equal one continues the
+    period, and a smaller one rules w out.  w is Lyndon iff its period at
+    the end is its whole length."""
     if not w:
         return False
-    d = len(w)
-    return all(w < w[i:] + w[:i] for i in range(1, d))
+    i = 0
+    for j in range(1, len(w)):
+        if w[i] < w[j]:
+            i = 0
+        elif w[i] == w[j]:
+            i += 1
+        else:
+            return False
+    return i == 0
 
 
 def lyndon_words(n: int, d: int) -> list[Word]:

@@ -1,12 +1,13 @@
 """Graded spanning sets for L_k, M_k, product ideals, and generator sets.
 
-All subspaces are exact echelonized graded pieces.  Every row of every span
-is multihomogeneous: brackets, left pads and products keep the letter
+All subspaces are exact reduced bases of graded pieces.  Every row of every
+span is multihomogeneous: brackets, left pads and products keep the letter
 content c = (c_1, ..., c_n) of their words, so elimination never mixes
 contents.  The unit of every build and of the cache is therefore the block
 of one content, keyed (kind, n, index, degree, content); the degree-d span
 is the union of its blocks, which have disjoint supports, so that union is
-already the reduced echelon form of the whole degree.
+already a reduced basis of the whole degree, and its reduced echelon form
+once each block is in echelon form.
 
 L_1 is the whole algebra; block c of L_k(d) is spanned by brackets [m, l]
 of one word m per necklace with l in block c - content(m) of L_{k-1}: the
@@ -36,9 +37,11 @@ blocks, and a containment is decided on the one balanced block of each
 degree (balanced_content; the proof is in containment.containment_index).
 Dimensions still need every sorted block: dim U[c] = Σ_λ m_λ K_{λc} over
 the irreducibles V_λ of U is triangular in the Kostka matrix, not
-diagonal, so no single block gives it.  Relabelled rows are
-re-echelonized: a relabelled block is not in echelon form, and from_pads
-copies the left pads without elimination.
+diagonal, so no single block gives it.  A relabelled block is a reduced
+basis out of echelon order; membership, dimension and containment use it
+as it is, and it is re-echelonized once, when its rows are read in order:
+as left pads (from_pads copies those without elimination), as bracket or
+product rows, or by a caller of int_rows.
 
 Span closures of explicit generators, which need not be multihomogeneous,
 grow by left and right padding plus new rows over whole degrees
@@ -168,15 +171,21 @@ def _relabel(block: GradedSubspace, c: Content) -> GradedSubspace:
     """The image of a sorted block under the letter permutation σ that maps
     it onto block c: letter i goes to the i-th index of c in descending
     order of its entry, ties in ascending order.  σ is an automorphism
-    fixing every L_k and product, and it maps independent rows to
-    independent rows, which are re-echelonized: the reduced echelon form is
-    unique, so this is the block a build of c would give."""
+    fixing every L_k and product.  It maps the reduced rows to reduced
+    rows, keyed by the images of their pivots, which are no longer the
+    largest words: the image is kept as that reduced basis, which answers
+    membership and dimension, and is echelonized (GradedSubspace._echelon)
+    in descending order of the sorted block's pivots only when its rows
+    are read in order.  The reduced echelon form is unique, so that is the
+    block a build of c would give."""
     n, d = block.n, block.degree
     sigma = sorted(range(1, n + 1), key=lambda x: -c[x - 1])
     rows = list(block.int_rows())
     words = {r for row in rows for r in row}
     image = {r: word_rank([sigma[x - 1] for x in rank_word(r, n, d)], n) for r in words}
-    return GradedSubspace.from_rows(n, d, ({image[r]: v for r, v in row.items()} for row in rows))
+    return GradedSubspace.from_reduced(
+        n, d, {image[max(row)]: {image[r]: v for r, v in row.items()} for row in rows}
+    )
 
 
 def _check_content(n: int, d: int, c: Sequence[int] | None) -> Content | None:

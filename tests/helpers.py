@@ -45,7 +45,7 @@ multiplication only.
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from operator import sub
 from random import Random
 from typing import Iterable
@@ -174,6 +174,15 @@ def spanning_chains(n: int, k: int, d: int):
 
 
 # -- reference of the PBW straightening loop ------------------------------------
+
+
+def ref_is_lyndon(w: Word) -> bool:
+    """The rotation test: w is nonempty and strictly smaller than every
+    proper cyclic rotation."""
+    if not w:
+        return False
+    d = len(w)
+    return all(w < w[i:] + w[:i] for i in range(1, d))
 
 
 def ref_straighten_word(n: int, word: Word) -> dict[PbwMonomial, int]:
@@ -482,7 +491,7 @@ def _left_ideal_step(
     top = n ** (d - 1)
     for i, prev in pads:
         base = i * top
-        for p, row in prev._rows.items():
+        for p, row in prev._echelon().items():
             rows[base + p] = {base + r: c for r, c in row.items()}
     rows.update(S.residues(extra_rows)._rows)
     return S.freeze()
@@ -845,12 +854,20 @@ def filtration_space(n: int, r: int, d: int) -> GradedSubspace:
 
 
 def assert_reduced(S: GradedSubspace) -> None:
-    """Each stored row is keyed by its pivot, holds no other pivot, and is
-    content-stripped with a positive leading coefficient."""
+    """Each stored row is keyed by a pivot column that it holds with a
+    positive coefficient and no other row holds, and is content-stripped: a
+    reduced basis, in echelon order or not."""
     for pivot, row in S._rows.items():
-        assert max(row) == pivot and row[pivot] > 0
+        assert row[pivot] > 0 and gcd(*row.values()) == 1
         assert all(k == pivot or k not in S._rows for k in row)
-        assert _strip(dict(row)) == row
+
+
+def assert_echelon(S: GradedSubspace) -> None:
+    """The ordered rows of S are reduced, and each is keyed by its largest
+    word."""
+    rows = S._echelon()
+    assert_reduced(S)
+    assert all(max(row) == pivot for pivot, row in rows.items())
 
 
 def subspaces_equal(a: GradedSubspace, b: GradedSubspace) -> bool:

@@ -3,7 +3,9 @@
 perfbench/tracer.py wraps each TRACED entry by module and attribute name;
 a rename in the package would make traced bench runs fail at install time.
 Its from_rows hook also finds the offered rows by position, and the bench
-workloads call the series and quotient entry points by position.
+workloads call the series and quotient entry points by position.  A
+relabelled block is echelonized through the same from_rows, so the hook
+counts its rows when they are first read in order.
 """
 
 import importlib
@@ -46,6 +48,23 @@ def test_from_rows_takes_the_rows_fourth():
     params = inspect.signature(vars(GradedSubspace)["from_rows"].__func__).parameters
     assert list(params)[:4] == ["cls", "n", "degree", "rows"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+
+
+def test_reading_an_unordered_block_in_order_calls_from_rows_once():
+    series.clear_caches()
+    S = series.m_span(3, 3, 6, (1, 2, 3))
+    assert not S._ordered
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        first = list(S.int_rows())
+        after_first = (len(tracer.built), tracer.counters["linalg.from_rows.rows_offered"])
+        assert list(S.int_rows()) == first
+        assert S.pivot_words() and S.row_polys()
+        after_second = (len(tracer.built), tracer.counters["linalg.from_rows.rows_offered"])
+    finally:
+        tracer.uninstall()
+    assert after_first == after_second == (1, S.dim)
 
 
 def test_bench_calls_keep_their_positional_parameters():

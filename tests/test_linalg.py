@@ -14,7 +14,7 @@ from lcsideals.linalg import (
     word_rank,
 )
 
-from helpers import RefSubspace, assert_reduced, random_homogeneous
+from helpers import RefSubspace, assert_echelon, random_homogeneous
 
 
 def test_rank_round_trip():
@@ -264,7 +264,7 @@ def test_unfrozen_basis_is_reduced_after_each_insert(case):
     for row in rows:
         before = S.dim
         assert S.insert_row(dict(row)) == (S.dim == before + 1)
-        assert_reduced(S)
+        assert_echelon(S)
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -294,7 +294,7 @@ def test_from_pads_leaves_pads_and_offered_rows_as_they_were():
     S = GradedSubspace.from_pads(n, d, pads, rows)
     assert [b._rows for _, b in pads] == pad_rows
     assert rows == offered
-    assert_reduced(S)
+    assert_echelon(S)
     top = n ** (d - 1)
     padded = [{x * top + r: c for r, c in row.items()} for x, b in pads for row in b.int_rows()]
     want = RefSubspace.from_rows(n, d, padded + rows)

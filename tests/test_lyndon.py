@@ -17,7 +17,13 @@ from lcsideals.lyndon import (
     witt_dimension,
 )
 
-from helpers import brute_lyndon_words, filtration_space, random_poly, ref_straighten_word
+from helpers import (
+    brute_lyndon_words,
+    filtration_space,
+    random_poly,
+    ref_is_lyndon,
+    ref_straighten_word,
+)
 
 
 def test_lyndon_words_small_sets():
@@ -52,6 +58,14 @@ def test_standard_bracketing_examples():
     # standard factorization 1|12 and 12|2
     assert standard_bracketing((1, 1, 2), 2) == nested([x1, x1, x2])
     assert standard_bracketing((1, 2, 2), 2) == bracket(bracket(x1, x2), x2)
+
+
+def test_is_lyndon_matches_the_rotation_test():
+    # every word with n <= 3 letters and degree <= 8, the empty word included
+    words = [w for n in (1, 2, 3) for d in range(9) for w in all_words(n, d)]
+    assert len(words) == 10361
+    for w in words:
+        assert is_lyndon(w) == ref_is_lyndon(w), w
 
 
 def test_standard_bracketing_rejects_non_lyndon():

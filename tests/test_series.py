@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -12,7 +14,7 @@ import pytest
 from lcsideals import series
 from lcsideals.containment import bound_report, containment_index, pbw_witness, sl2_witness
 from lcsideals.freealg import Poly, all_words, bracket, nested_word_chain
-from lcsideals.linalg import GradedSubspace, rank_word
+from lcsideals.linalg import GradedSubspace, extension_dim, rank_word
 from lcsideals.quotients import QuotientSpec
 from lcsideals.series import (
     DimTable,
@@ -36,6 +38,7 @@ from lcsideals.series import (
 
 from helpers import (
     _whole_generator_rows,
+    assert_echelon,
     assert_reduced,
     closed_even_forms_dim,
     commutative_monomial_count,
@@ -90,7 +93,7 @@ def test_l_span_necklace_build_matches_full_slot_brackets():
         for k in range(3, 7):
             for d in range(k, d_max + 1):
                 want = GradedSubspace.from_rows(n, d, full_slot_l_candidates(n, k, d))
-                assert l_span(n, k, d)._rows == want._rows, (n, k, d)
+                assert l_span(n, k, d)._echelon() == want._rows, (n, k, d)
 
 
 def test_necklace_representatives_are_one_per_rotation_class():
@@ -172,20 +175,22 @@ def test_block_unions_match_whole_degree_builds():
     for n, d_max in ((2, 9), (3, 6)):
         for d in range(d_max + 1):
             for k in range(1, 7):
-                assert l_span(n, k, d)._rows == whole_l_span(n, k, d)._rows, (n, k, d)
-                assert m_span(n, k, d)._rows == whole_m_span(n, k, d)._rows, (n, k, d)
+                assert l_span(n, k, d)._echelon() == whole_l_span(n, k, d)._rows, (n, k, d)
+                assert m_span(n, k, d)._echelon() == whole_m_span(n, k, d)._rows, (n, k, d)
             for t in PRODUCT_TUPLES:
-                assert product_span(n, t, d)._rows == whole_product_span(n, t, d)._rows, (n, t, d)
+                got = product_span(n, t, d)._echelon()
+                assert got == whole_product_span(n, t, d)._rows, (n, t, d)
 
 
 def assert_cached_blocks_match_the_reference() -> int:
-    """Every cached block, built or relabelled, is reduced and equals its
-    build on the reference echelon from its own candidate rows, row for
-    row; returns how many blocks were compared."""
+    """Every cached block, built or relabelled, is reduced, and its ordered
+    rows equal its build on the reference echelon from its own candidate
+    rows, row for row; returns how many blocks were compared."""
     blocks = [(key, S) for key, S in series._span_cache.items() if key[4] is not None]
     for key, S in blocks:
         assert_reduced(S)
-        assert S._rows == reference_block(*key)._rows, key
+        assert_echelon(S)
+        assert S._echelon() == reference_block(*key)._rows, key
     return len(blocks)
 
 
@@ -289,18 +294,103 @@ def test_building_a_block_leaves_the_cached_blocks_as_they_were():
     for c in series.contents(3, 4):
         m_span(3, 3, 4, c)
     held = {
-        key: {p: dict(row) for p, row in S._rows.items()} for key, S in series._span_cache.items()
+        key: {p: dict(row) for p, row in S._echelon().items()}
+        for key, S in series._span_cache.items()
     }
     m_span(3, 3, 5, (2, 2, 1))
-    assert {key: series._span_cache[key]._rows for key in held} == held
+    assert {key: series._span_cache[key]._echelon() for key in held} == held
 
 
 def test_union_shares_the_block_rows():
     whole = m_span(3, 3, 5)
     for c in series.contents(3, 5):
-        for pivot, row in m_span(3, 3, 5, c)._rows.items():
-            assert whole._rows[pivot] is row
+        for pivot, row in m_span(3, 3, 5, c)._echelon().items():
+            assert whole._echelon()[pivot] is row
     assert whole.dim == sum(m_span(3, 3, 5, c).dim for c in series.contents(3, 5))
+
+
+def test_membership_leaves_the_relabelled_blocks_unordered(monkeypatch):
+    # membership in a whole degree and in the blocks of unsorted content
+    # parts works on the relabelled blocks as they are
+    series.clear_caches()
+    inside = nested_word_chain(3, [(3, 3), (2,), (3, 2, 3), (1,)])  # content (1, 2, 4), in L_4
+    also = nested_word_chain(3, [(1,), (3,), (1, 3, 3, 2, 3)])  # content (2, 1, 4), in L_3
+    outside = Poly.monomial(3, (2, 3, 1, 3, 1, 3, 3))  # content (2, 1, 4), not in M_2
+    whole = m_span(3, 3, 7)
+    spec = IdealSpec("L", 3, index=3)
+    for c in series.sorted_contents(3, 7):
+        spec_span(spec, 7, c)
+    calls = []
+    real = vars(GradedSubspace)["from_rows"].__func__
+    monkeypatch.setattr(
+        GradedSubspace,
+        "from_rows",
+        classmethod(lambda cls, n, degree, rows: calls.append(degree) or real(cls, n, degree, rows)),
+    )
+    assert whole.contains(inside) and whole.contains(also) and not whole.contains(outside)
+    assert spec_contains(spec, inside + also)
+    assert not spec_contains(spec, inside + outside)
+    assert calls == []
+    relabelled = [
+        S
+        for (kind, _, index, d, c), S in series._span_cache.items()
+        if d == 7 and (kind, index) in (("P", (3,)), ("L", 3)) and c and not is_sorted(c)
+    ]
+    assert l_span(3, 3, 7, (1, 2, 4)) in relabelled and l_span(3, 3, 7, (2, 1, 4)) in relabelled
+    assert not whole._ordered and not any(S._ordered for S in relabelled)
+
+
+@pytest.mark.parametrize("label", ["L3", "M3", "M2*M2"])
+def test_a_relabelled_block_and_its_ordered_form_agree(label):
+    series.clear_caches()
+    rng = Random(23)
+    n, d = 3, 6
+    spec = IdealSpec.parse(label, n)
+    for c in series.contents(n, d):
+        raw = spec_span(spec, d, c)
+        ordered = GradedSubspace.from_reduced(n, d, raw._rows)
+        ordered._echelon()
+        assert raw.dim == ordered.dim
+        words = [w for w in all_words(n, d) if series.word_content(n, w) == c]
+        members = ordered.row_polys()
+        for _ in range(6):
+            p = sum(
+                (q.scale(rng.randint(-3, 3)) for q in rng.sample(members, min(3, len(members)))),
+                Poly.zero(n),
+            )
+            if rng.random() < 0.5:
+                p = p + Poly.monomial(n, rng.choice(words)).scale(rng.randint(1, 3))
+            assert raw.contains(p) == ordered.contains(p), (label, c)
+            rows = [Poly.monomial(n, w) for w in rng.sample(words, min(4, len(words)))] + [p]
+            assert extension_dim(raw, rows) == extension_dim(ordered, rows), (label, c)
+        assert raw._ordered == is_sorted(c)
+
+
+def test_threads_reading_one_unordered_block_get_the_same_rows():
+    series.clear_caches()
+    S = m_span(3, 3, 6, (1, 2, 3))
+    assert not S._ordered
+    barrier = threading.Barrier(4, timeout=30)
+    got = [None] * 4
+
+    def read(i: int) -> None:
+        barrier.wait()
+        got[i] = list(S.int_rows())
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert S._ordered and got[0]
+    assert all(rows == got[0] for rows in got)
+    assert got[0] == list(reference_block("P", 3, (3,), 6, (1, 2, 3)).int_rows())
 
 
 def test_block_dims_are_invariant_under_permuting_the_content():
