@@ -14,7 +14,8 @@ refusals raise SystemExit(message), which main reports with exit code 1.
 Each flag is declared only on the verbs that read it: --format on dims, the
 one verb with a CSV form, and --force on the verbs with a size cap.  Index
 tuples and integer flags are read by series.read_indices, so they take
-ASCII digits only and no sign.
+ASCII digits only and no sign.  The quotient module is imported by the two
+verbs that use it, so other questions do not load it.
 """
 
 from __future__ import annotations
@@ -36,12 +37,6 @@ from .containment import (
 from .exprs import ExprDegreeError, ExprSyntaxError, parse_expr, poly_to_expr
 from .freealg import IDENTITY_NAMES, verify_identity
 from .lyndon import pbw_degree
-from .quotients import (
-    QuotientSpec,
-    quotient_dim,
-    r23_structure_dims,
-    structure_basis_r22,
-)
 from .series import (
     IdealSpec,
     SpanIdeal,
@@ -234,6 +229,8 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_quotient_dims(args) -> int:
+    from .quotients import QuotientSpec, quotient_dim
+
     _check_degree_cap(args.n, args.max_degree, args.force)
     mod = read_indices(args.mod)
     if len(mod) != 2:
@@ -254,6 +251,8 @@ def cmd_quotient_dims(args) -> int:
 
 
 def cmd_structure_check(args) -> int:
+    from .quotients import QuotientSpec, quotient_dim, r23_structure_dims, structure_basis_r22
+
     n = args.n
     if args.which == "r23" and n != 2:  # the formula is stated on A_2 only
         raise SystemExit(f"structure-check r23 applies to n = 2, got --n {n}")

@@ -10,10 +10,9 @@ definitive because each graded component is checked exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exprs import poly_to_expr
 from .freealg import Poly
@@ -69,8 +68,7 @@ def pbw_witness(n: int, indices: Sequence[int]) -> Poly:
     return out
 
 
-@dataclass
-class ContainmentReport:
+class ContainmentReport(NamedTuple):
     n: int
     indices: tuple[int, ...]
     cutoff: int
@@ -116,6 +114,9 @@ def containment_index(
     is found by walking up or down from the PBW bound (first degree) or the
     previous degree's answer; M_{s+1} ⊆ M_s, so only the M_s between start
     and answer are built.  The observed index is the least of these maxima.
+    No M_s with s <= max(t) is built at all: each factor M_i is a two-sided
+    ideal, so P ⊆ M_{max t} ⊆ M_s.  Only true answers are skipped, so the
+    walk, per_degree and the witness row kept below come out as if tested.
 
     Containment is tested on one block per degree: P(d) ⊆ M_s(d) if and only
     if P(d)[μ] ⊆ M_s(d)[μ] for the balanced content μ = (⌈d/n⌉, ..., ⌊d/n⌋)
@@ -172,7 +173,7 @@ def containment_index(
         mu = balanced_content(n, d)
 
         def inside(s: int) -> bool:
-            if s == 1:
+            if s <= max(t):
                 return True
             row = product_span(n, t, d, mu).row_outside(m_span(n, s, d, mu))
             if row is not None:

@@ -10,26 +10,31 @@ the series.  No coset representatives are ever constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from itertools import product as iter_product
 from math import comb
+from typing import NamedTuple
 
 from .freealg import Poly, Word, all_words, bracket, check_count, nested_word_chain
 from .series import IdealSpec, factor_indices, l_span_chains, spec_contains, spec_dim
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
-    """The PI-quotient of A_n by the product ideal M_i · M_j."""
-
+class _QuotientFields(NamedTuple):
     n: int
     i: int
     j: int
 
-    def __post_init__(self):
-        check_count(self.n)
-        factor_indices((self.i, self.j))
+
+class QuotientSpec(_QuotientFields):
+    """The PI-quotient of A_n by the product ideal M_i · M_j: an immutable
+    value, equal and hashed by its fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, i: int, j: int):
+        check_count(n)
+        factor_indices((i, j))
+        return super().__new__(cls, n, i, j)
 
     def label(self) -> str:
         return f"R[{self.i},{self.j}](A_{self.n})"

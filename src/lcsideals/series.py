@@ -52,15 +52,14 @@ oracles and the blocks against whole-degree reference builds.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iter_product
 from math import factorial, prod
 from operator import sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exprs import DIGITS
-from .freealg import Poly, Rational, Word, all_words, bracket, check_count, nested_word_chain
+from .freealg import Poly, Rational, Word, all_words, check_count, nested_word_chain
 from .linalg import GradedSubspace, IntRow, extension_dim, poly_to_introw, rank_word, word_rank
 from .lyndon import lyndon_words
 
@@ -404,28 +403,33 @@ def factor_indices(indices: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class _IdealFields(NamedTuple):
+    kind: str
+    n: int
+    index: int
+    factors: tuple[int, ...]
+
+
+class IdealSpec(_IdealFields):
     """A graded ideal (or ideal quotient) of A_n named by kind and indices.
 
     kind "L" or "M" with index k; "N" for the layer M_k/M_{k+1}; "P" for a
-    product of M-ideals with the given factor indices.
+    product of M-ideals with the given factor indices.  An immutable value,
+    equal and hashed by its fields.
     """
 
-    kind: str
-    n: int
-    index: int = 0
-    factors: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_count(self.n)
-        if self.kind in ("L", "M", "N"):
-            if self.index < 1:
+    def __new__(cls, kind: str, n: int, index: int = 0, factors: tuple[int, ...] = ()):
+        check_count(n)
+        if kind in ("L", "M", "N"):
+            if index < 1:
                 raise ValueError("series index must be >= 1")
-        elif self.kind == "P":
-            factor_indices(self.factors)
+        elif kind == "P":
+            factor_indices(factors)
         else:
-            raise ValueError(f"unknown ideal kind {self.kind!r}")
+            raise ValueError(f"unknown ideal kind {kind!r}")
+        return super().__new__(cls, kind, n, index, factors)
 
     @classmethod
     def parse(cls, text: str, n: int) -> "IdealSpec":
@@ -499,11 +503,14 @@ def spec_dim(spec: IdealSpec, d: int, mod: tuple[int, ...] = ()) -> int:
     return orbit_sum(n, d, lambda c: block_dim(spec, c))
 
 
-@dataclass
 class DimTable:
     """Dimension table keyed by (ideal label, degree)."""
 
-    rows: dict[tuple[str, int], int] = field(default_factory=dict)
+    def __init__(self, rows: dict[tuple[str, int], int] | None = None):
+        self.rows = {} if rows is None else rows
+
+    def __eq__(self, other):
+        return self.rows == other.rows if isinstance(other, DimTable) else NotImplemented
 
     def add(self, label: str, degree: int, dim: int) -> None:
         self.rows[(label, degree)] = dim
@@ -537,11 +544,6 @@ def dim_table(specs: Iterable[IdealSpec], d_max: int) -> DimTable:
     return table
 
 
-def n_dims(n: int, k: int, d_max: int) -> DimTable:
-    """Graded dimensions of the layer N_k = M_k/M_{k+1} up to d_max."""
-    return dim_table([IdealSpec("N", n, index=k)], d_max)
-
-
 # -- spanning chains and pure-commutator machinery ------------------------
 
 
@@ -572,80 +574,6 @@ def pure_product_poly(n: int, factors: Sequence[Chain]) -> Poly:
     for ch in factors:
         out = out * chain_poly(n, ch)
     return out
-
-
-def decompose_pure(
-    n: int, slots: Sequence[Word]
-) -> list[tuple[int, tuple[Chain, ...]]]:
-    """Rewrite a right-normed commutator with monomial slots as a combination
-    of pure-commutator products.
-
-    Every term carries the same number of factors, the PBW degree
-    (total degree - slot count + 1) of the input.  Terms whose commutator
-    chain vanishes identically are dropped; the survivors re-sum to the
-    input element exactly.
-    """
-    if not slots:
-        raise ValueError("need at least one slot")
-    for w in slots:
-        if len(w) < 1:
-            raise ValueError("slots must be nonempty monomials")
-
-    def merge(acc: dict, factors: tuple[Chain, ...], c: int) -> None:
-        s = acc.get(factors, 0) + c
-        if s:
-            acc[factors] = s
-        else:
-            acc.pop(factors, None)
-
-    def walk(slots: tuple[Word, ...]) -> dict[tuple[Chain, ...], int]:
-        if len(slots) == 1:
-            return {tuple((l,) for l in slots[0]): 1}
-        head = slots[0]
-        if len(head) == 1:
-            x = head[0]
-            out: dict[tuple[Chain, ...], int] = {}
-            for factors, c in walk(slots[1:]).items():
-                # bracketing against a letter acts as a derivation on the
-                # factor product; [x, chain] is again right-normed
-                for jj in range(len(factors)):
-                    newf = factors[:jj] + ((x,) + factors[jj],) + factors[jj + 1 :]
-                    merge(out, newf, c)
-            return out
-        a, b = head[:-1], head[-1]
-        out = {}
-        # [ab, l] = a[b, l] + [a, l]b
-        for factors, c in walk(((b,),) + slots[1:]).items():
-            merge(out, tuple((l,) for l in a) + factors, c)
-        for factors, c in walk((a,) + slots[1:]).items():
-            merge(out, factors + ((b,),), c)
-        return out
-
-    result = []
-    for factors, c in walk(tuple(slots)).items():
-        if all(not chain_poly(n, ch).is_zero() for ch in factors):
-            result.append((c, factors))
-    result.sort(key=lambda t: t[1])
-    return result
-
-
-def free_permute(
-    n: int, factors: Sequence[Chain], i: int, j: int
-) -> tuple[list[Chain], Poly]:
-    """Swap adjacent factors i and j of a pure-commutator product.
-
-    Returns (swapped factor list, error element) with
-    product(factors) = product(swapped) + error; the error is the same
-    product with the two factors joined by a bracket, so it lies in
-    L_{len_i + len_j} at the joined position.
-    """
-    if j != i + 1 or not 0 <= i < len(factors) - 1:
-        raise ValueError("positions must be adjacent and in range")
-    factors = list(factors)
-    swapped = factors[:i] + [factors[j], factors[i]] + factors[j + 1 :]
-    joined = bracket(chain_poly(n, factors[i]), chain_poly(n, factors[j]))
-    err = pure_product_poly(n, factors[:i]) * joined * pure_product_poly(n, factors[j + 1 :])
-    return swapped, err
 
 
 # -- generator sets of M-ideals on two generators --------------------------

@@ -80,3 +80,23 @@ def test_bench_calls_keep_their_positional_parameters():
         assert [p.name for p in params[: len(names)]] == names, fn
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[: len(names)]), fn
         assert all(p.default is not p.empty for p in params[len(names) :]), fn
+
+
+def test_package_exports_follow_the_tracer_patch():
+    # the package resolves an export on each lookup and stores nothing, so
+    # the tracer's patch of containment.containment_index shows through it
+    # while installed and is gone after uninstall
+    import lcsideals
+    from lcsideals import containment
+
+    original = containment.containment_index
+    assert lcsideals.containment_index is original
+    assert "containment_index" not in vars(lcsideals)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        wrapper = lcsideals.containment_index
+        assert wrapper is not original and wrapper.__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    assert lcsideals.containment_index is original

@@ -371,9 +371,7 @@ def test_out_writes_the_report_and_one_line(capsys, tmp_path, fmt, name):
 
 
 def test_structure_check_mismatch_exits_two(capsys, monkeypatch):
-    import lcsideals.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, "quotient_dim", lambda spec, series, r, d: -1)
+    monkeypatch.setattr("lcsideals.quotients.quotient_dim", lambda spec, series, r, d: -1)
     code, out, _ = run(
         capsys, "structure-check", "--which", "r23", "--r", "5", "--max-degree", "5"
     )

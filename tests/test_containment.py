@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from lcsideals.containment import (
+    ContainmentReport,
     ad_string_poly,
     bound_report,
     check_open_elements,
@@ -149,6 +150,73 @@ def test_walk_builds_no_m_above_the_bound_past_the_witness_degree():
         assert not [
             key for key in series._span_cache if key[0] == "P" and key[2] == over
         ], (n, t)
+
+
+def test_single_factor_tuple_builds_no_span():
+    # P = M_7 ⊆ M_s for s <= 7 needs no build, and M_7 ⊄ M_8 is the PBW bound
+    series.clear_caches()
+    rep = containment_index(3, (7,), 9)
+    assert rep.index_observed == 7
+    assert rep.per_degree == {7: 7, 8: 7, 9: 7}
+    assert not series._span_cache
+
+
+def test_walk_down_to_the_largest_factor_builds_no_m_of_it():
+    # A_4 (2,2) leaves M_3 at every degree; M_2 holds it by the two-sided
+    # ideal argument, so its blocks at degrees 4 and 5 are no longer built
+    series.clear_caches()
+    rep = containment_index(4, (2, 2), 5)
+    assert rep.to_json_obj() == {
+        "n": 4,
+        "tuple": [2, 2],
+        "cutoff": 5,
+        "index": 2,
+        "upper": 3,
+        "lower": 2,
+        "witness_expr": "x1*x2*x3*x4 - x1*x2*x4*x3 - x2*x1*x3*x4 + x2*x1*x4*x3",
+        "witness_degree": 4,
+        "witness_target": 3,
+        "per_degree": [
+            {"degree": 4, "contained_in": [1, 2]},
+            {"degree": 5, "contained_in": [1, 2]},
+        ],
+    }
+    built = {key[3] for key in series._span_cache if key[:3] == ("P", 4, (2,))}
+    assert built == {2, 3}
+
+
+def test_report_is_a_value():
+    w = pbw_witness(2, (2, 2))
+    fields = dict(
+        n=2,
+        indices=(2, 2),
+        cutoff=5,
+        index_observed=3,
+        upper_bound_pbw=3,
+        lower_bound_formula=2,
+        witness=w,
+        witness_degree=4,
+        witness_target=4,
+        per_degree={4: 3, 5: 3},
+    )
+    rep = ContainmentReport(**fields)
+    assert rep == ContainmentReport(*fields.values()) == containment_index(2, (2, 2), 5)
+    assert rep != ContainmentReport(**dict(fields, cutoff=6))
+    assert rep.to_json_obj() == {
+        "n": 2,
+        "tuple": [2, 2],
+        "cutoff": 5,
+        "index": 3,
+        "upper": 3,
+        "lower": 2,
+        "witness_expr": "x1*x2*x1*x2 - x1*x2*x2*x1 - x2*x1*x1*x2 + x2*x1*x2*x1",
+        "witness_degree": 4,
+        "witness_target": 4,
+        "per_degree": [
+            {"degree": 4, "contained_in": [1, 2, 3]},
+            {"degree": 5, "contained_in": [1, 2, 3]},
+        ],
+    }
 
 
 def test_pbw_witness_is_outside_m_above_the_bound():

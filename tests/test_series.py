@@ -4,7 +4,6 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 from random import Random
@@ -20,16 +19,12 @@ from lcsideals.series import (
     DimTable,
     IdealSpec,
     SpanIdeal,
-    chain_poly,
-    decompose_pure,
-    free_permute,
+    dim_table,
     generators_S,
     l_span,
     m_span,
-    n_dims,
     product_generators,
     product_span,
-    pure_product_poly,
     shapes_for_index,
     spec_contains,
     spec_dim,
@@ -596,15 +591,14 @@ def test_filtration_inclusions():
 
 
 def test_n_dims_first_layer_is_polynomial_ring():
-    table = n_dims(2, 1, 6)
+    table = dim_table([IdealSpec("N", 2, index=1)], 6)
     for d in range(7):
         assert table.get("N1", d) == d + 1
 
 
 def test_n_dims_vanishes_below_k():
-    table = n_dims(2, 3, 4)
-    assert table.get("N3", 2) == 0
-    assert n_dims(2, 2, 2).get("N2", 2) == 1
+    assert dim_table([IdealSpec("N", 2, index=3)], 4).get("N3", 2) == 0
+    assert dim_table([IdealSpec("N", 2, index=2)], 2).get("N2", 2) == 1
 
 
 def test_dim_table_monotone_in_k():
@@ -641,6 +635,32 @@ def test_ideal_spec_parse_reads_ascii_digits_only():
     assert IdealSpec.parse("m2*M3 ", 2) == IdealSpec("P", 2, factors=(2, 3))
 
 
+def test_specs_are_immutable_values():
+    s = IdealSpec("M", 2, index=3)
+    assert repr(s) == "IdealSpec(kind='M', n=2, index=3, factors=())"
+    assert s == IdealSpec("M", 2, 3) == IdealSpec(kind="M", n=2, index=3, factors=())
+    assert s != IdealSpec("M", 2, index=4) and s != IdealSpec("L", 2, index=3)
+    assert len({s, IdealSpec("M", 2, 3), IdealSpec("P", 2, factors=(2, 3))}) == 2
+    q = QuotientSpec(2, 2, 3)
+    assert repr(q) == "QuotientSpec(n=2, i=2, j=3)"
+    assert q == QuotientSpec(n=2, i=2, j=3) and q != QuotientSpec(2, 3, 2)
+    assert hash(q) == hash(QuotientSpec(2, 2, 3))
+    for spec, field in ((s, "index"), (q, "i")):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, 5)
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+    refusals = [
+        (lambda: IdealSpec("M", 2), "series index must be >= 1"),
+        (lambda: IdealSpec("X", 2, 1), "unknown ideal kind 'X'"),
+        (lambda: IdealSpec("L", 0, 2), "generator count must be >= 1"),
+        (lambda: QuotientSpec(0, 2, 2), "generator count must be >= 1"),
+    ]
+    for make, message in refusals:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+
 def test_factor_indices_are_checked_once_with_one_message():
     # the same fault once gave four different messages from three modules
     message = re.escape("factor indices must be one or more integers >= 2")
@@ -668,68 +688,7 @@ def test_dim_table_serialization():
     t.add("M2", 3, 4)
     assert t.to_csv() == "spec,degree,dim\nM2,2,1\nM2,3,4\n"
     assert t.to_json_obj()[0] == {"spec": "M2", "degree": 2, "dim": 1}
-
-
-# -- pure-commutator machinery ---------------------------------------------
-
-
-def test_decompose_pure_middle_slot():
-    n = 4
-    got = {f: c for c, f in decompose_pure(n, [(1,), (2, 3), (4,)])}
-    assert got == {
-        ((1, 2), (3, 4)): Fraction(1),
-        ((2,), (1, 3, 4)): Fraction(1),
-        ((1, 2, 4), (3,)): Fraction(1),
-        ((2, 4), (1, 3)): Fraction(1),
-    }
-
-
-def test_decompose_pure_is_identity_on_pure_chains():
-    assert decompose_pure(2, [(1,), (2,)]) == [(Fraction(1), ((1, 2),))]
-
-
-def test_decompose_pure_leibniz_slot():
-    got = {f: c for c, f in decompose_pure(3, [(1,), (2, 3)])}
-    assert got == {((2,), (1, 3)): Fraction(1), ((1, 2), (3,)): Fraction(1)}
-
-
-def test_decompose_pure_resums_and_has_uniform_factor_count():
-    cases = [
-        (2, [(1, 2), (2, 1)]),
-        (2, [(1,), (1, 2, 2)]),
-        (3, [(1, 2), (3,), (2,)]),
-        (2, [(2, 2), (1, 1)]),
-    ]
-    for n, slots in cases:
-        total = sum(len(w) for w in slots)
-        expect_count = total - len(slots) + 1
-        terms = decompose_pure(n, slots)
-        resum = Poly.zero(n)
-        for c, factors in terms:
-            assert len(factors) == expect_count
-            resum = resum + pure_product_poly(n, factors).scale(c)
-        assert resum == nested_word_chain(n, slots)
-
-
-def test_free_permute_identity_and_error_location():
-    n = 4
-    factors = [(3, 4), (1, 2)]
-    swapped, err = free_permute(n, factors, 0, 1)
-    assert swapped == [(1, 2), (3, 4)]
-    assert pure_product_poly(n, factors) == pure_product_poly(n, swapped) + err
-    assert err == bracket(chain_poly(n, (3, 4)), chain_poly(n, (1, 2)))
-    # the error element lies in L_{len_i + len_j} at its degree
-    assert l_span(n, 4, 4).contains(err)
-
-
-def test_free_permute_scalar_like_and_equal_factors():
-    n = 2
-    swapped, err = free_permute(n, [(1,), (1, 2)], 0, 1)
-    assert pure_product_poly(n, [(1,), (1, 2)]) == pure_product_poly(n, swapped) + err
-    _, err2 = free_permute(n, [(1, 2), (1, 2)], 0, 1)
-    assert err2.is_zero()
-    with pytest.raises(ValueError):
-        free_permute(n, [(1, 2), (1, 2)], 0, 2)
+    assert t == DimTable({("M2", 2): 1, ("M2", 3): 4}) != DimTable()
 
 
 def test_shapes_for_index():
