@@ -13,9 +13,10 @@ refusals raise SystemExit(message), which main reports with exit code 1.
 
 Each flag is declared only on the verbs that read it: --format on dims, the
 one verb with a CSV form, and --force on the verbs with a size cap.  Index
-tuples and integer flags are read by series.read_indices, so they take
-ASCII digits only and no sign.  The quotient module is imported by the two
-verbs that use it, so other questions do not load it.
+tuples and integer flags are read by exprs.read_indices, so they take
+ASCII digits only and no sign.  The series, containment and quotient
+modules are imported by the verbs that use them, so a question loads only
+what it asks: pbw-degree and verify-identities load none of them.
 """
 
 from __future__ import annotations
@@ -26,27 +27,9 @@ import sys
 import time
 
 from . import __version__
-from .containment import (
-    bound_report,
-    check_open_elements,
-    conjecture_2k_sweep,
-    containment_index,
-    default_cutoff,
-    pbw_witness,
-)
-from .exprs import ExprDegreeError, ExprSyntaxError, parse_expr, poly_to_expr
+from .exprs import ExprDegreeError, ExprSyntaxError, count, parse_expr, poly_to_expr, read_indices
 from .freealg import IDENTITY_NAMES, verify_identity
 from .lyndon import pbw_degree
-from .series import (
-    IdealSpec,
-    SpanIdeal,
-    count,
-    dim_table,
-    generators_S,
-    m_span,
-    read_indices,
-    spec_contains,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,6 +102,8 @@ def _check_least(flag: str, value: int, least: int) -> None:
 
 
 def cmd_dims(args) -> int:
+    from .series import IdealSpec, dim_table
+
     _check_degree_cap(args.n, args.max_degree, args.force)
     specs = [IdealSpec.parse(s, args.n) for s in args.ideal]
     table = dim_table(specs, args.max_degree)
@@ -128,6 +113,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_containment(args) -> int:
+    from .containment import containment_index, default_cutoff
+
     indices = read_indices(args.tuple)
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff(indices)
     _check_degree_cap(args.n, cutoff, args.force)
@@ -137,6 +124,9 @@ def cmd_containment(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .containment import bound_report, pbw_witness
+    from .series import IdealSpec, spec_contains
+
     indices = read_indices(args.tuple)
     degree = sum(indices)  # capped before the witness, whose terms multiply per factor
     _check_degree_cap(args.n, degree, args.force)
@@ -163,6 +153,8 @@ def cmd_pbw_degree(args) -> int:
 
 
 def cmd_membership(args) -> int:
+    from .series import IdealSpec, spec_contains
+
     p = _parse_capped(args)
     spec = IdealSpec.parse(args.ideal, args.n)
     if spec.kind == "N":
@@ -197,6 +189,8 @@ def cmd_membership(args) -> int:
 
 
 def cmd_generators(args) -> int:
+    from .series import SpanIdeal, generators_S, m_span
+
     _check_degree_cap(2, args.max_degree, args.force)
     gens = generators_S(args.index, args.max_degree)
     result: dict = {
@@ -288,6 +282,8 @@ def cmd_structure_check(args) -> int:
 
 
 def cmd_conjecture_sweep(args) -> int:
+    from .containment import conjecture_2k_sweep, default_cutoff
+
     _check_least("--n-max", args.n_max, 2)
     _check_least("--k-max", args.k_max, 1)
     cap = default_cutoff((2,) * args.k_max) if args.cutoff is None else args.cutoff
@@ -298,6 +294,8 @@ def cmd_conjecture_sweep(args) -> int:
 
 
 def cmd_open_elements(args) -> int:
+    from .containment import check_open_elements
+
     rows = check_open_elements(args.cutoff)
     emit(args, rows, n=3, cutoff=args.cutoff)
     return EXIT_OK if all(r["contained"] for r in rows) else EXIT_MISMATCH

@@ -24,6 +24,23 @@ from .freealg import Poly, Rational, Word, _trusted, nested, word_key
 
 # str.isdigit also accepts non-ASCII digits such as '٣' and '²'
 DIGITS = frozenset("0123456789")
+
+
+def read_indices(text: str) -> tuple[int, ...]:
+    """A comma-separated list of indices in ASCII digits; spaces may stand
+    around each item, but no sign, underscore or other digit."""
+    items = [s.strip() for s in text.split(",")]
+    if not all(s and DIGITS.issuperset(s) for s in items):
+        raise ValueError(f"cannot parse index tuple {text!r}")
+    return tuple(int(s) for s in items)
+
+
+def count(text: str) -> int:
+    """One item of read_indices: a non-negative integer in ASCII digits."""
+    (k,) = read_indices(text)
+    return k
+
+
 # a generator (a glued second digit kept, to be refused), an ASCII digit
 # run, or any other character but whitespace, which findall skips
 _TOKEN = re.compile(r"x[1-9][0-9]?|[0-9]+|\S")

@@ -17,8 +17,9 @@ M_k = A·L_k·A is the one-factor product ideal, and every product
 P = M_{i1}···M_{ik} is built as a left ideal, P(d) = V·P(d-1) +
 product_generators(d), V the span of the generators: block c takes the
 left pads x_i·P(d-1)[c - e_i] and the generator rows of content c, merged
-by GradedSubspace.from_pads.  For M_k the new rows are [V, L_{k-1}(d-1)], so
-M_k never needs L_k at its own degree (see m_span); for longer products they
+by GradedSubspace.from_pads.  For M_k they are [V, L_{k-1}] at degree k,
+then the right pads G·V and the brackets [V, C] of m_span, which never need
+L_k at its own degree.  For longer products they
 are [V, L_{i1-1}]·R with R the product of the other factors (see
 product_span).  A request for one block builds only the cone of blocks below
 its content (below sorted(c) for a relabelled block; see _span).
@@ -58,9 +59,9 @@ from math import factorial, prod
 from operator import sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .exprs import DIGITS
+from .exprs import count, read_indices
 from .freealg import Poly, Rational, Word, all_words, check_count, nested_word_chain
-from .linalg import GradedSubspace, IntRow, extension_dim, poly_to_introw, rank_word, word_rank
+from .linalg import GradedSubspace, IntRow, extension_dim, poly_to_introw, word_rank
 from .lyndon import lyndon_words
 
 # Right-normed pure commutator, given by its letters; length 1 = generator.
@@ -69,12 +70,13 @@ Chain = tuple[int, ...]
 Content = tuple[int, ...]
 
 _lock = threading.RLock()
-_span_cache: dict[tuple, GradedSubspace] = {}
+_span_cache: dict[tuple, GradedSubspace | dict[int, IntRow]] = {}
 
 
 def clear_caches() -> None:
     with _lock:
         _span_cache.clear()
+        _rank_tables.cache_clear()
     chain_poly.cache_clear()
 
 
@@ -138,14 +140,15 @@ def _splits(c: Content, m: int) -> Iterator[tuple[Content, Content]]:
 # -- blocks and their unions ----------------------------------------------------
 
 
-def _span(kind: str, n: int, index, d: int, c: Content | None) -> GradedSubspace:
+def _span(kind: str, n: int, index, d: int, c: Content | None):
     """Block c of the degree-d piece of L_index (kind "L") or of the product
     with factor indices index (kind "P"), cached; c None gives the union of
-    the degree's blocks, which shares their rows.
+    the degree's blocks, which shares their rows.  Kinds "G" and "C" give
+    the side rows of block c of M_index(d) (see _side_rows).
 
     Only a sorted content (c_1 >= ... >= c_n) is built from candidate rows;
-    any other block is the relabelled image of the block of sorted(c), the
-    one sorted content of its S_n orbit (see _relabel)."""
+    any other block, or its side rows, is the relabelled image of those of
+    sorted(c), the one sorted content of its S_n orbit (see _relabel)."""
     key = (kind, n, index, d, c)
     got = _span_cache.get(key)
     if got is not None:
@@ -157,34 +160,47 @@ def _span(kind: str, n: int, index, d: int, c: Content | None) -> GradedSubspace
                 blocks = [_span(kind, n, index, d, b) for b in contents(n, d)]
                 got = GradedSubspace.direct_sum(n, d, blocks)
             elif (top := tuple(sorted(c, reverse=True))) != c:
-                got = _relabel(_span(kind, n, index, d, top), c)
+                got = _span(kind, n, index, d, top)
+                if kind in ("G", "C"):
+                    got = _relabel(n, d, got.values(), c)
+                else:
+                    got = GradedSubspace.from_reduced(n, d, _relabel(n, d, got.int_rows(), c))
             elif kind == "L":
                 got = _l_block(n, index, d, c)
-            else:
+            elif kind == "P":
                 got = _product_block(n, index, d, c)
+            else:
+                got = _side_rows(kind, n, index, d, c)
             _span_cache[key] = got
         return got
 
 
-def _relabel(block: GradedSubspace, c: Content) -> GradedSubspace:
-    """The image of a sorted block under the letter permutation σ that maps
-    it onto block c: letter i goes to the i-th index of c in descending
-    order of its entry, ties in ascending order.  σ is an automorphism
-    fixing every L_k and product.  It maps the reduced rows to reduced
-    rows, keyed by the images of their pivots, which are no longer the
-    largest words: the image is kept as that reduced basis, which answers
-    membership and dimension, and is echelonized (GradedSubspace._echelon)
-    in descending order of the sorted block's pivots only when its rows
-    are read in order.  The reduced echelon form is unique, so that is the
-    block a build of c would give."""
-    n, d = block.n, block.degree
-    sigma = sorted(range(1, n + 1), key=lambda x: -c[x - 1])
-    rows = list(block.int_rows())
-    words = {r for row in rows for r in row}
-    image = {r: word_rank([sigma[x - 1] for x in rank_word(r, n, d)], n) for r in words}
-    return GradedSubspace.from_reduced(
-        n, d, {image[max(row)]: {image[r]: v for r, v in row.items()} for row in rows}
-    )
+def _relabel(n: int, d: int, rows: Iterable[IntRow], c: Content) -> dict[int, IntRow]:
+    """The images of the echelon rows of a sorted block, or of its side
+    rows, under the letter permutation σ that maps it onto block c, keyed
+    by the images of their pivots: letter i goes to the i-th index of c in
+    descending order of its entry, ties in ascending order.  σ is an
+    automorphism fixing every L_k and product, so the images are reduced
+    rows of block c, with pivots no longer the largest words.  A block keeps
+    them so (GradedSubspace.from_reduced) until its rows are read in order,
+    when it is echelonized into the unique block a build of c gives.  Each
+    word is mapped once, by _rank_tables, into one dict that all the rows
+    read, so they share one int per word."""
+    base, high, low = _rank_tables(n, d, tuple(sorted(range(n), key=lambda x: -c[x])))
+    rows = list(rows)
+    image = {r: high[r // base] + low[r % base] for r in {r for row in rows for r in row}}
+    return {image[max(row)]: {image[r]: v for r, v in row.items()} for row in rows}
+
+
+@cache
+def _rank_tables(n: int, d: int, sigma: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
+    """σ (0-based) on the degree-d ranks: q·base + m goes to high[q] + low[m],
+    low mapping the last d // 2 letters, base = n^(d // 2), high the others."""
+    tables = [[0]]  # tables[e] maps the e-letter ranks
+    for _ in range(d - d // 2):
+        tables.append([r * n + x for r in tables[-1] for x in sigma])
+    base = n ** (d // 2)
+    return base, [r * base for r in tables[-1]], tables[d // 2]
 
 
 def _check_content(n: int, d: int, c: Sequence[int] | None) -> Content | None:
@@ -229,7 +245,7 @@ def _l_candidates(n: int, k: int, d: int, c: Content) -> Iterator[IntRow]:
     brackets by telescoping m1 m2 - m2 m1 across one-letter rotations.
 
     The slot e = 1 gives the rows [V, L_{k-1}(d-1)] of _letter_brackets,
-    the new rows of M_k; the longer slots take the necklaces of
+    the new rows of M_k at d = k; the longer slots take the necklaces of
     _necklace_classes."""
     yield from _letter_brackets(n, k - 1, d, c)
     if k == 2:
@@ -242,7 +258,7 @@ def _l_candidates(n: int, k: int, d: int, c: Content) -> Iterator[IntRow]:
             block = _span("L", n, k - 1, d - e, rest)
             if block.dim:
                 for rm in ranks:
-                    yield from _bracket_rows(n, block, rm, e)
+                    yield from _bracket_rows(n, block.int_rows(), d - e, rm, e)
 
 
 @cache
@@ -256,11 +272,12 @@ def _necklace_classes(n: int, e: int) -> dict[Content, tuple[int, ...]]:
     return {c: tuple(ranks) for c, ranks in out.items()}
 
 
-def _bracket_rows(n: int, block: GradedSubspace, rm: int, e: int) -> Iterator[IntRow]:
-    """The nonzero brackets [m, l], m the degree-e word of rank rm, l in block."""
-    left_base = rm * n**block.degree
+def _bracket_rows(n: int, rows: Iterable[IntRow], d: int, rm: int, e: int) -> Iterator[IntRow]:
+    """The nonzero brackets [m, l], m the degree-e word of rank rm, l a
+    degree-d row of rows."""
+    left_base = rm * n**d
     rshift = n**e
-    for srow in block.int_rows():
+    for srow in rows:
         vec: IntRow = {left_base + r: c for r, c in srow.items()}
         for r, c in srow.items():
             key2 = r * rshift + rm
@@ -276,7 +293,7 @@ def _bracket_rows(n: int, block: GradedSubspace, rm: int, e: int) -> Iterator[In
 def _letter_brackets(n: int, k: int, d: int, c: Content) -> Iterator[IntRow]:
     """The brackets [x, l] of content c, x a letter and l a row of L_k(d-1)."""
     for x, block in _pads("L", n, k, d, c):
-        yield from _bracket_rows(n, block, x, 1)
+        yield from _bracket_rows(n, block.int_rows(), d - 1, x, 1)
 
 
 def _pads(kind: str, n: int, index, d: int, c: Content) -> list[tuple[int, GradedSubspace]]:
@@ -289,13 +306,26 @@ def m_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
     """Degree-d component of the two-sided ideal M_k = A·L_k·A, or its block
     of the given letter content.
 
-    For k >= 2 it is the one-factor product ideal, built as
+    For k >= 2 it is the one-factor product ideal, and first,
     M_k(d) = V·M_k(d-1) + [V, L_{k-1}(d-1)].  Call the right side R(d).  R is
     a left ideal by construction, and a right ideal by induction on d:
     [y,l]·x = x·[y,l] - [x,[y,l]] with [y,l] in L_k ⊆ L_{k-1}.  R lies in
     M_k, and it contains [V, L_{k-1}], which generates M_k as a two-sided
     ideal because L_k is spanned by brackets [a,l] of monomials a with l in
     L_{k-1}, and [ab,l] = a[b,l] + [a,l]b.  Hence R = M_k.
+
+    That is the build at d = k.  Above it, with M = M_k, let G(d-1) be the
+    rows that from_pads merged into M(d-1) beside its left pads (all at
+    d-1 = k), so M(d-1) = V·M(d-2) + span G(d-1), and C(d-1) the residues of
+    L_{k-1}(d-1) modulo M(d-1).  Then, from far fewer rows,
+    M(d) = V·M(d-1) + G(d-1)·V + [V, C(d-1)].  Each row on the right lies in
+    M(d): x·m and g·y in the ideal M, and [x, c] = [x, l] - x·m + m·x for a
+    residue c = l - m (up to a scalar) of l in L_{k-1}.  Conversely, each
+    l in L_{k-1}(d-1) is c + m with c in span C(d-1) and m in M(d-1), so
+    [x, l] = [x, c] + x·m - m·x, and m = Σ y·m' + g with m' in M(d-2), g in
+    span G(d-1) gives m·x = Σ y·(m'·x) + g·x in V·M(d-1) + G(d-1)·V.
+    Every step keeps letter contents, and a letter permutation fixes M,
+    L_{k-1} and the left pads, so G and C relabel with their blocks.
     """
     if k < 1:
         raise ValueError("ideal index must be >= 1")
@@ -315,7 +345,8 @@ def _generator_rows(n: int, indices: tuple[int, ...], d: int, c: Content) -> Ite
     """The new rows of content c of P = M_{i1}···M_{ik} at degree d (see
     product_span).
 
-    One factor k: the brackets [x, l], x a generator, l in L_{k-1}(d-1).
+    One factor k: the brackets [x, l], x a generator, l in L_{k-1}(d-1);
+    its blocks above degree k take fewer rows (see m_span and _m_rows).
     More factors (i,)+rest: the products [x, l]·r, l in L_{i-1}(d1-1) and r
     a basis row of the product ideal of rest at degree d - d1, with d1 = 2
     only when i = 2, over the splits of c between the two.  The builders
@@ -373,26 +404,40 @@ def product_span(
 def _product_block(n: int, indices: tuple[int, ...], d: int, c: Content) -> GradedSubspace:
     if d < sum(indices) or max(c) == d:  # words in one letter commute
         return _empty(n, d)
-    pads = _pads("P", n, indices, d, c) if d > sum(indices) else ()
-    return GradedSubspace.from_pads(n, d, pads, _generator_rows(n, indices, d, c))
+    if d == sum(indices):  # the least degree: no pads
+        return GradedSubspace.from_pads(n, d, (), _generator_rows(n, indices, d, c))
+    rows = _m_rows(n, indices[0], d, c) if len(indices) == 1 else _generator_rows(n, indices, d, c)
+    return GradedSubspace.from_pads(n, d, _pads("P", n, indices, d, c), rows)
+
+
+def _m_rows(n: int, s: int, d: int, c: Content) -> Iterator[IntRow]:
+    """The rows that block c of M_s(d), d > s, adds to its left pads: the
+    right pads g·y of the rows g of G(d-1)[c - e_y], and the brackets
+    [y, r] with the rows r of C(d-1)[c - e_y] (see m_span)."""
+    for y in range(n):
+        if c[y]:
+            b = _less(c, y)
+            for row in _span("G", n, s, d - 1, b).values():
+                yield {r * n + y: v for r, v in row.items()}
+            yield from _bracket_rows(n, _span("C", n, s, d - 1, b).values(), d - 1, y, 1)
+
+
+def _side_rows(kind: str, n: int, s: int, d: int, c: Content) -> dict[int, IntRow]:
+    """The side rows of block c of M_s(d), keyed by pivot (see m_span).  G
+    (kind "G"): its rows that from_pads merged in beside its left pads, whose
+    pivots are no pad pivots; all its rows at d = s.  C: the residues of
+    L_{s-1}(d)[c] modulo the block, echelonized."""
+    block = _span("P", n, (s,), d, c)
+    if kind == "C":
+        rows = block.residues(_span("L", n, s - 1, d, c).int_rows()).int_rows()
+        return {max(row): row for row in rows}
+    top = n ** (d - 1)
+    pads = _pads("P", n, (s,), d, c) if d > s else ()
+    taken = {x * top + max(row) for x, b in pads for row in b.int_rows()}
+    return {p: row for row in block.int_rows() if (p := max(row)) not in taken}
 
 
 # -- index tuples and ideal specifications ----------------------------------
-
-
-def read_indices(text: str) -> tuple[int, ...]:
-    """A comma-separated list of indices in ASCII digits; spaces may stand
-    around each item, but no sign, underscore or other digit."""
-    items = [s.strip() for s in text.split(",")]
-    if not all(s and DIGITS.issuperset(s) for s in items):
-        raise ValueError(f"cannot parse index tuple {text!r}")
-    return tuple(int(s) for s in items)
-
-
-def count(text: str) -> int:
-    """One item of read_indices: a non-negative integer in ASCII digits."""
-    (k,) = read_indices(text)
-    return k
 
 
 def factor_indices(indices: Iterable[int]) -> tuple[int, ...]:

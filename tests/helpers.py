@@ -120,7 +120,7 @@ def ref_l_candidates(n: int, k: int, d: int, c: Content):
             block = _span("L", n, k - 1, d - e, rest)
             if block.dim:
                 for rm in ranks:
-                    yield from _bracket_rows(n, block, rm, e)
+                    yield from _bracket_rows(n, block.int_rows(), d - e, rm, e)
 
 
 def ref_quotient_dim(spec: QuotientSpec, kind: str, r: int, d: int) -> int:
@@ -589,7 +589,7 @@ def whole_l_span(n: int, k: int, d: int) -> GradedSubspace:
         row
         for e in range(1, 2 if k == 2 else d - k + 2)
         for rm in _necklaces(n, e)
-        for row in _bracket_rows(n, whole_l_span(n, k - 1, d - e), rm, e)
+        for row in _bracket_rows(n, whole_l_span(n, k - 1, d - e).int_rows(), d - e, rm, e)
     )
     return GradedSubspace.from_rows(n, d, rows)
 
@@ -600,14 +600,14 @@ def _whole_generator_rows(n: int, indices: tuple[int, ...], d: int):
     head, rest = indices[0], indices[1:]
     if not rest:
         for x in range(n):
-            yield from _bracket_rows(n, whole_l_span(n, head - 1, d - 1), x, 1)
+            yield from _bracket_rows(n, whole_l_span(n, head - 1, d - 1).int_rows(), d - 1, x, 1)
         return
     top = d - sum(rest)
     for d1 in range(head, (min(top, 2) if head == 2 else top) + 1):
         tails = list(whole_product_span(n, rest, d - d1).int_rows())
         shift = n ** (d - d1)
         for x in range(n):
-            for ra in _bracket_rows(n, whole_l_span(n, head - 1, d1 - 1), x, 1):
+            for ra in _bracket_rows(n, whole_l_span(n, head - 1, d1 - 1).int_rows(), d1 - 1, x, 1):
                 for rb in tails:
                     yield {
                         ka * shift + kb: va * vb

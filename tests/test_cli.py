@@ -203,12 +203,12 @@ def test_structure_check_r22(capsys):
 def test_witness_checks_the_degree_cap_before_building(capsys, monkeypatch):
     # the witness has 2^k terms for k factors: 20 factors of 2 took seconds
     # to build before degree 40 was refused
-    import lcsideals.cli as cli_mod
+    import lcsideals.containment as containment_mod
 
     def refuse(*args):
         raise AssertionError("pbw_witness called past the degree cap")
 
-    monkeypatch.setattr(cli_mod, "pbw_witness", refuse)
+    monkeypatch.setattr(containment_mod, "pbw_witness", refuse)
     code, out, err = run(capsys, "witness", "--n", "2", "--tuple", ",".join(["2"] * 20))
     assert (code, out) == (1, "")
     assert err == "error: degree 40 exceeds the safety cap 10; pass --force to override\n"

@@ -77,6 +77,17 @@ def test_small_theorem1_cells():
         assert rep.index_observed == sum(t) - len(t) + 1
 
 
+@pytest.mark.parametrize("t", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 4)])
+def test_a3_sample_of_the_sum_at_most_7_table_reaches_the_pbw_bound(t):
+    # the n = 3 analogue of criterion 1, tabulated in the README for all 20
+    # tuples with entry sum <= 7: index sum - k + 1 at every degree to sum + 2
+    series.clear_caches()
+    rep = containment_index(3, t, sum(t) + 2)
+    bound = sum(t) - len(t) + 1
+    assert rep.index_observed == rep.upper_bound_pbw == bound
+    assert [max(r["contained_in"]) for r in rep.to_json_obj()["per_degree"]] == [bound] * 3
+
+
 def test_walking_search_matches_ascending_loop():
     # the ascending reference tests up to bound + 1 on whole-degree spans and
     # uses no symmetry, so both theorems the walk rests on, the stop at the

@@ -13,7 +13,7 @@ import pytest
 from lcsideals import series
 from lcsideals.containment import bound_report, containment_index, pbw_witness, sl2_witness
 from lcsideals.freealg import Poly, all_words, bracket, nested_word_chain
-from lcsideals.linalg import GradedSubspace, extension_dim, rank_word
+from lcsideals.linalg import GradedSubspace, extension_dim, rank_word, word_rank
 from lcsideals.quotients import QuotientSpec
 from lcsideals.series import (
     DimTable,
@@ -177,11 +177,18 @@ def test_block_unions_match_whole_degree_builds():
                 assert got == whole_product_span(n, t, d)._rows, (n, t, d)
 
 
+def cached_blocks() -> list:
+    """The cached L and P blocks of one content, without the side rows."""
+    return [(key, S) for key, S in series._span_cache.items() if key[0] in "LP" and key[4]]
+
+
 def assert_cached_blocks_match_the_reference() -> int:
     """Every cached block, built or relabelled, is reduced, and its ordered
     rows equal its build on the reference echelon from its own candidate
-    rows, row for row; returns how many blocks were compared."""
-    blocks = [(key, S) for key, S in series._span_cache.items() if key[4] is not None]
+    rows, row for row; returns how many blocks were compared.  The one-factor
+    product blocks above degree s are built from the side rows of M_s, and
+    the reference builds them from the brackets [V, L_{s-1}]."""
+    blocks = cached_blocks()
     for key, S in blocks:
         assert_reduced(S)
         assert_echelon(S)
@@ -203,19 +210,29 @@ def test_blocks_of_the_differential_cells_match_the_reference_echelon():
             for t in DIFFERENTIAL_PRODUCTS:
                 product_span(n, t, d)
     kinds = {(key[0], key[2] == 1) for key in series._span_cache}
-    assert {("L", True), ("L", False), ("P", False)} <= kinds
+    assert {("L", True), ("L", False), ("P", False), ("G", False), ("C", False)} <= kinds
     assert assert_cached_blocks_match_the_reference() > 100
 
 
+# the containment_cold questions of the bench
 BENCH_QUESTIONS = [
-    (q["n"], tuple(q["tuple"]), q["cutoff"])
-    for q in json.loads(
-        (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
-    )["containment"]
+    (2, (2, 4), 10), (2, (3, 3), 10), (2, (2, 2, 3), 10),
+    (2, (2, 4), 9), (2, (3, 3), 9), (2, (2, 2, 3), 9), (2, (2, 3, 2), 9), (2, (3, 4), 9),
+    (2, (2, 5), 9),
+    (3, (3, 3), 7), (3, (2, 5), 7), (3, (3, 4), 7), (3, (4, 3), 7),
 ]
-# the containment_cold questions of the bench, two of them first, and one on A_4
+# two of them first, then the others and two on A_4
 CONE_QUESTIONS = [(2, (2, 4), 10), (3, (3, 3), 7)]
-CONE_QUESTIONS += [q for q in BENCH_QUESTIONS if q not in CONE_QUESTIONS] + [(4, (2, 2), 7)]
+CONE_QUESTIONS += [q for q in BENCH_QUESTIONS if q not in CONE_QUESTIONS]
+CONE_QUESTIONS += [(4, (2, 2), 7), (4, (2, 2, 2), 7)]
+
+
+def test_the_cone_questions_are_the_bench_questions():
+    refs = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
+    )
+    asked = [(q["n"], tuple(q["tuple"]), q["cutoff"]) for q in refs["containment"]]
+    assert asked == BENCH_QUESTIONS
 
 
 @pytest.mark.parametrize("n,t,cutoff", CONE_QUESTIONS)
@@ -223,6 +240,9 @@ def test_balanced_blocks_and_cones_match_the_reference_echelon(n, t, cutoff):
     series.clear_caches()
     containment_index(n, t, cutoff)
     assert assert_cached_blocks_match_the_reference()
+    side = [key for key in series._span_cache if key[0] in "GC"]
+    built = [key for key, _ in cached_blocks() if key[0] == "P" and key[3] > sum(key[2])]
+    assert side and any(len(key[2]) == 1 for key in built)
 
 
 def is_sorted(c) -> bool:
@@ -231,12 +251,12 @@ def is_sorted(c) -> bool:
 
 def test_only_sorted_contents_are_built_from_candidate_rows(monkeypatch):
     built = []
-    for name in ("_l_block", "_product_block"):
+    for name in ("_l_block", "_product_block", "_side_rows"):
         real = getattr(series, name)
 
-        def spy(n, index, d, c, real=real):
-            built.append(c)
-            return real(n, index, d, c)
+        def spy(*args, real=real):
+            built.append(args[-1])
+            return real(*args)
 
         monkeypatch.setattr(series, name, spy)
     series.clear_caches()
@@ -246,7 +266,42 @@ def test_only_sorted_contents_are_built_from_candidate_rows(monkeypatch):
     l_span(4, 3, 5)
     assert built and all(is_sorted(c) for c in built)
     relabelled = [key for key in series._span_cache if key[4] and not is_sorted(key[4])]
-    assert {key[0] for key in relabelled} == {"L", "P"}
+    assert {key[0] for key in relabelled} == {"L", "P", "G", "C"}
+
+
+def test_clear_caches_leaves_no_side_rows():
+    series.clear_caches()
+    m_span(3, 4, 7, (1, 2, 4))
+    assert {key[0] for key in series._span_cache} == {"L", "P", "G", "C"}
+    series.clear_caches()
+    assert not [key for key in series._span_cache if key[0] in "GC"]
+    assert series._rank_tables.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_relabelled_side_rows_of_an_unsorted_block(s):
+    # G with the left pads spans block c of M_s, and C adds to it exactly
+    # what L_{s-1} adds, and all of L_{s-1}
+    series.clear_caches()
+    n, d, c = 3, 7, (1, 2, 4)
+    G, C = series._span("G", n, s, d, c), series._span("C", n, s, d, c)
+    assert ("G", n, s, d, (4, 2, 1)) in series._span_cache
+    M, L = m_span(n, s, d, c), l_span(n, s - 1, d, c)
+    pads = series._pads("P", n, (s,), d, c)
+    assert 0 < len(G) < M.dim
+    assert GradedSubspace.from_pads(n, d, pads, G.values())._echelon() == M._echelon()
+    assert 0 < len(C) == extension_dim(M, C.values()) == extension_dim(M, L.int_rows())
+    both = GradedSubspace.from_rows(n, d, [*M.int_rows(), *C.values()])
+    assert all(both.contains_row(row) for row in L.int_rows())
+
+
+def test_rank_tables_map_every_word_by_its_letters():
+    for n, d in ((2, 7), (3, 5), (4, 4)):
+        for sigma in set(permutations(range(n))):
+            base, high, low = series._rank_tables(n, d, sigma)
+            for r in range(n**d):
+                want = word_rank([sigma[x - 1] + 1 for x in rank_word(r, n, d)], n)
+                assert high[r // base] + low[r % base] == want, (n, d, sigma, r)
 
 
 def test_a_content_may_be_any_sequence_of_ints():
@@ -288,12 +343,16 @@ def test_building_a_block_leaves_the_cached_blocks_as_they_were():
     series.clear_caches()
     for c in series.contents(3, 4):
         m_span(3, 3, 4, c)
+    def rows(S):  # a block's ordered rows, or side rows
+        return S if isinstance(S, dict) else S._echelon()
+
     held = {
-        key: {p: dict(row) for p, row in S._echelon().items()}
+        key: {p: dict(row) for p, row in rows(S).items()}
         for key, S in series._span_cache.items()
     }
+    assert {key[0] for key in held} == {"L", "P", "G", "C"}
     m_span(3, 3, 5, (2, 2, 1))
-    assert {key: series._span_cache[key]._echelon() for key in held} == held
+    assert {key: rows(series._span_cache[key]) for key in held} == held
 
 
 def test_union_shares_the_block_rows():
