@@ -1,11 +1,11 @@
 """Dimension computations in the quotients R_{i,j} = A_n / (M_i · M_j).
 
-Everything is done by span differences: the degree-d dimension of a series
-member S inside the quotient is dim(span(S ∪ I)) - dim(I) with I the graded
-piece of the modded-out product ideal.  series.spec_dim computes it, given
-the factors (i, j) of I, block by block over the sorted letter contents, as
-it computes every graded dimension; quotient_dim names the quotient and
-the series.  No coset representatives are ever constructed.
+Every dimension is a difference of block dimensions, which
+series.spec_dim sums over the sorted letter contents given the factors
+(i, j) of I = M_i·M_j.  M_r and N_r = M_r/M_{r+1} come from the blocks of
+the two-sided ideals J_r = M_r + I, built like M_r; L_r + I is no ideal,
+so L_r counts dim(span(L_r ∪ I)) - dim(I).  quotient_dim names the
+quotient and the series.  No coset representatives are ever constructed.
 """
 
 from __future__ import annotations

@@ -13,16 +13,16 @@ L_1 is the whole algebra; block c of L_k(d) is spanned by brackets [m, l]
 of one word m per necklace with l in block c - content(m) of L_{k-1}: the
 rows [V, L_{k-1}] that M_k adds for one-letter m, and for longer m the
 powers of Lyndon words (lyndon.lyndon_words), which are the necklaces.
-M_k = A·L_k·A is the one-factor product ideal, and every product
-P = M_{i1}···M_{ik} is built as a left ideal, P(d) = V·P(d-1) +
-product_generators(d), V the span of the generators: block c takes the
-left pads x_i·P(d-1)[c - e_i] and the generator rows of content c, merged
-by GradedSubspace.from_pads.  For M_k they are [V, L_{k-1}] at degree k,
-then the right pads G·V and the brackets [V, C] of m_span, which never need
-L_k at its own degree.  For longer products they
-are [V, L_{i1-1}]·R with R the product of the other factors (see
-product_span).  A request for one block builds only the cone of blocks below
-its content (below sorted(c) for a relabelled block; see _span).
+M_k = A·L_k·A is the one-factor product ideal.  Every product
+P = M_{i1}···M_{ik}, and every sum J = M_r + P (kind "M"; plain M_r is
+P = 0), is built as a left ideal, P(d) = V·P(d-1) + new rows, V the span
+of the generators: block c takes the left pads x_i·P(d-1)[c - e_i] and the
+new rows of content c, merged by GradedSubspace.from_pads.  For a product
+of two or more factors they are [V, L_{i1-1}]·R with R the product of the
+other factors (see product_span); for J they are the right pads G·V, the
+brackets [V, C] and the side rows of P (see m_span), which never need L_r
+at its own degree.  A request for one block builds only the cone of blocks
+below its content (below sorted(c) for a relabelled block; see _span).
 Containment, witness and membership questions are asked of blocks alone; a
 whole-degree union is built only for a caller that names no content.
 
@@ -141,14 +141,18 @@ def _splits(c: Content, m: int) -> Iterator[tuple[Content, Content]]:
 
 
 def _span(kind: str, n: int, index, d: int, c: Content | None):
-    """Block c of the degree-d piece of L_index (kind "L") or of the product
-    with factor indices index (kind "P"), cached; c None gives the union of
-    the degree's blocks, which shares their rows.  Kinds "G" and "C" give
-    the side rows of block c of M_index(d) (see _side_rows).
+    """Block c of the degree-d piece of L_index (kind "L"), of the product
+    with factor indices index (kind "P") or of J = M_r + P (kind "M", index
+    (r,) + the factors of P; J_r is P below degree r), cached; c None gives
+    the union of the degree's blocks, which shares their rows.  Kinds "G"
+    and "C" give side rows of the M or P block (kind, index) (_side_rows).
 
     Only a sorted content (c_1 >= ... >= c_n) is built from candidate rows;
     any other block, or its side rows, is the relabelled image of those of
     sorted(c), the one sorted content of its S_n orbit (see _relabel)."""
+    if kind == "M" and d < index[0]:
+        mod = index[1:]
+        return _span(_kind(mod), n, mod, d, c) if mod else _empty(n, d)
     key = (kind, n, index, d, c)
     got = _span_cache.get(key)
     if got is not None:
@@ -167,12 +171,17 @@ def _span(kind: str, n: int, index, d: int, c: Content | None):
                     got = GradedSubspace.from_reduced(n, d, _relabel(n, d, got.int_rows(), c))
             elif kind == "L":
                 got = _l_block(n, index, d, c)
-            elif kind == "P":
-                got = _product_block(n, index, d, c)
-            else:
+            elif kind in ("G", "C"):
                 got = _side_rows(kind, n, index, d, c)
+            else:
+                got = _ideal_block(kind, n, index, d, c)
             _span_cache[key] = got
         return got
+
+
+def _kind(indices: tuple[int, ...]) -> str:
+    """The block kind of the product with these factor indices."""
+    return "P" if len(indices) > 1 else "M"
 
 
 def _relabel(n: int, d: int, rows: Iterable[IntRow], c: Content) -> dict[int, IntRow]:
@@ -314,18 +323,22 @@ def m_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
     ideal because L_k is spanned by brackets [a,l] of monomials a with l in
     L_{k-1}, and [ab,l] = a[b,l] + [a,l]b.  Hence R = M_k.
 
-    That is the build at d = k.  Above it, with M = M_k, let G(d-1) be the
-    rows that from_pads merged into M(d-1) beside its left pads (all at
-    d-1 = k), so M(d-1) = V·M(d-2) + span G(d-1), and C(d-1) the residues of
-    L_{k-1}(d-1) modulo M(d-1).  Then, from far fewer rows,
-    M(d) = V·M(d-1) + G(d-1)·V + [V, C(d-1)].  Each row on the right lies in
-    M(d): x·m and g·y in the ideal M, and [x, c] = [x, l] - x·m + m·x for a
-    residue c = l - m (up to a scalar) of l in L_{k-1}.  Conversely, each
-    l in L_{k-1}(d-1) is c + m with c in span C(d-1) and m in M(d-1), so
-    [x, l] = [x, c] + x·m - m·x, and m = Σ y·m' + g with m' in M(d-2), g in
-    span G(d-1) gives m·x = Σ y·(m'·x) + g·x in V·M(d-1) + G(d-1)·V.
-    Every step keeps letter contents, and a letter permutation fixes M,
-    L_{k-1} and the left pads, so G and C relabel with their blocks.
+    The blocks take far fewer rows, as blocks of the two-sided ideal
+    J = M_k + P, P a product ideal (0 here; see spec_dim).  Let G(d-1) be
+    the rows of J(d-1) whose pivots are not those of its left pads, so
+    J(d-1) = V·J(d-2) + span G(d-1), C(d-1) the residues of L_{k-1}(d-1)
+    modulo J(d-1), and S(d) those rows of P(d).  Then
+    J(d) = V·J(d-1) + G(d-1)·V + [V, C(d-1)] + span S(d), for the
+    recursions of M_k and P give J(d) = V·J(d-1) + [V, L_{k-1}(d-1)] +
+    span S(d).  Each row on the right lies in J(d): x·j and g·y in the
+    ideal J, and [x, c] = [x, l] - x·j + j·x for a residue c = l - j (up to
+    a scalar) of l in L_{k-1}.  Conversely, each l in L_{k-1}(d-1) is c + j
+    with c in span C(d-1) and j in J(d-1), so [x, l] = [x, c] + x·j - j·x,
+    and j = Σ y·j' + g with j' in J(d-2), g in span G(d-1) gives
+    j·x = Σ y·(j'·x) + g·x in V·J(d-1) + G(d-1)·V.  Below degree k, J = P,
+    so G(k-1)·V lies in P(k) and is left out.  Every step keeps letter
+    contents, and a letter permutation fixes J, L_{k-1} and the left pads,
+    so G, C and S relabel with their blocks.
     """
     if k < 1:
         raise ValueError("ideal index must be >= 1")
@@ -345,8 +358,8 @@ def _generator_rows(n: int, indices: tuple[int, ...], d: int, c: Content) -> Ite
     """The new rows of content c of P = M_{i1}···M_{ik} at degree d (see
     product_span).
 
-    One factor k: the brackets [x, l], x a generator, l in L_{k-1}(d-1);
-    its blocks above degree k take fewer rows (see m_span and _m_rows).
+    One factor k: the brackets [x, l], x a generator, l in L_{k-1}(d-1),
+    the reference for the blocks of M_k (see m_span and _m_rows).
     More factors (i,)+rest: the products [x, l]·r, l in L_{i-1}(d1-1) and r
     a basis row of the product ideal of rest at degree d - d1, with d1 = 2
     only when i = 2, over the splits of c between the two.  The builders
@@ -362,7 +375,7 @@ def _generator_rows(n: int, indices: tuple[int, ...], d: int, c: Content) -> Ite
     for d1 in range(head, last + 1):
         shift = n ** (d - d1)
         for c1, c2 in _splits(c, d1):
-            tails = list(_span("P", n, rest, d - d1, c2).int_rows())
+            tails = list(_span(_kind(rest), n, rest, d - d1, c2).int_rows())
             if not tails:
                 continue
             for ra in _letter_brackets(n, head - 1, d1, c1):
@@ -398,43 +411,48 @@ def product_span(
     content = _check_content(n, d, content)
     if d < sum(indices):
         return _empty(n, d)
-    return _span("P", n, indices, d, content)
+    return _span(_kind(indices), n, indices, d, content)
 
 
-def _product_block(n: int, indices: tuple[int, ...], d: int, c: Content) -> GradedSubspace:
-    if d < sum(indices) or max(c) == d:  # words in one letter commute
+def _ideal_block(kind: str, n: int, index: tuple[int, ...], d: int, c: Content) -> GradedSubspace:
+    """Block c of a product (kind "P") or of J (kind "M", d >= r)."""
+    if kind == "P" and d < sum(index) or max(c) == d:  # words in one letter commute
         return _empty(n, d)
-    if d == sum(indices):  # the least degree: no pads
-        return GradedSubspace.from_pads(n, d, (), _generator_rows(n, indices, d, c))
-    rows = _m_rows(n, indices[0], d, c) if len(indices) == 1 else _generator_rows(n, indices, d, c)
-    return GradedSubspace.from_pads(n, d, _pads("P", n, indices, d, c), rows)
+    rows = _m_rows(n, index, d, c) if kind == "M" else _generator_rows(n, index, d, c)
+    return GradedSubspace.from_pads(n, d, _pads(kind, n, index, d, c), rows)
 
 
-def _m_rows(n: int, s: int, d: int, c: Content) -> Iterator[IntRow]:
-    """The rows that block c of M_s(d), d > s, adds to its left pads: the
-    right pads g·y of the rows g of G(d-1)[c - e_y], and the brackets
-    [y, r] with the rows r of C(d-1)[c - e_y] (see m_span)."""
+def _m_rows(n: int, index: tuple[int, ...], d: int, c: Content) -> Iterator[IntRow]:
+    """The rows that block c of J(d) = (M_r + P)(d), index (r,) + the
+    factors of P, adds to its left pads: the right pads g·y of the rows g of
+    G(d-1)[c - e_y], the brackets [y, r] with the rows r of C(d-1)[c - e_y],
+    and the side rows S(d)[c] of P (see m_span)."""
+    if mod := index[1:]:
+        yield from _span("G", n, (_kind(mod), mod), d, c).values()
     for y in range(n):
         if c[y]:
             b = _less(c, y)
-            for row in _span("G", n, s, d - 1, b).values():
-                yield {r * n + y: v for r, v in row.items()}
-            yield from _bracket_rows(n, _span("C", n, s, d - 1, b).values(), d - 1, y, 1)
+            if d > index[0]:  # else G(d-1)·V lies in P(d) (see m_span)
+                for row in _span("G", n, ("M", index), d - 1, b).values():
+                    yield {r * n + y: v for r, v in row.items()}
+            residues = _span("C", n, ("M", index), d - 1, b)
+            yield from _bracket_rows(n, residues.values(), d - 1, y, 1)
 
 
-def _side_rows(kind: str, n: int, s: int, d: int, c: Content) -> dict[int, IntRow]:
-    """The side rows of block c of M_s(d), keyed by pivot (see m_span).  G
-    (kind "G"): its rows that from_pads merged in beside its left pads, whose
-    pivots are no pad pivots; all its rows at d = s.  C: the residues of
-    L_{s-1}(d)[c] modulo the block, echelonized."""
-    block = _span("P", n, (s,), d, c)
-    if kind == "C":
-        rows = block.residues(_span("L", n, s - 1, d, c).int_rows()).int_rows()
+def _side_rows(side: str, n: int, owner: tuple, d: int, c: Content) -> dict[int, IntRow]:
+    """The side rows of block c of the degree-d piece of owner = (kind,
+    index), keyed by pivot (see m_span).  G: its rows, in descending order,
+    whose pivots are not those of its left pads.  C (an M owner, index
+    (r,) + ...): the residues of L_{r-1}(d)[c] modulo the block."""
+    kind, index = owner
+    block = _span(kind, n, index, d, c)
+    if side == "C":
+        rows = _span("L", n, index[0] - 1, d, c).int_rows()
+        rows = block.residues(rows).int_rows() if block.dim else rows
         return {max(row): row for row in rows}
     top = n ** (d - 1)
-    pads = _pads("P", n, (s,), d, c) if d > s else ()
-    taken = {x * top + max(row) for x, b in pads for row in b.int_rows()}
-    return {p: row for row in block.int_rows() if (p := max(row)) not in taken}
+    taken = {x * top + p for x, b in _pads(kind, n, index, d, c) for p in b._echelon()}
+    return {p: row for p, row in sorted(block._echelon().items(), reverse=True) if p not in taken}
 
 
 # -- index tuples and ideal specifications ----------------------------------
@@ -533,19 +551,31 @@ def spec_contains(spec: IdealSpec, p: Poly) -> bool:
 
 def spec_dim(spec: IdealSpec, d: int, mod: tuple[int, ...] = ()) -> int:
     """Degree-d dimension, summed over the sorted contents (orbit_sum), in
-    A_n or, given the factor indices mod of a product ideal I, in A_n/I:
-    there block c counts what spec's block adds to I[c] (extension_dim).
-    An N spec is M_k/M_{k+1}, a difference taken block by block."""
-    n = spec.n
+    A_n or, given the factor indices mod of a product ideal I (else I = 0),
+    in A_n/I.  M_k counts dim J_k[c] - dim I[c] and N_k = M_k/M_{k+1}
+    counts dim J_k[c] - dim J_{k+1}[c], from the blocks of the two-sided
+    ideals J_k = M_k + I (see m_span): J_1 = A, and J_k(d) = I(d) for
+    k > d >= 0, k >= 2.  L_k + I is no ideal, so in A_n/I an L or P block
+    counts what it adds to I[c] (extension_dim)."""
+    n, k = spec.n, spec.index
+    if spec.kind in ("L", "P"):
 
-    def block_dim(s: IdealSpec, c: Content) -> int:
-        S = spec_span(s, d, c)
-        return extension_dim(product_span(n, mod, d, c), S.int_rows()) if mod else S.dim
+        def block_dim(c: Content) -> int:
+            S = spec_span(spec, d, c)
+            return extension_dim(product_span(n, mod, d, c), S.int_rows()) if mod else S.dim
 
-    if spec.kind == "N":
-        top, low = IdealSpec("M", n, index=spec.index), IdealSpec("M", n, index=spec.index + 1)
-        return orbit_sum(n, d, lambda c: block_dim(top, c) - block_dim(low, c))
-    return orbit_sum(n, d, lambda c: block_dim(spec, c))
+        return orbit_sum(n, d, block_dim)
+    mod = factor_indices(mod) if mod else ()
+    if k > max(d, 1):
+        return 0
+
+    def j_dim(s: int, c: Content) -> int:
+        if s == 1:  # the words of content c
+            return factorial(d) // prod(map(factorial, c))
+        return _span("M", n, (s,) + mod, d, c).dim
+
+    low = k + 1 if spec.kind == "N" else d + 2  # J_{d+2}(d) = I(d)
+    return orbit_sum(n, d, lambda c: j_dim(k, c) - j_dim(low, c))
 
 
 class DimTable:

@@ -25,8 +25,10 @@ and a back-eliminating freeze), the reference for the reduced insert_row of
 linalg; _left_ideal_step is the pad merge of series on it, the reference for
 GradedSubspace.from_pads, and reference_block rebuilds any cached block of
 series on the two, from the block's own candidate rows, the reference for the
-blocks that series relabels.  even_forms_dim and closed_even_forms_dim are the
-Feigin–Shoikhet theorems dim (A/M_3)[c] = 2^(s-1) and
+blocks that series relabels; ref_j_block echelonizes the rows of M_r and of a
+product ideal P, the reference for the blocks of J = M_r + P.  even_forms_dim
+and closed_even_forms_dim are the Feigin–Shoikhet theorems
+dim (A/M_3)[c] = 2^(s-1) and
 dim (L_2/L_3)[c] = 2^(s-2), s the number of letters in c: closed forms that
 share no code with series and reach past the brute-force oracles, and
 gl_multiplicities solves the block dimensions for the multiplicities of the
@@ -499,19 +501,31 @@ def _left_ideal_step(
 
 def reference_block(kind: str, n: int, index, d: int, c: tuple[int, ...]) -> GradedSubspace:
     """Block c of series._span built on RefSubspace from the same pads and
-    candidate rows: L_1 and product blocks by _left_ideal_step, the other L
-    blocks by RefSubspace.from_rows."""
+    candidate rows: L_1, product and M_s blocks by _left_ideal_step (M_s
+    from the brackets [V, L_{s-1}] of its one-factor generator rows), the
+    other L blocks by RefSubspace.from_rows, and the blocks of
+    J = M_r + M_i···M_j by RefSubspace.from_rows of the rows of the M_r and
+    product blocks (ref_j_block)."""
     if kind == "L" and index == 1:
         if d == 0:
             return RefSubspace.from_rows(n, 0, [{0: 1}])
         return _left_ideal_step(n, d, _pads("L", n, 1, d, c), ())
+    if kind == "M" and len(index) > 1:
+        return ref_j_block(n, index[0], index[1:], d, c)
     low = index if kind == "L" else sum(index)
     if d < low or max(c) == d:
         return _empty(n, d)
     if kind == "L":
         return RefSubspace.from_rows(n, d, _l_candidates(n, index, d, c))
-    pads = _pads("P", n, index, d, c) if d > low else ()
+    pads = _pads(kind, n, index, d, c) if d > low else ()
     return _left_ideal_step(n, d, pads, _generator_rows(n, index, d, c))
+
+
+def ref_j_block(n: int, r: int, mod: tuple[int, ...], d: int, c: tuple[int, ...]):
+    """Block c of J_r = M_r + P at degree d, P the product with factor
+    indices mod, echelonized from the rows of block c of M_r and of P."""
+    rows = [*m_span(n, r, d, c).int_rows(), *product_span(n, mod, d, c).int_rows()]
+    return RefSubspace.from_rows(n, d, rows)
 
 
 def oracle_l_span(n: int, k: int, d: int) -> GradedSubspace:

@@ -105,7 +105,7 @@ def test_containment_builds_only_the_balanced_cone():
     series.clear_caches()
     containment_index(3, (3, 4), 7)
     keys = list(series._span_cache)
-    assert {key[4] for key in keys if key[0] == "P" and key[3] == 7} == {(3, 2, 2)}
+    assert {key[4] for key in keys if key[0] in "MP" and key[3] == 7} == {(3, 2, 2)}
     for key in keys:
         assert key[4] is not None and all(a <= b for a, b in zip(key[4], (3, 2, 2))), key
 
@@ -159,7 +159,7 @@ def test_walk_builds_no_m_above_the_bound_past_the_witness_degree():
         over = (rep.upper_bound_pbw + 1,)
         assert rep.index_observed == rep.upper_bound_pbw
         assert not [
-            key for key in series._span_cache if key[0] == "P" and key[2] == over
+            key for key in series._span_cache if key[0] == "M" and key[2] == over
         ], (n, t)
 
 
@@ -192,7 +192,7 @@ def test_walk_down_to_the_largest_factor_builds_no_m_of_it():
             {"degree": 5, "contained_in": [1, 2]},
         ],
     }
-    built = {key[3] for key in series._span_cache if key[:3] == ("P", 4, (2,))}
+    built = {key[3] for key in series._span_cache if key[:3] == ("M", 4, (2,))}
     assert built == {2, 3}
 
 
@@ -328,9 +328,9 @@ def test_search_witness_asks_only_the_balanced_blocks(square_witness):
     containment_index(4, (2, 2), 4)
     keys = list(series._span_cache)
     assert all(key[4] is not None for key in keys), keys
-    own = ("P", 4, (3,), 4, (2, 2, 0, 0))
+    own = ("M", 4, (3,), 4, (2, 2, 0, 0))
     assert own in keys
-    scanned = [key for key in keys if key[0] == "P" and key[3] >= 4 and key != own]
+    scanned = [key for key in keys if key[0] in "MP" and key[3] >= 4 and key != own]
     assert scanned
     assert all(key[4] == balanced_content(4, key[3]) for key in scanned), scanned
 

@@ -178,16 +178,16 @@ def test_block_unions_match_whole_degree_builds():
 
 
 def cached_blocks() -> list:
-    """The cached L and P blocks of one content, without the side rows."""
-    return [(key, S) for key, S in series._span_cache.items() if key[0] in "LP" and key[4]]
+    """The cached L, M and P blocks of one content, without the side rows."""
+    return [(key, S) for key, S in series._span_cache.items() if key[0] in "LMP" and key[4]]
 
 
 def assert_cached_blocks_match_the_reference() -> int:
     """Every cached block, built or relabelled, is reduced, and its ordered
     rows equal its build on the reference echelon from its own candidate
-    rows, row for row; returns how many blocks were compared.  The one-factor
-    product blocks above degree s are built from the side rows of M_s, and
-    the reference builds them from the brackets [V, L_{s-1}]."""
+    rows, row for row; returns how many blocks were compared.  The M_s
+    blocks are built from side rows, and the reference builds them from the
+    brackets [V, L_{s-1}]."""
     blocks = cached_blocks()
     for key, S in blocks:
         assert_reduced(S)
@@ -210,7 +210,8 @@ def test_blocks_of_the_differential_cells_match_the_reference_echelon():
             for t in DIFFERENTIAL_PRODUCTS:
                 product_span(n, t, d)
     kinds = {(key[0], key[2] == 1) for key in series._span_cache}
-    assert {("L", True), ("L", False), ("P", False), ("G", False), ("C", False)} <= kinds
+    want = {("L", True), ("L", False), ("M", False), ("P", False), ("G", False), ("C", False)}
+    assert want <= kinds
     assert assert_cached_blocks_match_the_reference() > 100
 
 
@@ -241,8 +242,7 @@ def test_balanced_blocks_and_cones_match_the_reference_echelon(n, t, cutoff):
     containment_index(n, t, cutoff)
     assert assert_cached_blocks_match_the_reference()
     side = [key for key in series._span_cache if key[0] in "GC"]
-    built = [key for key, _ in cached_blocks() if key[0] == "P" and key[3] > sum(key[2])]
-    assert side and any(len(key[2]) == 1 for key in built)
+    assert side and any(key[0] == "M" and key[3] > key[2][0] for key, _ in cached_blocks())
 
 
 def is_sorted(c) -> bool:
@@ -251,7 +251,7 @@ def is_sorted(c) -> bool:
 
 def test_only_sorted_contents_are_built_from_candidate_rows(monkeypatch):
     built = []
-    for name in ("_l_block", "_product_block", "_side_rows"):
+    for name in ("_l_block", "_ideal_block", "_side_rows"):
         real = getattr(series, name)
 
         def spy(*args, real=real):
@@ -266,13 +266,13 @@ def test_only_sorted_contents_are_built_from_candidate_rows(monkeypatch):
     l_span(4, 3, 5)
     assert built and all(is_sorted(c) for c in built)
     relabelled = [key for key in series._span_cache if key[4] and not is_sorted(key[4])]
-    assert {key[0] for key in relabelled} == {"L", "P", "G", "C"}
+    assert {key[0] for key in relabelled} == {"L", "M", "P", "G", "C"}
 
 
 def test_clear_caches_leaves_no_side_rows():
     series.clear_caches()
     m_span(3, 4, 7, (1, 2, 4))
-    assert {key[0] for key in series._span_cache} == {"L", "P", "G", "C"}
+    assert {key[0] for key in series._span_cache} == {"L", "M", "G", "C"}
     series.clear_caches()
     assert not [key for key in series._span_cache if key[0] in "GC"]
     assert series._rank_tables.cache_info().currsize == 0
@@ -284,10 +284,11 @@ def test_relabelled_side_rows_of_an_unsorted_block(s):
     # what L_{s-1} adds, and all of L_{s-1}
     series.clear_caches()
     n, d, c = 3, 7, (1, 2, 4)
-    G, C = series._span("G", n, s, d, c), series._span("C", n, s, d, c)
-    assert ("G", n, s, d, (4, 2, 1)) in series._span_cache
+    owner = ("M", (s,))
+    G, C = series._span("G", n, owner, d, c), series._span("C", n, owner, d, c)
+    assert ("G", n, owner, d, (4, 2, 1)) in series._span_cache
     M, L = m_span(n, s, d, c), l_span(n, s - 1, d, c)
-    pads = series._pads("P", n, (s,), d, c)
+    pads = series._pads("M", n, (s,), d, c)
     assert 0 < len(G) < M.dim
     assert GradedSubspace.from_pads(n, d, pads, G.values())._echelon() == M._echelon()
     assert 0 < len(C) == extension_dim(M, C.values()) == extension_dim(M, L.int_rows())
@@ -350,7 +351,7 @@ def test_building_a_block_leaves_the_cached_blocks_as_they_were():
         key: {p: dict(row) for p, row in rows(S).items()}
         for key, S in series._span_cache.items()
     }
-    assert {key[0] for key in held} == {"L", "P", "G", "C"}
+    assert {key[0] for key in held} == {"L", "M", "G", "C"}
     m_span(3, 3, 5, (2, 2, 1))
     assert {key: rows(series._span_cache[key]) for key in held} == held
 
@@ -388,7 +389,7 @@ def test_membership_leaves_the_relabelled_blocks_unordered(monkeypatch):
     relabelled = [
         S
         for (kind, _, index, d, c), S in series._span_cache.items()
-        if d == 7 and (kind, index) in (("P", (3,)), ("L", 3)) and c and not is_sorted(c)
+        if d == 7 and (kind, index) in (("M", (3,)), ("L", 3)) and c and not is_sorted(c)
     ]
     assert l_span(3, 3, 7, (1, 2, 4)) in relabelled and l_span(3, 3, 7, (2, 1, 4)) in relabelled
     assert not whole._ordered and not any(S._ordered for S in relabelled)
@@ -444,7 +445,7 @@ def test_threads_reading_one_unordered_block_get_the_same_rows():
     assert not any(t.is_alive() for t in threads)
     assert S._ordered and got[0]
     assert all(rows == got[0] for rows in got)
-    assert got[0] == list(reference_block("P", 3, (3,), 6, (1, 2, 3)).int_rows())
+    assert got[0] == list(reference_block("M", 3, (3,), 6, (1, 2, 3)).int_rows())
 
 
 def test_block_dims_are_invariant_under_permuting_the_content():
