@@ -8,10 +8,16 @@ filtration degree in the enveloping algebra.
 
 The basis is triangular: the standard bracketing b_w of a Lyndon word w is
 w plus lexicographically larger words of the same degree (Reutenauer, Free
-Lie Algebras, ch. 5).  A Lie element is therefore written in the basis by
-peeling: take the smallest word w left, which must be Lyndon, record its
-coefficient c, subtract c*b_w, and repeat until nothing is left.  As every
-b_w has integer coefficients, straightening a word runs in ints alone.
+Lie Algebras, ch. 4-5; Lothaire, Combinatorics on Words, ch. 5).  For
+Lyndon u < v, [b_u, b_v] is b_uv if u is a letter or its standard
+factorization u = u1·u2 has u2 >= v (then (u, v) is that of uv), and
+[b_u1, [b_u2, b_v]] - [b_u2, [b_u1, b_v]] (Jacobi) otherwise.  Each step is
+an identity over the integers, so any result is exact and in ints; a cycle
+could only raise RecursionError.  None occurs: [b_s, b_t] has smallest word
+st, so its Lyndon words w have w >= st by triangularity, and w < t by
+induction on (|s| + |t|, t), as st < t.  So a Jacobi step calls pairs of
+lower degree, or of equal degree with a smaller larger word: (u1, w) with
+u1 < u2 < u2·v <= w < v, and (u2, w) or (w, u2) with w < v and u2 < v.
 
 A word is straightened by rewriting factor sequences, the first descent
 u > v into v u plus [b_u, b_v].  Each rewrite lowers (number of factors,
@@ -151,46 +157,38 @@ def _bracketing_cached(n: int, w: Word) -> Poly:
     return standard_bracketing(w, n)
 
 
-def _lyndon_coefficients(n: int, p: Poly) -> dict[Word, Rational]:
-    """Coefficients of the Lie element p in the standard-bracketing basis.
-
-    Peels off the smallest word w left: it must be Lyndon, and as b_w is w
-    plus larger words, its coefficient c is the coefficient of b_w.
-    """
-    rest = dict(p.terms)
-    out: dict[Word, Rational] = {}
-    while rest:
-        w = min(rest)
-        if not is_lyndon(w):
-            raise ValueError("element is not in the free Lie algebra component")
-        c = out[w] = rest[w]
-        for v, b in _bracketing_cached(n, w).terms.items():
-            s = rest.get(v, 0) - c * b
-            if s:
-                rest[v] = s
-            else:
-                rest.pop(v, None)
+@cache
+def _swap_pair(n: int, u: Word, v: Word) -> dict[Word, int]:
+    """[b_u, b_v] in the Lyndon basis, cached; it recurses through _rule,
+    which the straightening loop never looks up."""
+    if u == v:
+        return {}
+    if u > v:
+        return {w: -c for w, c in _rule(n, v, u).items()}
+    if len(u) == 1 or (split := lyndon_factor_split(u))[1] >= v:
+        return {u + v: 1}
+    u1, u2 = split
+    out: dict[Word, int] = {}
+    for inner, outer, sign in ((u2, u1, 1), (u1, u2, -1)):
+        for w, c in _rule(n, inner, v).items():
+            for z, e in _rule(n, outer, w).items():
+                _accumulate(out, z, sign * c * e)
     return out
 
 
-@cache
-def _swap_pair(n: int, u: Word, v: Word) -> dict[Word, int]:
-    """Lyndon-basis coefficients of [b_u, b_v], cached."""
-    return _lyndon_coefficients(
-        n, bracket(_bracketing_cached(n, u), _bracketing_cached(n, v))
-    )
+_rule = _swap_pair
 
 
 def _inversions(seq: PbwMonomial) -> int:
     return sum(starmap(gt, combinations(seq, 2)))
 
 
-def _accumulate(bucket: dict[PbwMonomial, int], seq: PbwMonomial, c: int) -> None:
-    s = bucket.get(seq, 0) + c
+def _accumulate(bucket: dict, key: tuple, c: int) -> None:
+    s = bucket.get(key, 0) + c
     if s:
-        bucket[seq] = s
+        bucket[key] = s
     else:
-        bucket.pop(seq, None)
+        bucket.pop(key, None)
 
 
 @cache

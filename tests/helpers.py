@@ -40,7 +40,9 @@ ref_necklace_classes for the Lyndon necklaces of series, ref_l_candidates
 for the L_k candidate rows, and ref_quotient_dim, the orbit loop and N
 recursion of quotients, for series.spec_dim in a quotient, and
 ref_straighten_word, the last-in-first-out worklist of lyndon, for its
-bucketed straightening loop.  left_ideal_span closes generators under left
+bucketed straightening loop, and ref_swap_pair, which multiplies out
+[b_u, b_v] and peels it (lyndon_coefficients), for the word-rewriting rule
+of lyndon.  left_ideal_span closes generators under left
 multiplication only.
 """
 
@@ -64,7 +66,7 @@ from lcsideals.linalg import (
     poly_to_introw,
     rank_word,
 )
-from lcsideals.lyndon import PbwMonomial, _swap_pair
+from lcsideals.lyndon import PbwMonomial, _bracketing_cached
 from lcsideals.quotients import SERIES_KINDS, QuotientSpec
 from lcsideals.series import (
     Content,
@@ -187,6 +189,35 @@ def ref_is_lyndon(w: Word) -> bool:
     return all(w < w[i:] + w[:i] for i in range(1, d))
 
 
+def lyndon_coefficients(n: int, p: Poly) -> dict[Word, Fraction | int]:
+    """Coefficients of the Lie element p in the standard-bracketing basis.
+
+    Peels off the smallest word w left: it must be Lyndon, and as b_w is w
+    plus larger words, its coefficient c is the coefficient of b_w.
+    """
+    rest = dict(p.terms)
+    out: dict[Word, Fraction | int] = {}
+    while rest:
+        w = min(rest)
+        if not ref_is_lyndon(w):
+            raise ValueError("element is not in the free Lie algebra component")
+        c = out[w] = rest[w]
+        for v, b in _bracketing_cached(n, w).terms.items():
+            s = rest.get(v, 0) - c * b
+            if s:
+                rest[v] = s
+            else:
+                rest.pop(v, None)
+    return out
+
+
+@cache
+def ref_swap_pair(n: int, u: Word, v: Word) -> dict[Word, int]:
+    """Lyndon-basis coefficients of [b_u, b_v]: the bracket of the two
+    standard bracketings multiplied out and peeled."""
+    return lyndon_coefficients(n, bracket(_bracketing_cached(n, u), _bracketing_cached(n, v)))
+
+
 def ref_straighten_word(n: int, word: Word) -> dict[PbwMonomial, int]:
     """The last-in-first-out worklist: a factor sequence reached along several
     rewrite paths is rewritten once per path."""
@@ -213,7 +244,7 @@ def ref_straighten_word(n: int, word: Word) -> dict[PbwMonomial, int]:
             work[swapped] = s
         else:
             work.pop(swapped, None)
-        for w, c in _swap_pair(n, u, v).items():
+        for w, c in ref_swap_pair(n, u, v).items():
             merged = seq[:bad] + (w,) + seq[bad + 2 :]
             s = work.get(merged, 0) + coeff * c
             if s:

@@ -8,7 +8,6 @@ import pytest
 from lcsideals.freealg import Poly, all_words, bracket, nested
 from lcsideals import lyndon
 from lcsideals.lyndon import (
-    _lyndon_coefficients,
     is_lyndon,
     lyndon_words,
     pbw_degree,
@@ -20,9 +19,11 @@ from lcsideals.lyndon import (
 from helpers import (
     brute_lyndon_words,
     filtration_space,
+    lyndon_coefficients,
     random_poly,
     ref_is_lyndon,
     ref_straighten_word,
+    ref_swap_pair,
 )
 
 
@@ -152,7 +153,8 @@ def test_pbw_degree_against_filtration_oracle():
 
 
 def test_bracketing_leading_word_is_the_lyndon_word():
-    # triangularity that _lyndon_coefficients peels along
+    # triangularity that the rewriting rule's proof and the peel of
+    # helpers.lyndon_coefficients rest on
     for n, d_max in ((2, 10), (3, 7)):
         for w in lyndon_words(n, d_max):
             b = standard_bracketing(w, n)
@@ -174,23 +176,24 @@ def test_peeling_recovers_lyndon_coefficients():
                 p = Poly.zero(n)
                 for w, c in want.items():
                     p = p + standard_bracketing(w, n).scale(c)
-                assert _lyndon_coefficients(n, p) == want
+                assert lyndon_coefficients(n, p) == want
 
 
 def test_peeling_rejects_non_lie_elements():
     with pytest.raises(ValueError, match="not in the free Lie algebra"):
-        _lyndon_coefficients(2, Poly.monomial(2, (1, 2)))
-    assert _lyndon_coefficients(2, Poly.zero(2)) == {}
+        lyndon_coefficients(2, Poly.monomial(2, (1, 2)))
+    assert lyndon_coefficients(2, Poly.zero(2)) == {}
 
 
 def test_clear_caches_empties_every_cache():
     # the pbw_straighten bench workload resets with it before each question,
     # so a cache it missed would make later questions cheaper
     straighten(nested([Poly.gen(2, 2), Poly.gen(2, 1), Poly.gen(2, 1)]) * Poly.gen(2, 2))
+    standard_bracketing((1, 1, 2), 2)
     caches = [f for f in vars(lyndon).values() if hasattr(f, "cache_clear")]
     known = (lyndon._bracketing_cached, lyndon._swap_pair, lyndon._straighten_word)
     assert set(known) <= set(caches)
-    assert all(f.cache_info().currsize for f in known)
+    assert all(f.cache_info().currsize for f in caches)
     lyndon.clear_caches()
     assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
 
@@ -241,6 +244,27 @@ def test_straightening_rationals_stays_exact():
         assert all(type(c) in (int, Fraction) for c in e.terms.values())
         assert e.terms == {m: two_thirds * c for m, c in straighten(p).terms.items()}
         assert e.to_poly() == p.scale(two_thirds)
+
+
+# (n, largest |u| + |v|) of the Lyndon pairs u > v on which the rewriting
+# rule must match the multiplied-out reference: 5106 pairs
+REFERENCE_PAIRS = ((2, 10), (3, 8), (4, 6))
+
+
+def test_swap_pair_matches_the_multiplied_out_reference():
+    lyndon.clear_caches()
+    pairs = 0
+    for n, s in REFERENCE_PAIRS:
+        words = lyndon_words(n, s - 1)
+        for u in words:
+            for v in words:
+                if u > v and len(u) + len(v) <= s:
+                    got = lyndon._swap_pair(n, u, v)
+                    assert got == ref_swap_pair(n, u, v), (n, u, v)
+                    assert all(type(c) is int for c in got.values())
+                    pairs += 1
+    assert pairs == 5106
+    lyndon.clear_caches()
 
 
 # (n, largest degree) of the words on which the bucketed loop must match the
