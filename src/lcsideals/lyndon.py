@@ -6,24 +6,33 @@ bracketings form a PBW basis of A_n.  straighten() rewrites any element in
 that basis and pbw_degree() reads off the maximal factor count, the
 filtration degree in the enveloping algebra.
 
-The basis is triangular: the standard bracketing b_w of a Lyndon word w is
-w plus lexicographically larger words of the same degree (Reutenauer, Free
-Lie Algebras, ch. 4-5; Lothaire, Combinatorics on Words, ch. 5).  For
-Lyndon u < v, [b_u, b_v] is b_uv if u is a letter or its standard
-factorization u = u1·u2 has u2 >= v (then (u, v) is that of uv), and
-[b_u1, [b_u2, b_v]] - [b_u2, [b_u1, b_v]] (Jacobi) otherwise.  Each step is
-an identity over the integers, so any result is exact and in ints; a cycle
-could only raise RecursionError.  None occurs: [b_s, b_t] has smallest word
-st, so its Lyndon words w have w >= st by triangularity, and w < t by
-induction on (|s| + |t|, t), as st < t.  So a Jacobi step calls pairs of
-lower degree, or of equal degree with a smaller larger word: (u1, w) with
-u1 < u2 < u2·v <= w < v, and (u2, w) or (w, u2) with w < v and u2 < v.
+A word is straightened by rewriting factor sequences of Lyndon words: at
+the first descent u > v, b_u·b_v = b_v·b_u + [b_u, b_v], and there
+[b_u, b_v] is the one basis element -b_vu, by the standard-factorization
+rule for Lyndon words (Reutenauer, Free Lie Algebras, ch. 5; Lothaire,
+Combinatorics on Words, ch. 5).  Proof:
 
-A word is straightened by rewriting factor sequences, the first descent
-u > v into v u plus [b_u, b_v].  Each rewrite lowers (number of factors,
-number of inversions), so taking pending sequences in decreasing order of
-that key rewrites each one once, with every contribution summed: x2·x1^L
-takes L(L+1)/2 rewrites, not one per rewrite path (2^L - 1).
+- Invariant.  In every factor sequence the loop holds, each factor f of
+  length >= 2, with standard factorization f = f1·f2, has f2 >= every
+  factor to its left.  This holds vacuously at the start, because every
+  factor is a letter.
+- Use.  At the first descent u > v, the factor v is a letter or has
+  v2 >= u.  So (v, u) is the standard factorization of the Lyndon word vu,
+  and [b_u, b_v] = -b_vu.
+- Swap.  v loses a left neighbour.  u gains v on its left, and
+  u2 > u > v, because a proper right factor of a Lyndon word is larger
+  than the word.
+- Merge.  vu has right factor u, and u >= the nondecreasing prefix to its
+  left.  A factor further right had u and v on its left and now has vu
+  there.  Also vu < u: if v is not a prefix of u, compare them at the
+  first letter where they differ; if u = v·z, then z > u.  So
+  f2 >= u > vu.
+
+Every coefficient is plus or minus the one rewritten, so straightening a
+word runs in ints.  Each rewrite lowers (number of factors, number of
+inversions), so taking pending sequences in decreasing order of that key
+rewrites each one once, with every contribution summed: x2·x1^L takes
+L(L+1)/2 rewrites, not one per rewrite path (2^L - 1).
 """
 
 from __future__ import annotations
@@ -148,35 +157,13 @@ class PbwExpansion:
 
 
 def clear_caches() -> None:
-    for f in (_bracketing_cached, _swap_pair, _straighten_word):
+    for f in (_bracketing_cached, _straighten_word):
         f.cache_clear()
 
 
 @cache
 def _bracketing_cached(n: int, w: Word) -> Poly:
     return standard_bracketing(w, n)
-
-
-@cache
-def _swap_pair(n: int, u: Word, v: Word) -> dict[Word, int]:
-    """[b_u, b_v] in the Lyndon basis, cached; it recurses through _rule,
-    which the straightening loop never looks up."""
-    if u == v:
-        return {}
-    if u > v:
-        return {w: -c for w, c in _rule(n, v, u).items()}
-    if len(u) == 1 or (split := lyndon_factor_split(u))[1] >= v:
-        return {u + v: 1}
-    u1, u2 = split
-    out: dict[Word, int] = {}
-    for inner, outer, sign in ((u2, u1, 1), (u1, u2, -1)):
-        for w, c in _rule(n, inner, v).items():
-            for z, e in _rule(n, outer, w).items():
-                _accumulate(out, z, sign * c * e)
-    return out
-
-
-_rule = _swap_pair
 
 
 def _inversions(seq: PbwMonomial) -> int:
@@ -197,7 +184,7 @@ def _straighten_word(n: int, word: Word) -> dict[PbwMonomial, int]:
 
     A factor sequence is keyed by (number of factors, number of inversions).
     Rewriting its first descent u > v yields the swapped sequence, with one
-    inversion fewer, and one sequence per Lyndon word of [b_u, b_v], with
+    inversion fewer, and the sequence with the pair merged into vu, with
     one factor fewer, so every rewrite lowers the key.  Pending sequences
     wait in buckets by key and the largest key is emptied first: by then
     every contribution to its sequences has arrived, so each is rewritten,
@@ -217,10 +204,9 @@ def _straighten_word(n: int, word: Word) -> dict[PbwMonomial, int]:
             u, v = seq[bad], seq[bad + 1]
             swapped = seq[:bad] + (v, u) + seq[bad + 2 :]
             _accumulate(buckets.setdefault((count, inv - 1), {}), swapped, coeff)
-            for w, c in _swap_pair(n, u, v).items():
-                merged = seq[:bad] + (w,) + seq[bad + 2 :]
-                fewer = (count - 1, _inversions(merged))
-                _accumulate(buckets.setdefault(fewer, {}), merged, coeff * c)
+            merged = seq[:bad] + (v + u,) + seq[bad + 2 :]
+            fewer = (count - 1, _inversions(merged))
+            _accumulate(buckets.setdefault(fewer, {}), merged, -coeff)
     return done
 
 

@@ -9,6 +9,7 @@ from lcsideals.freealg import Poly, all_words, bracket, nested
 from lcsideals import lyndon
 from lcsideals.lyndon import (
     is_lyndon,
+    lyndon_factor_split,
     lyndon_words,
     pbw_degree,
     standard_bracketing,
@@ -191,7 +192,7 @@ def test_clear_caches_empties_every_cache():
     straighten(nested([Poly.gen(2, 2), Poly.gen(2, 1), Poly.gen(2, 1)]) * Poly.gen(2, 2))
     standard_bracketing((1, 1, 2), 2)
     caches = [f for f in vars(lyndon).values() if hasattr(f, "cache_clear")]
-    known = (lyndon._bracketing_cached, lyndon._swap_pair, lyndon._straighten_word)
+    known = (lyndon._bracketing_cached, lyndon._straighten_word)
     assert set(known) <= set(caches)
     assert all(f.cache_info().currsize for f in caches)
     lyndon.clear_caches()
@@ -229,10 +230,6 @@ def test_straightening_integers_stays_in_ints():
         e = straighten(p)
         assert all(type(c) is int for c in e.terms.values())
         assert e.to_poly() == p
-    for w in lyndon_words(3, 5):
-        for u in lyndon_words(3, 5):
-            if u > w:
-                assert all(type(c) is int for c in lyndon._swap_pair(3, u, w).values())
 
 
 def test_straightening_rationals_stays_exact():
@@ -246,24 +243,25 @@ def test_straightening_rationals_stays_exact():
         assert e.to_poly() == p.scale(two_thirds)
 
 
-# (n, largest |u| + |v|) of the Lyndon pairs u > v on which the rewriting
-# rule must match the multiplied-out reference: 5106 pairs
+# (n, largest |u| + |v|) of the Lyndon pairs u > v scanned: 5106 pairs, of
+# which 2499 can meet at a first descent
 REFERENCE_PAIRS = ((2, 10), (3, 8), (4, 6))
 
 
-def test_swap_pair_matches_the_multiplied_out_reference():
-    lyndon.clear_caches()
+def test_bracket_of_a_standard_factorization_is_one_word():
+    # the pairs the straightening loop can meet at a first descent u > v:
+    # v is a letter or its right factor v2 is >= u, and then
+    # [b_u, b_v] = -b_vu, the one word the loop merges into
     pairs = 0
     for n, s in REFERENCE_PAIRS:
         words = lyndon_words(n, s - 1)
         for u in words:
             for v in words:
                 if u > v and len(u) + len(v) <= s:
-                    got = lyndon._swap_pair(n, u, v)
-                    assert got == ref_swap_pair(n, u, v), (n, u, v)
-                    assert all(type(c) is int for c in got.values())
-                    pairs += 1
-    assert pairs == 5106
+                    if len(v) == 1 or lyndon_factor_split(v)[1] >= u:
+                        assert ref_swap_pair(n, u, v) == {v + u: -1}, (n, u, v)
+                        pairs += 1
+    assert pairs == 2499
     lyndon.clear_caches()
 
 
@@ -296,20 +294,22 @@ def _x2_x1_power(length: int) -> Poly:
 
 @pytest.mark.parametrize("length", [8, 12, 16])
 def test_each_factor_sequence_is_rewritten_once(monkeypatch, length):
-    # the sequences x1^a·b_(1^k 2)·x1^b with b >= 1 are rewritten, one
-    # lookup each; a last-in-first-out worklist made 2^L - 1 lookups
+    # the sequences x1^a·b_(1^k 2)·x1^b with b >= 1 are rewritten; the loop
+    # counts the inversions of the start and of each merged sequence, so
+    # once plus once per rewrite.  A last-in-first-out worklist made 2^L - 1
+    # rewrites
     calls = 0
-    swap = lyndon._swap_pair
+    inversions = lyndon._inversions
 
-    def counted(n, u, v):
+    def counted(seq):
         nonlocal calls
         calls += 1
-        return swap(n, u, v)
+        return inversions(seq)
 
     lyndon.clear_caches()
-    monkeypatch.setattr(lyndon, "_swap_pair", counted)
+    monkeypatch.setattr(lyndon, "_inversions", counted)
     straighten(_x2_x1_power(length))
-    assert calls == length * (length + 1) // 2
+    assert calls == 1 + length * (length + 1) // 2
     monkeypatch.undo()
     lyndon.clear_caches()
 
