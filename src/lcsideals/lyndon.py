@@ -29,17 +29,25 @@ Combinatorics on Words, ch. 5).  Proof:
   f2 >= u > vu.
 
 Every coefficient is plus or minus the one rewritten, so straightening a
-word runs in ints.  Each rewrite lowers (number of factors, number of
-inversions), so taking pending sequences in decreasing order of that key
-rewrites each one once, with every contribution summed: x2·x1^L takes
-L(L+1)/2 rewrites, not one per rewrite path (2^L - 1).
+word runs in ints.  Each factor sequence is rewritten once:
+
+- Order.  Factor sequences are compared as Python tuples of words, the
+  lexicographic order used above, with a proper prefix smaller.
+- Each rewrite lowers it.  Both new sequences keep the prefix before the
+  first descent u > v.  There the swapped sequence holds v < u and the
+  merged one holds vu < u (Merge).  So both are smaller than the sequence.
+- So each sequence is rewritten once.  Pending sequences are taken largest
+  first, and every sequence that contributes to s is larger than s, so it
+  was rewritten before s is taken.  So s is rewritten, or stored sorted,
+  once and with its full coefficient, or dropped when taken if that sums
+  to 0.  x2·x1^L takes L(L+1)/2 rewrites, not one per rewrite path
+  (2^L - 1).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import cache
-from itertools import combinations, starmap
-from operator import gt
 
 from .freealg import Poly, Rational, Word, bracket
 
@@ -72,7 +80,7 @@ def lyndon_words(n: int, d: int) -> list[Word]:
     """All Lyndon words of degree <= d over 1..n, lexicographically sorted.
 
     Duval's generation: extend periodically, bump the last non-maximal
-    letter, truncate.
+    letter, truncate.  It emits the words in lexicographic order.
     """
     _check_sizes(n, d)
     out: list[Word] = []
@@ -85,7 +93,7 @@ def lyndon_words(n: int, d: int) -> list[Word]:
             w.append(w[len(w) - m])
         while w and w[-1] == n:
             w.pop()
-    return sorted(out)
+    return out
 
 
 def _check_sizes(n: int, d: int) -> None:
@@ -166,47 +174,37 @@ def _bracketing_cached(n: int, w: Word) -> Poly:
     return standard_bracketing(w, n)
 
 
-def _inversions(seq: PbwMonomial) -> int:
-    return sum(starmap(gt, combinations(seq, 2)))
-
-
-def _accumulate(bucket: dict, key: tuple, c: int) -> None:
-    s = bucket.get(key, 0) + c
-    if s:
-        bucket[key] = s
-    else:
-        bucket.pop(key, None)
-
-
 @cache
 def _straighten_word(n: int, word: Word) -> dict[PbwMonomial, int]:
     """The PBW expansion of one word, each factor sequence rewritten once.
 
-    A factor sequence is keyed by (number of factors, number of inversions).
-    Rewriting its first descent u > v yields the swapped sequence, with one
-    inversion fewer, and the sequence with the pair merged into vu, with
-    one factor fewer, so every rewrite lowers the key.  Pending sequences
-    wait in buckets by key and the largest key is emptied first: by then
-    every contribution to its sequences has arrived, so each is rewritten,
-    or stored once sorted, with its full coefficient.
+    pending sums the coefficient of each sequence not yet taken and order
+    holds them ascending.  The largest is taken first: rewriting its first
+    descent yields two smaller sequences, so every contribution to a
+    sequence has arrived when it is taken.
     """
     done: dict[PbwMonomial, int] = {}
     # Each letter is a Lyndon word, so a word is a factor sequence already.
     start = tuple((l,) for l in word)
-    buckets = {(len(start), _inversions(start)): {start: 1}}
-    while buckets:
-        count, inv = key = max(buckets)
-        for seq, coeff in buckets.pop(key).items():
-            if not inv:
-                done[seq] = coeff
-                continue
-            bad = next(i for i in range(count - 1) if seq[i] > seq[i + 1])
-            u, v = seq[bad], seq[bad + 1]
-            swapped = seq[:bad] + (v, u) + seq[bad + 2 :]
-            _accumulate(buckets.setdefault((count, inv - 1), {}), swapped, coeff)
-            merged = seq[:bad] + (v + u,) + seq[bad + 2 :]
-            fewer = (count - 1, _inversions(merged))
-            _accumulate(buckets.setdefault(fewer, {}), merged, -coeff)
+    pending = {start: 1}
+    order = [start]
+    while order:
+        seq = order.pop()
+        coeff = pending.pop(seq)
+        if not coeff:
+            continue
+        bad = next((i for i in range(len(seq) - 1) if seq[i] > seq[i + 1]), None)
+        if bad is None:
+            done[seq] = coeff
+            continue
+        u, v = seq[bad], seq[bad + 1]
+        head, tail = seq[:bad], seq[bad + 2 :]
+        for new, c in ((head + (v, u) + tail, coeff), (head + (v + u,) + tail, -coeff)):
+            if new in pending:
+                pending[new] += c
+            else:
+                pending[new] = c
+                insort(order, new)
     return done
 
 

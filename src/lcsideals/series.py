@@ -274,9 +274,10 @@ def _l_candidates(n: int, k: int, d: int, c: Content) -> Iterator[IntRow]:
 def _necklace_classes(n: int, e: int) -> dict[Content, tuple[int, ...]]:
     """Ranks of the degree-e words that are least among their rotations,
     grouped by content in rank order.  These are the powers u^(e/|u|) of
-    the Lyndon words u with |u| dividing e."""
+    the Lyndon words u with |u| dividing e, in the order of the u: u < u'
+    gives u^ω < u'^ω, and powers of length e differ in their first e."""
     out: dict[Content, list[int]] = {}
-    for w in sorted(u * (e // len(u)) for u in lyndon_words(n, e) if e % len(u) == 0):
+    for w in (u * (e // len(u)) for u in lyndon_words(n, e) if e % len(u) == 0):
         out.setdefault(word_content(n, w), []).append(word_rank(w, n))
     return {c: tuple(ranks) for c, ranks in out.items()}
 

@@ -40,7 +40,7 @@ ref_necklace_classes for the Lyndon necklaces of series, ref_l_candidates
 for the L_k candidate rows, and ref_quotient_dim, the orbit loop and N
 recursion of quotients, for series.spec_dim in a quotient, and
 ref_straighten_word, the last-in-first-out worklist of lyndon, for its
-bucketed straightening loop, and ref_swap_pair, which multiplies out
+largest-first straightening loop, and ref_swap_pair, which multiplies out
 [b_u, b_v] and peels it (lyndon_coefficients), for the one word vu that
 the loop merges a first descent u > v into.  left_ideal_span closes
 generators under left multiplication only.

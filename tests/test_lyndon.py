@@ -35,7 +35,7 @@ def test_lyndon_words_small_sets():
 
 
 def test_lyndon_words_match_rotation_definition():
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         assert lyndon_words(n, 5) == brute_lyndon_words(n, 5)
 
 
@@ -265,8 +265,8 @@ def test_bracket_of_a_standard_factorization_is_one_word():
     lyndon.clear_caches()
 
 
-# (n, largest degree) of the words on which the bucketed loop must match the
-# last-in-first-out reference
+# (n, largest degree) of the words on which the largest-first loop must match
+# the last-in-first-out reference
 REFERENCE_WORDS = ((2, 9), (3, 6), (4, 4))
 
 
@@ -294,22 +294,22 @@ def _x2_x1_power(length: int) -> Poly:
 
 @pytest.mark.parametrize("length", [8, 12, 16])
 def test_each_factor_sequence_is_rewritten_once(monkeypatch, length):
-    # the sequences x1^a·b_(1^k 2)·x1^b with b >= 1 are rewritten; the loop
-    # counts the inversions of the start and of each merged sequence, so
-    # once plus once per rewrite.  A last-in-first-out worklist made 2^L - 1
-    # rewrites
-    calls = 0
-    inversions = lyndon._inversions
+    # the sequences x1^a·b_(1^k 2)·x1^b with b >= 1 are rewritten; every
+    # sequence but the start is queued once, when it is first reached: the
+    # L(L+1)/2 rewritten plus the L+1 sorted, less the start.  A
+    # last-in-first-out worklist made 2^L - 1 rewrites
+    queued = []
+    insort = lyndon.insort
 
-    def counted(seq):
-        nonlocal calls
-        calls += 1
-        return inversions(seq)
+    def counted(order, seq):
+        queued.append(seq)
+        insort(order, seq)
 
     lyndon.clear_caches()
-    monkeypatch.setattr(lyndon, "_inversions", counted)
+    monkeypatch.setattr(lyndon, "insort", counted)
     straighten(_x2_x1_power(length))
-    assert calls == 1 + length * (length + 1) // 2
+    assert len(queued) == length * (length + 1) // 2 + length
+    assert len(set(queued)) == len(queued)
     monkeypatch.undo()
     lyndon.clear_caches()
 
