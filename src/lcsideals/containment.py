@@ -111,10 +111,10 @@ def containment_index(
     """Observed containment index of M_{i1}···M_{ik} in A_n up to a cutoff.
 
     For every degree d <= cutoff the largest s <= bound with P(d) ⊆ M_s(d)
-    is found by walking up or down from the PBW bound (first degree) or the
-    previous degree's answer; M_{s+1} ⊆ M_s, so only the M_s between start
-    and answer are built.  The observed index is the least of these maxima.
-    No M_s with s <= max(t) is built at all: each factor M_i is a two-sided
+    is found by walking down from the PBW bound (first degree) or from the
+    previous degree's answer (lemma below), building only the M_s between
+    start and answer.  The observed index is the least of these maxima.  No
+    M_s with s <= max(t) is built at all: each factor M_i is a two-sided
     ideal, so P ⊆ M_{max t} ⊆ M_s.  Only true answers are skipped, so the
     walk, per_degree and the witness row kept below come out as if tested.
 
@@ -138,23 +138,27 @@ def containment_index(
     and dominance.)  The pbw_witness assigns its letters cyclically, so its
     content is μ at its own degree and its test reuses the walk's cone.
 
-    The walk stops at the bound because P(d) ⊄ M_{bound+1}(d) at every
-    degree d.  The witness w, of degree |t| (the sum of the tuple), is a
-    product of k nonzero Lie elements, so x_1^{d-|t|}·w in P(d) is a
-    product of d - |t| + k of them and has PBW degree d - |t| + k, while
-    M_s(d) lies in PBW filtration d - s + 1, which for s = bound + 1 is
-    d - |t| + k - 1.  At d = |t| this puts the witness, of PBW degree k,
-    outside M_{bound+1}; below the bound it is tested against M_{index+1} at
-    its own degree, which makes the non-containment side definitive.
+    The walk never goes up, and stops at the bound, by a lemma: x_1 is no
+    zero divisor modulo M_s, M_s(d) ∩ x_1·A(d-1) = x_1·M_s(d-1).  The
+    derivation D with D x_1 = 1, D x_i = 0 (i ≠ 1) maps L_k into L_k by
+    induction, as D[a, l] = [Da, l] + [a, Dl], so D M_s ⊆ M_s by Leibniz on
+    a·l·b.  Let x_1·a ∈ M_s and m the x_1-degree of a.  D^j(x_1·a) =
+    x_1·D^j a + j·D^{j-1} a is in M_s, so going down from D^{m+1} a = 0,
+    D^j a ∈ M_s gives D^{j-1} a ∈ M_s over Q, down to a ∈ M_s; by symmetry
+    the same holds for every letter and on the right.  P is a left ideal,
+    so x_1·P(d-1) ⊆ P(d), and P(d) ⊆ M_s(d) gives P(d-1) ⊆ M_s(d-1):
+    per_degree never increases.  So P(d) ⊄ M_{bound+1}(d) at every degree
+    follows from d = |t|, the sum of the tuple, where the witness, a product
+    of k nonzero Lie elements, has PBW degree k and M_{bound+1}(|t|) lies in
+    PBW filtration |t| - bound = k - 1.  Below the bound the witness is
+    tested against M_{index+1} at its own degree, which makes the
+    non-containment side definitive.
 
-    If M_{index+1} holds the witness, the report takes a basis row of P the
-    walk found outside M_{index+1}: inside(s) keeps the first (d, row) at
-    which M_s fails, row the first in int_rows() order.  Let d* be the first
-    degree with per_degree[d*] = index.  Below d*, P(d) ⊆ M_{index+1}(d), so
-    no test of M_{index+1} fails there.  At d* the walk starts at some
-    s >= index + 1 and walks down to index, so it tests M_{index+1}, and that
-    test fails.  The row kept is therefore the first row of the first degree
-    where P leaves M_{index+1}, the one a rescan of the blocks would find.
+    If M_{index+1} holds the witness, the report takes the first (d, row),
+    row first in int_rows() order, at which inside(index + 1) failed.  P
+    stays in M_{index+1} below the first degree d* with per_degree = index,
+    and at d* the walk comes down through index + 1: the row is the first
+    row of the first degree where P leaves M_{index+1}, as a rescan finds.
     """
     t = factor_indices(indices)
     total = sum(t)
@@ -180,12 +184,7 @@ def containment_index(
                 outside.setdefault(s, (d, row))
             return row is None
 
-        s = per_degree.get(d - 1, upper)
-        if inside(s):
-            s = next((u - 1 for u in range(s + 1, upper + 1) if not inside(u)), upper)
-        else:
-            s = next(u for u in range(s - 1, 0, -1) if inside(u))
-        per_degree[d] = s
+        per_degree[d] = next(s for s in range(per_degree.get(d - 1, upper), 0, -1) if inside(s))
 
     index = min(per_degree.values())
 
@@ -286,8 +285,9 @@ def check_open_elements(cutoff: int = 6) -> list[dict]:
     """Membership of the three degree-6 test elements in M_5(A_3).
 
     Each element is checked in its own degree 6; with cutoff 7 the
-    one-letter padded products are checked in degree 7 as well.  No other
-    degree is checked, so no other cutoff is accepted.
+    one-letter padded products are checked in degree 7 as well, and no other
+    cutoff is accepted.  No letter is a zero divisor modulo M_5 (the lemma of
+    containment_index), so the degree-7 rows must equal the degree-6 rows.
     """
     if cutoff not in (6, 7):
         raise ValueError(f"cutoff must be 6 or 7, got {cutoff}")

@@ -12,10 +12,11 @@ brackets every monomial (not one per necklace) with l_span, and
 whole_l_span, whole_m_span and whole_product_span build each degree in one
 piece, the reference for the letter-content blocks of series, which
 ascending_per_degree uses to test M_s for ascending s.  sorted_per_degree
-walks like containment_index but tests every sorted content, the reference
-for its one balanced block per degree.  search_witness rescans the
-balanced blocks for a row outside M_{index+1}, the reference for the row
-the walk of containment_index keeps.  ref_add, ref_mul, ref_scale and
+walks up or down, without the lemma that lets containment_index walk only
+down, and tests every sorted content, the reference for its one balanced
+block per degree.  search_witness rescans the balanced blocks for a row
+outside M_{index+1}, the reference for the row the walk of
+containment_index keeps.  ref_add, ref_mul, ref_scale and
 ref_bracket redo the arithmetic of Poly on plain word -> Fraction dicts,
 the reference for its int-first kernel and its one-pass bracket.
 ref_parse_expr is the character-at-a-time parser that builds a Poly per
@@ -695,9 +696,11 @@ def ascending_per_degree(n: int, indices: tuple[int, ...], cutoff: int) -> dict[
 
 
 def sorted_per_degree(n: int, indices: tuple[int, ...], cutoff: int) -> dict[int, int]:
-    """Per degree, the largest s with P(d) ⊆ M_s(d) found by the walk of
-    containment_index, with P(d)[c] ⊆ M_s(d)[c] tested on every sorted
-    content c (S_n symmetry alone) in place of the one balanced block."""
+    """Per degree, the largest s with P(d) ⊆ M_s(d) found by a walk from
+    the PBW bound or the previous degree's answer, with P(d)[c] ⊆ M_s(d)[c]
+    tested on every sorted content c (S_n symmetry alone) in place of the
+    one balanced block.  The walk goes up as well as down: it does not use
+    the lemma of containment_index that per_degree never increases."""
     upper = bound_report(n, indices)[1]
     per_degree: dict[int, int] = {}
     for d in range(sum(indices), cutoff + 1):

@@ -1,5 +1,7 @@
 import json
+from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from lcsideals.containment import (
     _H,
 )
 from lcsideals.freealg import Poly, bracket
+from lcsideals.linalg import extension_dim, word_rank
 from lcsideals.lyndon import is_lyndon, pbw_degree
 from lcsideals import containment, series
 from lcsideals.series import (
@@ -91,12 +94,33 @@ def test_a3_sample_of_the_sum_at_most_7_table_reaches_the_pbw_bound(t):
 def test_walking_search_matches_ascending_loop():
     # the ascending reference tests up to bound + 1 on whole-degree spans and
     # uses no symmetry, so both theorems the walk rests on, the stop at the
-    # bound and the one balanced block, are checked by computation here; the
-    # sorted reference is the same walk over every sorted content
+    # bound and the one balanced block, are checked by computation here, and
+    # so is the third, that per_degree never increases; the sorted reference
+    # is a walk up or down over every sorted content
     for n, t, cutoff in WALK_CELLS:
         got = containment_index(n, t, cutoff).per_degree
-        assert got == ascending_per_degree(n, t, cutoff), (n, t)
+        ascending = ascending_per_degree(n, t, cutoff)
+        assert got == ascending, (n, t)
         assert got == sorted_per_degree(n, t, cutoff), (n, t)
+        assert all(ascending[d] <= ascending[d - 1] for d in range(sum(t) + 1, cutoff + 1)), (n, t)
+
+
+@pytest.mark.parametrize("n, d_max", [(2, 8), (3, 7), (4, 6)])
+def test_no_letter_is_a_zero_divisor_modulo_m(n, d_max):
+    # the lemma of containment_index: M_s(d) ∩ x_i·A(d-1) = x_i·M_s(d-1),
+    # and the same on the right, so the words of content c that begin (end)
+    # with x_i meet M_s(d)[c] in a space of dimension dim M_s(d-1)[c - e_i]
+    for d in range(2, d_max + 1):
+        units = defaultdict(list)  # (side, c, c - e_i) -> unit rows
+        for w in product(range(1, n + 1), repeat=d):
+            row = {word_rank(w, n): 1}
+            c = word_content(n, w)
+            units["begin", c, word_content(n, w[1:])].append(row)
+            units["end", c, word_content(n, w[:-1])].append(row)
+        for s in range(2, 6):
+            for (side, c, rest), X in units.items():
+                meet = len(X) - extension_dim(m_span(n, s, d, c), X)
+                assert meet == m_span(n, s, d - 1, rest).dim, (n, s, side, c, rest)
 
 
 def test_containment_builds_only_the_balanced_cone():
@@ -193,7 +217,19 @@ def test_walk_down_to_the_largest_factor_builds_no_m_of_it():
         ],
     }
     built = {key[3] for key in series._span_cache if key[:3] == ("M", 4, (2,))}
-    assert built == {2, 3}
+    assert built == {2}
+    # per_degree[4] = 2 ends the walk: degree 5 starts at 2 and builds nothing
+    assert not [key for key in series._span_cache if key[3] == 5]
+
+
+@pytest.mark.parametrize("n, cutoff", [(4, 10), (5, 9), (6, 8)])
+def test_22_on_four_or_more_generators_stays_at_two_and_builds_only_degree_four(n, cutoff):
+    # per_degree[4] = 2 = max t, and per_degree never increases, so every
+    # later degree answers 2 without a build
+    series.clear_caches()
+    rep = containment_index(n, (2, 2), cutoff)
+    assert rep.per_degree == {d: 2 for d in range(4, cutoff + 1)}
+    assert max(key[3] for key in series._span_cache) == 4
 
 
 def test_report_is_a_value():
