@@ -28,7 +28,7 @@ import time
 
 from . import __version__
 from .exprs import ExprDegreeError, ExprSyntaxError, count, parse_expr, poly_to_expr, read_indices
-from .freealg import IDENTITY_NAMES, verify_identity
+from .freealg import IDENTITY_NAMES, check_count, verify_identity
 from .lyndon import pbw_degree
 
 EXIT_OK = 0
@@ -38,6 +38,9 @@ EXIT_MISMATCH = 2
 HARD_DEGREE_CAP = 10
 # the largest component the degree cap allows with n <= 3
 HARD_SIZE_CAP = 3**HARD_DEGREE_CAP
+# the words of the balanced block of A_5 at degree 8; the largest that the
+# caps above allow is A_3 at degree 10, with 4200
+HARD_BLOCK_CAP = 5040
 
 
 def canonical_json(obj) -> str:
@@ -68,18 +71,49 @@ def emit(args, result, n=None, cutoff=None, csv_text: str | None = None) -> None
         sys.stdout.write(text)
 
 
-def _check_degree_cap(n: int, degree: int, force: bool) -> None:
-    if force:
-        return
+def _refuse_degree(degree: int) -> None:
     if degree > HARD_DEGREE_CAP:
         raise SystemExit(
             f"degree {degree} exceeds the safety cap {HARD_DEGREE_CAP}; "
             "pass --force to override"
         )
+
+
+def _check_degree_cap(n: int, degree: int, force: bool) -> None:
+    if force:
+        return
+    _refuse_degree(degree)
     if n ** max(degree, 0) > HARD_SIZE_CAP:
         raise SystemExit(
             f"component size {n}^{degree} exceeds the safety cap "
             f"3^{HARD_DEGREE_CAP}; pass --force to override"
+        )
+
+
+def _check_block_cap(n: int, degree: int, force: bool) -> None:
+    """The caps of the verbs that ask only the balanced block of a degree
+    (containment, witness, conjecture-sweep), in place of n^degree: the
+    degree cap; n^⌈degree/2⌉, the entries of the rank tables that relabel
+    the blocks beside it (series._rank_tables), and at least n, the entries
+    of a content; and the words of that block."""
+    check_count(n)
+    if force:
+        return
+    _refuse_degree(degree)
+    d = max(degree, 0)
+    half = max(d - d // 2, 1)
+    if n**half > HARD_SIZE_CAP:
+        raise SystemExit(
+            f"rank tables of {n}^{half} entries (n = {n}, degree {degree}) "
+            f"exceed the safety cap 3^{HARD_DEGREE_CAP}; pass --force to override"
+        )
+    from .series import balanced_content, word_count
+
+    words = word_count(balanced_content(n, d))
+    if words > HARD_BLOCK_CAP:
+        raise SystemExit(
+            f"balanced block of {words} words (n = {n}, degree {degree}) exceeds "
+            f"the safety cap {HARD_BLOCK_CAP}; pass --force to override"
         )
 
 
@@ -117,7 +151,7 @@ def cmd_containment(args) -> int:
 
     indices = read_indices(args.tuple)
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff(indices)
-    _check_degree_cap(args.n, cutoff, args.force)
+    _check_block_cap(args.n, cutoff, args.force)
     report = containment_index(args.n, indices, cutoff)
     emit(args, report.to_json_obj(), n=args.n, cutoff=cutoff)
     return EXIT_OK
@@ -129,7 +163,7 @@ def cmd_witness(args) -> int:
 
     indices = read_indices(args.tuple)
     degree = sum(indices)  # capped before the witness, whose terms multiply per factor
-    _check_degree_cap(args.n, degree, args.force)
+    _check_block_cap(args.n, degree, args.force)
     w = pbw_witness(args.n, indices)
     target = bound_report(args.n, indices)[1] + 1
     inside = spec_contains(IdealSpec("M", args.n, index=target), w)
@@ -287,7 +321,7 @@ def cmd_conjecture_sweep(args) -> int:
     _check_least("--n-max", args.n_max, 2)
     _check_least("--k-max", args.k_max, 1)
     cap = default_cutoff((2,) * args.k_max) if args.cutoff is None else args.cutoff
-    _check_degree_cap(args.n_max, cap, args.force)
+    _check_block_cap(args.n_max, cap, args.force)
     rows = conjecture_2k_sweep(args.n_max, args.k_max, args.cutoff)
     emit(args, rows, n=args.n_max, cutoff=args.cutoff)
     return EXIT_OK

@@ -20,6 +20,22 @@ rows (int_rows, pivot_words, row_polys, the pads of from_pads) echelonize
 an unordered one, once (_echelon).  residues(rows) inserts the residues of
 rows modulo a basis, which builds every span (from_rows), extension
 (extension_dim) and left-ideal step (from_pads).
+
+A left-ideal step (from_pads) is held in two tiers until its rows are read
+in order: the pads, shifted copies of reduced rows one degree down and so
+reduced among themselves, and the side rows, the residues of the offered
+rows modulo the pads, reduced among themselves and holding no pad pivot.
+The pads may hold side pivots, so the two tiers together are not reduced,
+but two passes clear a vector: one over the pad pivots it holds, which
+leaves no pad pivot, and then one over the side pivots it holds, which
+brings none back.  What is left is zero if and only if the vector lies in
+the span: a combination of the rows is zero at every pad pivot only if each
+pad coefficient is, for no other row holds that pivot, and then at every
+side pivot only if each side coefficient is.  So membership, dimension
+(pads plus side) and residues never complete the block; the first ordered
+read does, by clearing the side pivots from copies of the pad rows that
+hold one.  That changes no side row, and every pad row keeps its pivot, so
+the side tier is the set of rows that the block adds beside its pads.
 """
 
 from __future__ import annotations
@@ -89,22 +105,32 @@ def _strip(row: IntRow) -> IntRow:
 class GradedSubspace:
     """Span of homogeneous degree-d elements, as a reduced basis.
 
+    _tiers is (rows, side): side holds the side rows of a left-ideal step
+    (from_pads) while they are kept apart from its pads, rows; it is empty
+    for every other basis, and for a step once it is completed.  Each tier
+    is reduced and no side row holds a pad pivot, so a pass over the pads
+    and then one over the side rows clear a vector (_clear), and the
+    dimension is the sum of the two.  The pair is one object, so a reader
+    sees the two tiers or the completed rows, never a mix.  _side keeps the
+    side rows of a step after completion.
     _ordered says that the basis is the reduced echelon form (pivot =
-    largest word of its row); it is false only for from_reduced and for a
-    direct_sum of parts of which one is unordered, until _echelon.
+    largest word of its row); it is false only for from_reduced, for a step
+    with side rows apart, and for a direct_sum of parts of which one is
+    unordered, until _echelon.
     Mutable (single writer) until freeze(); frozen instances are immutable
-    and safe to share: echelonizing swaps in a new row dict, and concurrent
+    and safe to share: echelonizing swaps in a new pair, and concurrent
     readers see either basis.
     """
 
-    __slots__ = ("n", "degree", "_rows", "_frozen", "_ordered", "_parts")
+    __slots__ = ("n", "degree", "_tiers", "_side", "_frozen", "_ordered", "_parts")
 
     def __init__(self, n: int, degree: int):
         if n < 1 or degree < 0:
             raise ValueError("need n >= 1 and degree >= 0")
         self.n = n
         self.degree = degree
-        self._rows: dict[int, IntRow] = {}
+        self._side: dict[int, IntRow] = {}
+        self._tiers: tuple[dict[int, IntRow], dict[int, IntRow]] = ({}, self._side)
         self._frozen = False
         self._ordered = True
         self._parts: tuple[GradedSubspace, ...] = ()
@@ -123,14 +149,17 @@ class GradedSubspace:
         """Frozen sum of frozen subspaces whose supports are pairwise
         disjoint, sharing their row dicts: reduced rows with disjoint
         supports are together again reduced, so no elimination is needed.
-        The sum is unordered if a part is, and is then ordered part by
-        part."""
+        A part with side rows apart is completed first.  The sum is
+        unordered if a part is, and is then ordered part by part."""
         S = cls(n, degree)
         S._parts = parts = tuple(parts)
+        for part in parts:
+            if part._tiers[1]:
+                part._echelon()
         # flags before rows: a part ordered meanwhile has swapped its rows first
         S._ordered = all(part._ordered for part in parts)
         for part in parts:
-            S._rows.update(part._rows)
+            S._tiers[0].update(part._tiers[0])
         S._frozen = True
         return S
 
@@ -141,7 +170,7 @@ class GradedSubspace:
         another.  It is taken as it is, and echelonized by from_rows, in the
         order of rows, when its rows are first read in order."""
         S = cls(n, degree)
-        S._rows = rows
+        S._tiers = (rows, {})
         S._ordered = False
         S._frozen = True
         return S
@@ -160,53 +189,78 @@ class GradedSubspace:
         The left pads of b's reduced echelon rows (b is echelonized first
         if it is not) are reduced again, with distinct pivots
         i·n^(d-1) + pivot, so they go in as copies.  The residues of
-        rows modulo the pads are echelonized apart; their pivots are then
-        cleared from the pad rows, and the two row sets merged.
+        rows modulo the pads are echelonized apart, as the side rows, and
+        kept apart: the block is returned in two tiers, unordered, and is
+        completed when its rows are first read in order (_echelon).  With no
+        side row the pads alone are the reduced echelon form.
         """
         S = cls(n, degree)
-        pad_rows = S._rows
+        pad_rows = S._tiers[0]
         top = n ** (degree - 1)
         for i, prev in pads:
             base = i * top
             for p, row in prev._echelon().items():
                 pad_rows[base + p] = {base + r: c for r, c in row.items()}
-        side = S.residues(rows)
-        if side._rows:
-            for p, row in pad_rows.items():
-                pad_rows[p] = _strip(side._clear(row))
-            pad_rows.update(side._rows)
+        S._side = side = S.residues(rows)._tiers[0]
+        if side:
+            S._tiers = (pad_rows, side)
+            S._ordered = False
         return S.freeze()
 
     def _echelon(self) -> dict[int, IntRow]:
         """The stored rows in reduced echelon form, echelonizing them on the
-        first call: a union part by part, any other basis by from_rows in
-        the order of its rows.  The new dict is swapped in before the flag
-        is set, and no row dict is edited in place, because unions share
-        them."""
+        first call.  Two tiers are completed: the side pivots are cleared
+        from copies of the pad rows that hold one, and the side rows join
+        them unchanged.  A pad row keeps its pivot p, because a side pivot
+        s in it is below p and so is every word of the side row of s; then
+        no row holds another's pivot and each pivot is its row's largest
+        word, which is the reduced echelon form.  A union is ordered part
+        by part, any other basis by from_rows in the order of its rows.
+        The new rows are swapped in with an empty side tier, as one pair,
+        before the flag is set, and no row dict is edited in place, because
+        unions and readers share them."""
         if not self._ordered:
-            if self._parts:
-                rows: dict[int, IntRow] = {}
+            rows, side = self._tiers
+            if side:
+                rows = {
+                    p: _strip(self._clear_tier(dict(row), side))
+                    if not side.keys().isdisjoint(row) else row
+                    for p, row in rows.items()
+                }
+                rows.update(side)
+            elif self._parts:
+                rows = {}
                 for part in self._parts:
                     rows.update(part._echelon())
             else:
-                rows = type(self).from_rows(self.n, self.degree, self._rows.values())._rows
-            self._rows = rows
+                rows = type(self).from_rows(self.n, self.degree, rows.values())._tiers[0]
+            self._tiers = (rows, {})
             self._ordered = True
-        return self._rows
+        return self._tiers[0]
 
     # -- core reduction -------------------------------------------------
 
     def _clear(self, vec: IntRow) -> IntRow:
-        """Eliminate every pivot of vec, in one pass over those it holds.
+        """Eliminate every pivot of vec: one pass over the stored rows, then,
+        if side rows are apart, one over theirs (see the module docstring).
 
         Exact up to a positive scalar, which is all membership and rank
-        need.  The stored rows are reduced, in echelon order or not, so
-        eliminating one pivot never brings in or cancels another, and the
-        order of the pass is free.
+        need.  Each tier is reduced, in echelon order or not, so eliminating
+        one of its pivots never brings in or cancels another of the same
+        tier, and the order of a pass is free.  The pads may hold side
+        pivots, so the side pass takes its pivots after the pad pass; no
+        side row holds a pad pivot, so it brings none back.
         """
-        rows = self._rows
+        rows, side = self._tiers
+        self._clear_tier(vec, rows)
+        return self._clear_tier(vec, side) if side else vec
+
+    @classmethod
+    def _clear_tier(cls, vec: IntRow, rows: dict[int, IntRow]) -> IntRow:
+        """Eliminate the pivots of the reduced rows that vec holds, in one
+        pass."""
         for r in [r for r in vec if r in rows]:
-            self._eliminate(vec, rows[r], r, vec[r])
+            cls._eliminate(vec, rows[r], r, vec[r])
         return vec
 
     @staticmethod
@@ -241,7 +295,7 @@ class GradedSubspace:
             return False
         vec = _strip(vec)
         pivot = max(vec)
-        rows = self._rows
+        rows = self._tiers[0]
         for p, row in rows.items():
             if pivot in row:
                 self._eliminate(row, vec, pivot, row[pivot])
@@ -278,7 +332,8 @@ class GradedSubspace:
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        rows, side = self._tiers
+        return len(rows) + len(side)
 
     def contains_row(self, vec: IntRow) -> bool:
         return not self._clear(dict(vec))

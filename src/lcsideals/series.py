@@ -39,10 +39,13 @@ degree (balanced_content; the proof is in containment.containment_index).
 Dimensions still need every sorted block: dim U[c] = Σ_λ m_λ K_{λc} over
 the irreducibles V_λ of U is triangular in the Kostka matrix, not
 diagonal, so no single block gives it.  A relabelled block is a reduced
-basis out of echelon order; membership, dimension and containment use it
-as it is, and it is re-echelonized once, when its rows are read in order:
-as left pads (from_pads copies those without elimination), as bracket or
-product rows, or by a caller of int_rows.
+basis out of echelon order, and a block built by from_pads holds its pads
+and its side rows in two tiers; membership, dimension and containment use
+either as it is, and it is put in echelon order once, when its rows are
+read in order: as left pads (from_pads copies those without elimination),
+as bracket or product rows, as the rows to relabel, in a whole-degree
+union, or by a caller of int_rows.  The side tier of a built M or P block
+is its G (see m_span), kept after that.
 
 Span closures of explicit generators, which need not be multihomogeneous,
 grow by left and right padding plus new rows over whole degrees
@@ -109,6 +112,11 @@ def balanced_content(n: int, d: int) -> Content:
     d with at most n parts in dominance order."""
     q, r = divmod(d, n)
     return (q + 1,) * r + (q,) * (n - r)
+
+
+def word_count(c: Content) -> int:
+    """The number of words of content c, the dimension of its block."""
+    return factorial(sum(c)) // prod(map(factorial, c))
 
 
 def orbit_sum(n: int, d: int, block_dim: Callable[[Content], int]) -> int:
@@ -326,9 +334,11 @@ def m_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
 
     The blocks take far fewer rows, as blocks of the two-sided ideal
     J = M_k + P, P a product ideal (0 here; see spec_dim).  Let G(d-1) be
-    the rows of J(d-1) whose pivots are not those of its left pads, so
-    J(d-1) = V·J(d-2) + span G(d-1), C(d-1) the residues of L_{k-1}(d-1)
-    modulo J(d-1), and S(d) those rows of P(d).  Then
+    the side tier of J(d-1) (GradedSubspace.from_pads): the residues of
+    its offered rows modulo its left pads, reduced, which are also its
+    ordered rows whose pivots are not those of the pads.  So
+    J(d-1) = V·J(d-2) + span G(d-1).  Let C(d-1) be the residues of
+    L_{k-1}(d-1) modulo J(d-1), and S(d) those rows of P(d).  Then
     J(d) = V·J(d-1) + G(d-1)·V + [V, C(d-1)] + span S(d), for the
     recursions of M_k and P give J(d) = V·J(d-1) + [V, L_{k-1}(d-1)] +
     span S(d).  Each row on the right lies in J(d): x·j and g·y in the
@@ -442,18 +452,17 @@ def _m_rows(n: int, index: tuple[int, ...], d: int, c: Content) -> Iterator[IntR
 
 def _side_rows(side: str, n: int, owner: tuple, d: int, c: Content) -> dict[int, IntRow]:
     """The side rows of block c of the degree-d piece of owner = (kind,
-    index), keyed by pivot (see m_span).  G: its rows, in descending order,
-    whose pivots are not those of its left pads.  C (an M owner, index
-    (r,) + ...): the residues of L_{r-1}(d)[c] modulo the block."""
+    index), keyed by pivot (see m_span).  G: the side tier of the block
+    (GradedSubspace.from_pads), the rows beside its left pads, in
+    descending order.  C (an M owner, index (r,) + ...): the residues of
+    L_{r-1}(d)[c] modulo the block."""
     kind, index = owner
     block = _span(kind, n, index, d, c)
     if side == "C":
         rows = _span("L", n, index[0] - 1, d, c).int_rows()
         rows = block.residues(rows).int_rows() if block.dim else rows
         return {max(row): row for row in rows}
-    top = n ** (d - 1)
-    taken = {x * top + p for x, b in _pads(kind, n, index, d, c) for p in b._echelon()}
-    return {p: row for p, row in sorted(block._echelon().items(), reverse=True) if p not in taken}
+    return dict(sorted(block._side.items(), reverse=True))
 
 
 # -- index tuples and ideal specifications ----------------------------------
@@ -572,7 +581,7 @@ def spec_dim(spec: IdealSpec, d: int, mod: tuple[int, ...] = ()) -> int:
 
     def j_dim(s: int, c: Content) -> int:
         if s == 1:  # the words of content c
-            return factorial(d) // prod(map(factorial, c))
+            return word_count(c)
         return _span("M", n, (s,) + mod, d, c).dim
 
     low = k + 1 if spec.kind == "N" else d + 2  # J_{d+2}(d) = I(d)

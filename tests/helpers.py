@@ -444,7 +444,7 @@ class RefSubspace(GradedSubspace):
         need.  Valid only against reduced rows, which bring in no other
         pivot.
         """
-        rows = self._rows
+        rows = self._tiers[0]
         for r in sorted((r for r in vec if r != own and r in rows), reverse=True):
             self._eliminate(vec, rows[r], r, vec[r])
         return vec
@@ -453,7 +453,7 @@ class RefSubspace(GradedSubspace):
         """Eliminate pivot coordinates of vec against the stored rows."""
         if self._frozen:
             return self._clear(vec)
-        rows = self._rows
+        rows = self._tiers[0]
         while vec:
             m = max(vec)
             row = rows.get(m)
@@ -469,14 +469,14 @@ class RefSubspace(GradedSubspace):
         vec = self._reduce(vec)
         if not vec:
             return False
-        self._rows[max(vec)] = _strip(vec)
+        self._tiers[0][max(vec)] = _strip(vec)
         return True
 
     def freeze(self) -> "RefSubspace":
         """Back-eliminate to reduced echelon form and make immutable."""
         if self._frozen:
             return self
-        rows = self._rows
+        rows = self._tiers[0]
         for pivot in sorted(rows):
             rows[pivot] = _strip(self._clear(rows[pivot], pivot))
         self._frozen = True
@@ -521,13 +521,13 @@ def _left_ideal_step(
     the reference for from_pads.
     """
     S = RefSubspace(n, d)
-    rows = S._rows
+    rows = S._tiers[0]
     top = n ** (d - 1)
     for i, prev in pads:
         base = i * top
         for p, row in prev._echelon().items():
             rows[base + p] = {base + r: c for r, c in row.items()}
-    rows.update(S.residues(extra_rows)._rows)
+    rows.update(S.residues(extra_rows)._tiers[0])
     return S.freeze()
 
 
@@ -558,6 +558,18 @@ def ref_j_block(n: int, r: int, mod: tuple[int, ...], d: int, c: tuple[int, ...]
     indices mod, echelonized from the rows of block c of M_r and of P."""
     rows = [*m_span(n, r, d, c).int_rows(), *product_span(n, mod, d, c).int_rows()]
     return RefSubspace.from_rows(n, d, rows)
+
+
+def taken_scan_side_rows(n: int, owner: tuple, d: int, c: tuple[int, ...]) -> dict[int, IntRow]:
+    """The side rows G of block c of owner = (kind, index) by their first
+    definition: the rows of the ordered block, in descending pivot order,
+    whose pivots are not those of its left pads.  Reads the block in order,
+    so it completes a block held in two tiers."""
+    kind, index = owner
+    block = _span(kind, n, index, d, c)
+    top = n ** (d - 1)
+    taken = {x * top + p for x, b in _pads(kind, n, index, d, c) for p in b._echelon()}
+    return {p: row for p, row in sorted(block._echelon().items(), reverse=True) if p not in taken}
 
 
 def oracle_l_span(n: int, k: int, d: int) -> GradedSubspace:
@@ -902,12 +914,16 @@ def filtration_space(n: int, r: int, d: int) -> GradedSubspace:
 
 
 def assert_reduced(S: GradedSubspace) -> None:
-    """Each stored row is keyed by a pivot column that it holds with a
-    positive coefficient and no other row holds, and is content-stripped: a
-    reduced basis, in echelon order or not."""
-    for pivot, row in S._rows.items():
-        assert row[pivot] > 0 and gcd(*row.values()) == 1
-        assert all(k == pivot or k not in S._rows for k in row)
+    """In each tier, each stored row is keyed by a pivot column that it
+    holds with a positive coefficient and no other row of the tier holds,
+    and is content-stripped: a reduced basis, in echelon order or not.  No
+    side row holds a pad pivot."""
+    rows, side = S._tiers
+    for tier in (rows, side):
+        for pivot, row in tier.items():
+            assert row[pivot] > 0 and gcd(*row.values()) == 1
+            assert all(k == pivot or k not in tier for k in row)
+    assert all(rows.keys().isdisjoint(row) for row in side.values())
 
 
 def assert_echelon(S: GradedSubspace) -> None:

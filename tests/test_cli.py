@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from lcsideals import __version__
-from lcsideals.cli import _check_degree_cap, main
+from lcsideals.cli import _check_block_cap, _check_degree_cap, main
 from lcsideals.series import SpanIdeal, generators_S, m_span
 
 
@@ -275,6 +275,32 @@ def test_size_cap_limits_component_size():
         _check_degree_cap(n, degree, force=False)
 
 
+def test_block_cap_limits_the_balanced_block():
+    # containment, witness and conjecture-sweep ask one block per degree:
+    # A_3 at degree 10 has 4200 words, A_4 and A_5 at degree 8 2520 and 5040
+    for n, degree in ((2, 10), (3, 10), (4, 8), (5, 8), (9, 5)):
+        _check_block_cap(n, degree, force=False)
+    for n, degree in ((4, 9), (5, 9), (6, 8), (2, 11), (300, 7), (59050, 0)):
+        with pytest.raises(SystemExit, match="cap"):
+            _check_block_cap(n, degree, force=False)
+        _check_block_cap(n, degree, force=True)
+
+
+def test_containment_on_four_generators_at_degree_eight_needs_no_force(capsys):
+    code, out, err = run(capsys, "containment", "--n", "4", "--tuple", "2,2,2", "--cutoff", "8")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["index"] == 4
+
+
+def test_block_cap_refusal_names_the_block_size(capsys):
+    code, out, err = run(capsys, "containment", "--n", "4", "--tuple", "2,2,2", "--cutoff", "9")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: balanced block of 7560 words (n = 4, degree 9) exceeds the safety cap 5040; "
+        "pass --force to override\n"
+    )
+
+
 # one invocation per verb, with the n and cutoff its report envelope carries
 ENVELOPES = [
     ("dims --n 2 --ideal M3 --max-degree 4", 2, 4),
@@ -343,6 +369,20 @@ def test_report_envelope(capsys, line, n, cutoff):
             "generator count must be >= 1",
         ),
         (["structure-check", "--which", "r22", "--n", "0"], "generator count must be >= 1"),
+        # the balanced block caps: no divmod by zero, and n is capped beside
+        # the words of the block, which stop growing with n from n = degree on
+        (["containment", "--n", "0", "--tuple", "2,2"], "generator count must be >= 1"),
+        (["witness", "--n", "0", "--tuple", "2,2"], "generator count must be >= 1"),
+        (
+            ["containment", "--n", "300", "--tuple", "2,2,2", "--cutoff", "7"],
+            "rank tables of 300^4 entries (n = 300, degree 7) exceed the safety cap 3^10; "
+            "pass --force to override",
+        ),
+        (
+            ["witness", "--n", "1000", "--tuple", "3,4"],
+            "rank tables of 1000^4 entries (n = 1000, degree 7) exceed the safety cap 3^10; "
+            "pass --force to override",
+        ),
     ],
 )
 def test_refusal_message_and_exit_code(capsys, tmp_path, argv, message):

@@ -251,7 +251,7 @@ def test_from_rows_equals_the_reference_echelon(case):
     n, d, rows = case
     offered = [dict(r) for r in rows]
     got, want = GradedSubspace.from_rows(n, d, rows), RefSubspace.from_rows(n, d, rows)
-    assert got._rows == want._rows
+    assert got._echelon() == want._echelon()
     assert got.pivot_words() == want.pivot_words()
     assert rows == offered
 
@@ -274,11 +274,11 @@ def test_freeze_changes_no_row(case):
     S = GradedSubspace(n, d)
     for row in rows:
         S.insert_row(dict(row))
-    held = dict(S._rows)
+    held = dict(S._echelon())
     values = {p: dict(row) for p, row in held.items()}
     S.freeze()
-    assert S._rows == values
-    assert all(S._rows[p] is row for p, row in held.items())
+    assert S._echelon() == values
+    assert all(S._echelon()[p] is row for p, row in held.items())
 
 
 def test_from_pads_leaves_pads_and_offered_rows_as_they_were():
@@ -289,13 +289,52 @@ def test_from_pads_leaves_pads_and_offered_rows_as_they_were():
         for x in range(n)
     ]
     rows = [poly_to_introw(random_homogeneous(rng, n, d, terms=6), n, d) for _ in range(12)]
-    pad_rows = [{p: dict(row) for p, row in b._rows.items()} for _, b in pads]
+    pad_rows = [{p: dict(row) for p, row in b._echelon().items()} for _, b in pads]
     offered = [dict(r) for r in rows]
     S = GradedSubspace.from_pads(n, d, pads, rows)
-    assert [b._rows for _, b in pads] == pad_rows
+    assert [b._echelon() for _, b in pads] == pad_rows
     assert rows == offered
     assert_echelon(S)
     top = n ** (d - 1)
     padded = [{x * top + r: c for r, c in row.items()} for x, b in pads for row in b.int_rows()]
     want = RefSubspace.from_rows(n, d, padded + rows)
-    assert S._rows == want._rows
+    assert S._echelon() == want._echelon()
+
+
+def test_from_pads_keeps_its_side_rows_apart_until_read_in_order():
+    # the pads hold side pivots, so the side pass must take its pivots after
+    # the pad pass; completing copies the pad rows that hold one
+    rng = Random(29)
+    n, d = 2, 6
+    below = [[random_homogeneous(rng, n, d - 1) for _ in range(8)] for _ in range(n)]
+    pads = [(x, GradedSubspace.from_rows(n, d - 1, below[x])) for x in range(n)]
+    rows = [poly_to_introw(random_homogeneous(rng, n, d, terms=8), n, d) for _ in range(10)]
+    S = GradedSubspace.from_pads(n, d, pads, rows)
+    pad_rows, side = S._tiers
+    assert side is S._side and not S._ordered
+    assert any(not side.keys().isdisjoint(row) for row in pad_rows.values())
+    top = n ** (d - 1)
+    padded = [{x * top + r: c for r, c in row.items()} for x, b in pads for row in b.int_rows()]
+    want = RefSubspace.from_rows(n, d, padded + rows)
+    members = list(want.int_rows())
+    sums = [{r: a.get(r, 0) + b.get(r, 0) for r in {*a, *b}} for a, b in zip(members, members[1:])]
+    others = [poly_to_introw(random_homogeneous(rng, n, d), n, d) for _ in range(20)]
+    probes = members + sums + rows + others
+    assert S.dim == want.dim
+    assert all(S.contains_row(row) for row in members + sums + rows)
+    assert [S.contains_row(v) for v in probes] == [want.contains_row(v) for v in probes]
+    assert extension_dim(S, others) == extension_dim(want, others)
+    assert S._tiers == (pad_rows, side)
+    held = {p: dict(row) for p, row in pad_rows.items()}
+    assert S._echelon() == want._echelon() and S._ordered and not S._tiers[1]
+    assert pad_rows == held and S._side is side
+    assert all(S._echelon()[p] is row for p, row in side.items())
+    assert S.dim == want.dim and S._tiers[0] is S._echelon()
+
+
+def test_from_pads_with_no_side_row_is_ordered_at_once():
+    n, d = 2, 4
+    prev = GradedSubspace.from_rows(n, d - 1, [{5: 1, 2: -1}, {3: 2, 0: 1}])
+    S = GradedSubspace.from_pads(n, d, [(0, prev), (1, prev)], [{13: 1, 10: -1}])
+    assert S._ordered and not S._tiers[1] and not S._side and S.dim == 4
+    assert_echelon(S)

@@ -108,7 +108,7 @@ def test_j_blocks_are_the_echelon_form_of_m_r_plus_the_product():
         assert any(list(key[4]) != sorted(key[4], reverse=True) for key, _ in blocks)
         for key, S in blocks:
             assert key[2][1:] == mod
-            assert S._echelon() == reference_block(*key)._rows, key
+            assert S._echelon() == reference_block(*key)._echelon(), key
             compared += 1
     assert compared > 300
 

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from copy import copy
 from itertools import permutations
 from pathlib import Path
 from random import Random
@@ -54,6 +55,7 @@ from helpers import (
     ref_necklace_classes,
     reference_block,
     subspaces_equal,
+    taken_scan_side_rows,
     whole_l_span,
     whole_m_span,
     whole_product_span,
@@ -88,7 +90,7 @@ def test_l_span_necklace_build_matches_full_slot_brackets():
         for k in range(3, 7):
             for d in range(k, d_max + 1):
                 want = GradedSubspace.from_rows(n, d, full_slot_l_candidates(n, k, d))
-                assert l_span(n, k, d)._echelon() == want._rows, (n, k, d)
+                assert l_span(n, k, d)._echelon() == want._echelon(), (n, k, d)
 
 
 def test_necklace_representatives_are_one_per_rotation_class():
@@ -170,11 +172,11 @@ def test_block_unions_match_whole_degree_builds():
     for n, d_max in ((2, 9), (3, 6)):
         for d in range(d_max + 1):
             for k in range(1, 7):
-                assert l_span(n, k, d)._echelon() == whole_l_span(n, k, d)._rows, (n, k, d)
-                assert m_span(n, k, d)._echelon() == whole_m_span(n, k, d)._rows, (n, k, d)
+                assert l_span(n, k, d)._echelon() == whole_l_span(n, k, d)._echelon(), (n, k, d)
+                assert m_span(n, k, d)._echelon() == whole_m_span(n, k, d)._echelon(), (n, k, d)
             for t in PRODUCT_TUPLES:
                 got = product_span(n, t, d)._echelon()
-                assert got == whole_product_span(n, t, d)._rows, (n, t, d)
+                assert got == whole_product_span(n, t, d)._echelon(), (n, t, d)
 
 
 def cached_blocks() -> list:
@@ -192,7 +194,7 @@ def assert_cached_blocks_match_the_reference() -> int:
     for key, S in blocks:
         assert_reduced(S)
         assert_echelon(S)
-        assert S._echelon() == reference_block(*key)._rows, key
+        assert S._echelon() == reference_block(*key)._echelon(), key
     return len(blocks)
 
 
@@ -243,6 +245,83 @@ def test_balanced_blocks_and_cones_match_the_reference_echelon(n, t, cutoff):
     assert assert_cached_blocks_match_the_reference()
     side = [key for key in series._span_cache if key[0] in "GC"]
     assert side and any(key[0] == "M" and key[3] > key[2][0] for key, _ in cached_blocks())
+
+
+def two_tier_blocks() -> list:
+    """The cached blocks whose side rows are still apart from their pads."""
+    return [(key, S) for key, S in cached_blocks() if S._tiers[1]]
+
+
+def random_probes(rng: Random, rows: list[dict], count: int) -> list[dict]:
+    """Seeded rows over the support of rows: sums of three of them with
+    small coefficients, half of them plus one word of that support."""
+    words = sorted({r for row in rows for r in row})
+    probes = []
+    for _ in range(count):
+        vec: dict[int, int] = {}
+        for row in rng.sample(rows, min(3, len(rows))):
+            a = rng.randint(-3, 3)
+            for r, v in row.items():
+                vec[r] = vec.get(r, 0) + a * v
+        if rng.random() < 0.5:
+            w = rng.choice(words)
+            vec[w] = vec.get(w, 0) + rng.randint(1, 3)
+        probes.append({r: v for r, v in vec.items() if v})
+    return probes
+
+
+def assert_two_tiers_answer_as_completed(rng: Random) -> int:
+    """Each cached two-tier block answers dim, membership and extension as
+    its completed form, read from a copy: on every row of each cached P
+    block of its n, degree and content, on every completed row, which must
+    lie in it, and on seeded random rows.  Asking leaves it in two tiers.
+    Returns how many blocks were compared."""
+    blocks = two_tier_blocks()
+    products: dict[tuple, list[dict]] = {}
+    for (kind, n, _, d, c), P in cached_blocks():
+        if kind == "P":
+            products.setdefault((n, d, c), []).extend(copy(P)._echelon().values())
+    for key, S in blocks:
+        _, n, _, d, c = key
+        done = copy(S)
+        rows = list(done._echelon().values())
+        assert not done._tiers[1] and S.dim == done.dim == len(rows), key
+        assert all(S.contains_row(row) for row in rows), key
+        probes = products.get((n, d, c), []) + random_probes(rng, rows, 12)
+        assert [S.contains_row(v) for v in probes] == [done.contains_row(v) for v in probes], key
+        assert extension_dim(S, probes) == extension_dim(done, probes), key
+        assert S._tiers[1] and not S._ordered, key
+    return len(blocks)
+
+
+# the blocks of the differential cells, one content at a time, and J = M_3 + P
+TWO_TIER_LOADS = ["differential", *BENCH_QUESTIONS, (4, (2, 2, 2), 8)]
+
+
+@pytest.mark.parametrize("load", TWO_TIER_LOADS, ids=str)
+def test_two_tier_blocks_answer_as_their_completed_form(load):
+    series.clear_caches()
+    if load == "differential":
+        for n, k_max, d_max in DIFFERENTIAL_CELLS:
+            for d in range(d_max + 1):
+                for c in series.sorted_contents(n, d):
+                    for k in range(2, k_max + 1):
+                        m_span(n, k, d, c)
+                    for t in DIFFERENTIAL_PRODUCTS:
+                        product_span(n, t, d, c)
+                        series._span("M", n, (3,) + t, d, c)
+    else:
+        containment_index(*load)
+    kinds = {(key[0], len(key[2]) > 1) for key, _ in two_tier_blocks()}
+    want = {("M", False), ("M", True), ("P", True)} if load == "differential" else {("M", False)}
+    assert kinds == want
+    assert assert_two_tiers_answer_as_completed(Random(str(load))) > 0
+    side = [key for key in series._span_cache if key[0] == "G" and is_sorted(key[4])]
+    assert side
+    for _, n, owner, d, c in side:
+        got = series._span_cache["G", n, owner, d, c]
+        assert list(got.items()) == list(taken_scan_side_rows(n, owner, d, c).items())
+    assert assert_cached_blocks_match_the_reference()
 
 
 def is_sorted(c) -> bool:
@@ -403,7 +482,7 @@ def test_a_relabelled_block_and_its_ordered_form_agree(label):
     spec = IdealSpec.parse(label, n)
     for c in series.contents(n, d):
         raw = spec_span(spec, d, c)
-        ordered = GradedSubspace.from_reduced(n, d, raw._rows)
+        ordered = copy(raw)  # ordered alone: raw stays as the cache holds it
         ordered._echelon()
         assert raw.dim == ordered.dim
         words = [w for w in all_words(n, d) if series.word_content(n, w) == c]
@@ -418,7 +497,8 @@ def test_a_relabelled_block_and_its_ordered_form_agree(label):
             assert raw.contains(p) == ordered.contains(p), (label, c)
             rows = [Poly.monomial(n, w) for w in rng.sample(words, min(4, len(words)))] + [p]
             assert extension_dim(raw, rows) == extension_dim(ordered, rows), (label, c)
-        assert raw._ordered == is_sorted(c)
+        assert raw._echelon() == ordered._echelon()
+        assert raw._ordered and ordered._ordered
 
 
 def test_threads_reading_one_unordered_block_get_the_same_rows():
@@ -446,6 +526,46 @@ def test_threads_reading_one_unordered_block_get_the_same_rows():
     assert S._ordered and got[0]
     assert all(rows == got[0] for rows in got)
     assert got[0] == list(reference_block("M", 3, (3,), 6, (1, 2, 3)).int_rows())
+
+
+def test_threads_asking_one_two_tier_block_while_it_completes_agree():
+    # two threads complete a block held in two tiers while two others ask
+    # its membership and dimension; the completed rows and the emptied side
+    # tier are swapped in as one pair, so every reader sees one whole form
+    series.clear_caches()
+    n, d, c = 3, 7, (3, 2, 2)
+    S = m_span(n, 3, d, c)
+    assert S._tiers[1] and not S._ordered
+    want = reference_block("M", n, (3,), d, c)
+    rows = list(want.int_rows())
+    probes = rows + random_probes(Random(31), rows, 60)
+    expected = ([want.contains_row(v) for v in probes], {want.dim}, rows)
+    assert not all(expected[0])
+    barrier = threading.Barrier(4, timeout=30)
+    got = [None] * 4
+
+    def ask(i: int) -> None:
+        barrier.wait()
+        ordered = list(S.int_rows()) if i < 2 else None
+        answers, dims = [], set()
+        for v in probes:
+            answers.append(S.contains_row(v))
+            dims.update(S.dim for _ in range(20))
+        got[i] = (answers, dims, ordered if ordered is not None else list(S.int_rows()))
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert S._ordered and not S._tiers[1]
+    assert all(answer == expected for answer in got)
 
 
 def test_block_dims_are_invariant_under_permuting_the_content():
