@@ -138,6 +138,13 @@ def containment_index(
     and dominance.)  The pbw_witness assigns its letters cyclically, so its
     content is μ at its own degree and its test reuses the walk's cone.
 
+    Only the side rows of P(d)[μ] are tested, the rows it adds beside its
+    left pads x_i·P(d-1)[μ - e_i] (GradedSubspace.from_pads): every s tried
+    at degree d is at most per_degree[d-1], so P(d-1) ⊆ M_s(d-1) on the
+    whole degree, and the pads lie in the ideal M_s(d).  At d = |t| there
+    are no pads.  A side row outside M_s puts P(d) outside, and the first
+    row outside is then read as before.
+
     The walk never goes up, and stops at the bound, by a lemma: x_1 is no
     zero divisor modulo M_s, M_s(d) ∩ x_1·A(d-1) = x_1·M_s(d-1).  The
     derivation D with D x_1 = 1, D x_i = 0 (i ≠ 1) maps L_k into L_k by
@@ -179,10 +186,11 @@ def containment_index(
         def inside(s: int) -> bool:
             if s <= max(t):
                 return True
-            row = product_span(n, t, d, mu).row_outside(m_span(n, s, d, mu))
-            if row is not None:
-                outside.setdefault(s, (d, row))
-            return row is None
+            P, M = product_span(n, t, d, mu), m_span(n, s, d, mu)
+            if all(M.contains_row(row) for row in P._side.values()):
+                return True
+            outside.setdefault(s, (d, P.row_outside(M)))
+            return False
 
         per_degree[d] = next(s for s in range(per_degree.get(d - 1, upper), 0, -1) if inside(s))
 

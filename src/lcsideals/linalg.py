@@ -42,11 +42,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .freealg import Poly, Word
 
 IntRow = dict[int, int]
+
+# The side tier of every basis that holds no side rows apart, shared and
+# read-only.
+_NO_SIDE: Mapping[int, IntRow] = MappingProxyType({})
 
 
 def word_rank(w: Word, n: int) -> int:
@@ -106,13 +111,14 @@ class GradedSubspace:
     """Span of homogeneous degree-d elements, as a reduced basis.
 
     _tiers is (rows, side): side holds the side rows of a left-ideal step
-    (from_pads) while they are kept apart from its pads, rows; it is empty
-    for every other basis, and for a step once it is completed.  Each tier
-    is reduced and no side row holds a pad pivot, so a pass over the pads
-    and then one over the side rows clear a vector (_clear), and the
-    dimension is the sum of the two.  The pair is one object, so a reader
-    sees the two tiers or the completed rows, never a mix.  _side keeps the
-    side rows of a step after completion.
+    (from_pads) while they are kept apart from its pads, rows; it is the
+    shared empty _NO_SIDE for every other basis, and for a step once it is
+    completed.  Each tier is reduced and no side row holds a pad pivot, so
+    a pass over the pads and then one over the side rows clear a vector
+    (_clear), and the dimension is the sum of the two.  The pair is one
+    object, so a reader sees the two tiers or the completed rows, never a
+    mix.  _side keeps the side rows of a step after completion, or those
+    given to from_echelon.
     _ordered says that the basis is the reduced echelon form (pivot =
     largest word of its row); it is false only for from_reduced, for a step
     with side rows apart, and for a direct_sum of parts of which one is
@@ -129,8 +135,8 @@ class GradedSubspace:
             raise ValueError("need n >= 1 and degree >= 0")
         self.n = n
         self.degree = degree
-        self._side: dict[int, IntRow] = {}
-        self._tiers: tuple[dict[int, IntRow], dict[int, IntRow]] = ({}, self._side)
+        self._side: Mapping[int, IntRow] = _NO_SIDE
+        self._tiers: tuple[dict[int, IntRow], Mapping[int, IntRow]] = ({}, _NO_SIDE)
         self._frozen = False
         self._ordered = True
         self._parts: tuple[GradedSubspace, ...] = ()
@@ -170,8 +176,21 @@ class GradedSubspace:
         another.  It is taken as it is, and echelonized by from_rows, in the
         order of rows, when its rows are first read in order."""
         S = cls(n, degree)
-        S._tiers = (rows, {})
+        S._tiers = (rows, _NO_SIDE)
         S._ordered = False
+        S._frozen = True
+        return S
+
+    @classmethod
+    def from_echelon(
+        cls, n: int, degree: int, rows: dict[int, IntRow], side: Mapping[int, IntRow] = _NO_SIDE
+    ) -> "GradedSubspace":
+        """Frozen span of rows in reduced echelon form, keyed by pivot, taken
+        as they are.  side, some of those rows, is kept as the rows that a
+        left-ideal step adds beside its pads (see from_pads)."""
+        S = cls(n, degree)
+        S._tiers = (rows, _NO_SIDE)
+        S._side = side
         S._frozen = True
         return S
 
@@ -201,8 +220,9 @@ class GradedSubspace:
             base = i * top
             for p, row in prev._echelon().items():
                 pad_rows[base + p] = {base + r: c for r, c in row.items()}
-        S._side = side = S.residues(rows)._tiers[0]
+        side = S.residues(rows)._tiers[0]
         if side:
+            S._side = side
             S._tiers = (pad_rows, side)
             S._ordered = False
         return S.freeze()
@@ -234,7 +254,7 @@ class GradedSubspace:
                     rows.update(part._echelon())
             else:
                 rows = type(self).from_rows(self.n, self.degree, rows.values())._tiers[0]
-            self._tiers = (rows, {})
+            self._tiers = (rows, _NO_SIDE)
             self._ordered = True
         return self._tiers[0]
 
@@ -256,7 +276,7 @@ class GradedSubspace:
         return self._clear_tier(vec, side) if side else vec
 
     @classmethod
-    def _clear_tier(cls, vec: IntRow, rows: dict[int, IntRow]) -> IntRow:
+    def _clear_tier(cls, vec: IntRow, rows: Mapping[int, IntRow]) -> IntRow:
         """Eliminate the pivots of the reduced rows that vec holds, in one
         pass."""
         for r in [r for r in vec if r in rows]:

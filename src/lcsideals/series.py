@@ -9,20 +9,46 @@ is the union of its blocks, which have disjoint supports, so that union is
 already a reduced basis of the whole degree, and its reduced echelon form
 once each block is in echelon form.
 
-L_1 is the whole algebra; block c of L_k(d) is spanned by brackets [m, l]
-of one word m per necklace with l in block c - content(m) of L_{k-1}: the
-rows [V, L_{k-1}] that M_k adds for one-letter m, and for longer m the
-powers of Lyndon words (lyndon.lyndon_words), which are the necklaces.
-M_k = A·L_k·A is the one-factor product ideal.  Every product
-P = M_{i1}···M_{ik}, and every sum J = M_r + P (kind "M"; plain M_r is
-P = 0), is built as a left ideal, P(d) = V·P(d-1) + new rows, V the span
-of the generators: block c takes the left pads x_i·P(d-1)[c - e_i] and the
-new rows of content c, merged by GradedSubspace.from_pads.  For a product
-of two or more factors they are [V, L_{i1-1}]·R with R the product of the
-other factors (see product_span); for J they are the right pads G·V, the
-brackets [V, C] and the side rows of P (see m_span), which never need L_r
-at its own degree.  A request for one block builds only the cone of blocks
-below its content (below sorted(c) for a relabelled block; see _span).
+Three kinds of block are written down from classes of words, in their
+reduced echelon form, with no elimination (_word_class_block); w_0 below
+is the least word of its class.
+- L_1 = A: block c is every word of content c, so its rows are the unit
+  rows of those words.
+- L_2 = [A, A]: the rows w - w_0 over each rotation class of the words of
+  content c.  [A, A] is spanned by the brackets [u, v] = uv - vu of words,
+  and uv and vu are rotations of one word, so each bracket lies in the
+  span of the differences within rotation classes.  Conversely
+  a·u - u·a = [a, u] for a letter a, so w minus its rotation by one letter
+  is a bracket, and any two rotations of w differ by a sum of these.
+  (A/[A, A] is the span of cyclic words: Feigin–Shoikhet.)
+- M_2, and J_2 = M_2 + P for every product P: the rows w - w_0 over all
+  words of content c.  A/M_2 is the commutative polynomial ring
+  Q[x_1, ..., x_n], since M_2 is the ideal generated by the commutators,
+  and its content-c part is the one monomial x^c, the image of every word
+  of content c; so block c of M_2 is the kernel of Σ a_w·w -> Σ a_w, which
+  the rows w - w_0 span.  Each factor of P is an M_i with i >= 2 and lies
+  in the ideal M_2, so J_2 = M_2.
+Each row w - w_0 has pivot w > w_0, coefficient 1, and w_0 is no pivot, so
+no row holds the pivot of another: that is the reduced echelon form.  The
+left pads x·M_2(d-1)[c - e_x] of an M_2 block are the rows x·(u - u_0),
+with pivot x·u for every word u of content c - e_x but its least u_0; so
+the rows that the block adds beside its pads, its side tier (see m_span),
+are those whose pivot is x·u_0 for a letter x of c, other than w_0.
+
+Block c of L_k(d), k >= 3, is spanned by brackets [m, l] of one word m per
+necklace with l in block c - content(m) of L_{k-1}: the rows [V, L_{k-1}]
+that M_k adds for one-letter m, and for longer m the powers of Lyndon
+words (lyndon.lyndon_words), which are the necklaces.  M_k = A·L_k·A is the
+one-factor product ideal.  Every product P = M_{i1}···M_{ik}, and every sum
+J = M_r + P, r >= 3 (kind "M"; plain M_r is P = 0), is built as a left
+ideal, P(d) = V·P(d-1) + new rows, V the span of the generators: block c
+takes the left pads x_i·P(d-1)[c - e_i] and the new rows of content c,
+merged by GradedSubspace.from_pads.  For a product of two or more factors
+they are [V, L_{i1-1}]·R with R the product of the other factors (see
+product_span); for J they are the right pads G·V, the brackets [V, C] and
+the side rows of P (see m_span), which never need L_r at its own degree.
+A request for one block builds only the cone of blocks below its content
+(below sorted(c) for a relabelled block; see _span).
 Containment, witness and membership questions are asked of blocks alone; a
 whole-degree union is built only for a caller that names no content.
 
@@ -30,8 +56,9 @@ Permuting the generators maps L_k, M_k and every product onto themselves
 and block c onto block σ(c).  Each S_n orbit of contents holds exactly one
 sorted content c_1 >= ... >= c_n, so dimensions, in A_n or in its quotient
 by a product ideal, are sums over sorted contents (spec_dim, orbit_sum),
-and only sorted blocks are built from candidate rows: every other block is
-the relabelled image of its orbit's sorted block.
+and only sorted blocks are built from candidate rows: every other block,
+but those written down, is the relabelled image of its orbit's sorted
+block.
 Every linear substitution of the generators maps these spans onto
 themselves too, so they are GL_n-modules whose weight spaces are the
 blocks, and a containment is decided on the one balanced block of each
@@ -80,6 +107,7 @@ def clear_caches() -> None:
     with _lock:
         _span_cache.clear()
         _rank_tables.cache_clear()
+        _content_words.cache_clear()
     chain_poly.cache_clear()
 
 
@@ -155,9 +183,11 @@ def _span(kind: str, n: int, index, d: int, c: Content | None):
     the union of the degree's blocks, which shares their rows.  Kinds "G"
     and "C" give side rows of the M or P block (kind, index) (_side_rows).
 
-    Only a sorted content (c_1 >= ... >= c_n) is built from candidate rows;
-    any other block, or its side rows, is the relabelled image of those of
-    sorted(c), the one sorted content of its S_n orbit (see _relabel)."""
+    The blocks of L_1, L_2 and J_2 are written down for every content
+    (_word_class_block).  Of the others, only a sorted content
+    (c_1 >= ... >= c_n) is built from candidate rows; any other block, or
+    its side rows, is the relabelled image of those of sorted(c), the one
+    sorted content of its S_n orbit (see _relabel)."""
     if kind == "M" and d < index[0]:
         mod = index[1:]
         return _span(_kind(mod), n, mod, d, c) if mod else _empty(n, d)
@@ -171,6 +201,8 @@ def _span(kind: str, n: int, index, d: int, c: Content | None):
             if c is None:
                 blocks = [_span(kind, n, index, d, b) for b in contents(n, d)]
                 got = GradedSubspace.direct_sum(n, d, blocks)
+            elif kind == "L" and index <= 2 or kind == "M" and index[0] == 2:
+                got = _word_class_block(kind, n, index, d, c)
             elif (top := tuple(sorted(c, reverse=True))) != c:
                 got = _span(kind, n, index, d, top)
                 if kind in ("G", "C"):
@@ -242,11 +274,45 @@ def l_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
     return _span("L", n, k, d, content)
 
 
+def _word_class_block(kind: str, n: int, index, d: int, c: Content) -> GradedSubspace:
+    """Block c of L_1, of L_2 or of J_2 = M_2 + P (kind "M", index (2,) +
+    the factors of P), written down in reduced echelon form from the words
+    of content c, with the side tier of a J_2 block (see the module
+    docstring)."""
+    words = _content_words(c)
+    if kind == "L" and index == 1:
+        return GradedSubspace.from_echelon(n, d, {w: {w: 1} for w in words})
+    if max(c) == d:  # words in one letter commute
+        return _empty(n, d)
+    top = n ** (d - 1)
+    rows: dict[int, IntRow] = {}
+    if kind == "L":
+        for w in words:
+            if w not in rows:  # w is least in its rotation class
+                turned = w
+                for _ in range(d - 1):
+                    turned = turned % top * n + turned // top
+                    if turned != w:
+                        rows[turned] = {turned: 1, w: -1}
+        return GradedSubspace.from_echelon(n, d, rows)
+    least = words[0]
+    rows = {w: {w: 1, least: -1} for w in words[1:]}
+    firsts = (x * top + _content_words(_less(c, x))[0] for x in range(n) if c[x])
+    return GradedSubspace.from_echelon(n, d, rows, {p: rows[p] for p in firsts if p != least})
+
+
+@cache
+def _content_words(c: Content) -> tuple[int, ...]:
+    """The ranks of the words of content c, ascending: x·n^(d-1) + r over the
+    letters x of c in order and the ranks r of content c - e_x."""
+    d = sum(c)
+    if not d:
+        return (0,)
+    top = len(c) ** (d - 1)
+    return tuple(x * top + r for x in range(len(c)) if c[x] for r in _content_words(_less(c, x)))
+
+
 def _l_block(n: int, k: int, d: int, c: Content) -> GradedSubspace:
-    if k == 1:  # A(0) = span(1) and A(d) = V·A(d-1)
-        if d == 0:
-            return GradedSubspace.from_rows(n, 0, [{0: 1}])
-        return GradedSubspace.from_pads(n, d, _pads("L", n, 1, d, c), ())
     if d < k or max(c) == d:  # words in one letter commute
         return _empty(n, d)
     return GradedSubspace.from_rows(n, d, _l_candidates(n, k, d, c))
@@ -259,7 +325,8 @@ def _l_candidates(n: int, k: int, d: int, c: Content) -> Iterator[IntRow]:
     with [a, l], [b, l] in L_k ⊆ L_{k-1}: rotating m changes [m, l] only by
     brackets with shorter slots, so by induction on e one rotation per class
     spans.  L_2 = [V, A] needs only e = 1: letter brackets span all monomial
-    brackets by telescoping m1 m2 - m2 m1 across one-letter rotations.
+    brackets by telescoping m1 m2 - m2 m1 across one-letter rotations.  Its
+    blocks are written down (_word_class_block); these rows span them too.
 
     The slot e = 1 gives the rows [V, L_{k-1}(d-1)] of _letter_brackets,
     the new rows of M_k at d = k; the longer slots take the necklaces of
@@ -349,7 +416,8 @@ def m_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
     j·x = Σ y·(j'·x) + g·x in V·J(d-1) + G(d-1)·V.  Below degree k, J = P,
     so G(k-1)·V lies in P(k) and is left out.  Every step keeps letter
     contents, and a letter permutation fixes J, L_{k-1} and the left pads,
-    so G, C and S relabel with their blocks.
+    so G, C and S relabel with their blocks.  The blocks of J_2 = M_2 are
+    written down instead (see the module docstring), with their side tier.
     """
     if k < 1:
         raise ValueError("ideal index must be >= 1")
@@ -426,7 +494,7 @@ def product_span(
 
 
 def _ideal_block(kind: str, n: int, index: tuple[int, ...], d: int, c: Content) -> GradedSubspace:
-    """Block c of a product (kind "P") or of J (kind "M", d >= r)."""
+    """Block c of a product (kind "P") or of J (kind "M", d >= r >= 3)."""
     if kind == "P" and d < sum(index) or max(c) == d:  # words in one letter commute
         return _empty(n, d)
     rows = _m_rows(n, index, d, c) if kind == "M" else _generator_rows(n, index, d, c)

@@ -44,16 +44,19 @@ ref_straighten_word, the last-in-first-out worklist of lyndon, for its
 largest-first straightening loop, and ref_swap_pair, which multiplies out
 [b_u, b_v] and peels it (lyndon_coefficients), for the one word vu that
 the loop merges a first descent u > v into.  left_ideal_span closes
-generators under left multiplication only.
+generators under left multiplication only.  count_eliminations counts the
+row eliminations that a computation makes, the unit of echelon work.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 from math import comb, factorial, gcd, prod
 from operator import sub
 from random import Random
-from typing import Iterable
+from types import SimpleNamespace
+from typing import Iterable, Iterator
 
 from lcsideals.containment import bound_report
 from lcsideals.exprs import DIGITS, ExprSyntaxError
@@ -950,3 +953,22 @@ def tuples_with_sum_at_most(total_max: int) -> list[tuple[int, ...]]:
 
     build([], total_max)
     return out
+
+
+@contextmanager
+def count_eliminations() -> Iterator[SimpleNamespace]:
+    """Count the calls of GradedSubspace._eliminate, one row eliminated from
+    a vector, made while the block runs; yields a namespace whose calls
+    grows as they are made."""
+    real = GradedSubspace.__dict__["_eliminate"]
+    count = SimpleNamespace(calls=0)
+
+    def counted(*args) -> None:
+        count.calls += 1
+        real.__func__(*args)
+
+    GradedSubspace._eliminate = staticmethod(counted)
+    try:
+        yield count
+    finally:
+        GradedSubspace._eliminate = real

@@ -332,6 +332,25 @@ def test_from_pads_keeps_its_side_rows_apart_until_read_in_order():
     assert S.dim == want.dim and S._tiers[0] is S._echelon()
 
 
+def test_bases_with_no_side_rows_share_one_read_only_side_tier():
+    n, d = 2, 4
+    prev = GradedSubspace.from_rows(n, d - 1, [{5: 1, 2: -1}, {3: 2, 0: 1}])
+    step = GradedSubspace.from_pads(n, d, [(0, prev)], [{13: 1, 10: -1}])
+    assert step._tiers[1]
+    step._echelon()
+    others = [
+        prev,
+        GradedSubspace(n, d),
+        GradedSubspace.from_reduced(n, d, {9: {9: 1, 3: 1}}),
+        GradedSubspace.from_echelon(n, d, {9: {9: 1, 3: 1}}),
+        GradedSubspace.direct_sum(n, d, [step]),
+    ]
+    shared = step._tiers[1]
+    assert all(S._tiers[1] is shared and S._side is shared for S in others)
+    with pytest.raises(TypeError):
+        shared[0] = {0: 1}
+
+
 def test_from_pads_with_no_side_row_is_ordered_at_once():
     n, d = 2, 4
     prev = GradedSubspace.from_rows(n, d - 1, [{5: 1, 2: -1}, {3: 2, 0: 1}])

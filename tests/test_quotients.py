@@ -96,7 +96,7 @@ def test_j_blocks_are_the_echelon_form_of_m_r_plus_the_product():
     for mod in ((2, 2), (2, 3), (3, 2)):
         series.clear_caches()
         spec = QuotientSpec(n, *mod)
-        for d in range(7):
+        for d in range(8):
             for r in range(1, d + 2):
                 quotient_dim(spec, "N", r, d)
                 quotient_dim(spec, "M", r, d)

@@ -15,7 +15,7 @@ from lcsideals import series
 from lcsideals.containment import bound_report, containment_index, pbw_witness, sl2_witness
 from lcsideals.freealg import Poly, all_words, bracket, nested_word_chain
 from lcsideals.linalg import GradedSubspace, extension_dim, rank_word, word_rank
-from lcsideals.quotients import QuotientSpec
+from lcsideals.quotients import QuotientSpec, quotient_dim
 from lcsideals.series import (
     DimTable,
     IdealSpec,
@@ -39,6 +39,7 @@ from helpers import (
     closed_even_forms_dim,
     commutative_monomial_count,
     composed_product_span,
+    count_eliminations,
     even_forms_dim,
     full_slot_l_candidates,
     gl_multiplicities,
@@ -51,6 +52,7 @@ from helpers import (
     padded_m_span,
     poincare_closed_even_forms,
     random_homogeneous,
+    ref_j_block,
     ref_l_candidates,
     ref_necklace_classes,
     reference_block,
@@ -230,12 +232,40 @@ CONE_QUESTIONS += [q for q in BENCH_QUESTIONS if q not in CONE_QUESTIONS]
 CONE_QUESTIONS += [(4, (2, 2), 7), (4, (2, 2, 2), 7)]
 
 
+def bench_references() -> dict:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+    return json.loads(path.read_text())
+
+
 def test_the_cone_questions_are_the_bench_questions():
     refs = json.loads(
         (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text()
     )
     asked = [(q["n"], tuple(q["tuple"]), q["cutoff"]) for q in refs["containment"]]
     assert asked == BENCH_QUESTIONS
+
+
+def test_the_bench_quotient_cells_take_at_most_78000_eliminations():
+    # each cell asked from empty caches, as the bench asks it
+    cells = bench_references()["quotient_dims"]
+    assert len(cells) == 41
+    with count_eliminations() as work:
+        for q in cells:
+            series.clear_caches()
+            assert quotient_dim(QuotientSpec(q["n"], *q["mod"]), "N", q["r"], q["d"]) == q["dim"]
+    assert 0 < work.calls <= 78_000
+
+
+def test_the_bench_containment_questions_take_at_most_91000_eliminations():
+    # each question asked from empty caches, as a fresh interpreter asks it
+    questions = bench_references()["containment"]
+    assert len(questions) == 13
+    with count_eliminations() as work:
+        for q in questions:
+            series.clear_caches()
+            report = containment_index(q["n"], tuple(q["tuple"]), q["cutoff"])
+            assert report.index_observed == q["index"]
+    assert 0 < work.calls <= 91_000
 
 
 @pytest.mark.parametrize("n,t,cutoff", CONE_QUESTIONS)
@@ -313,7 +343,9 @@ def test_two_tier_blocks_answer_as_their_completed_form(load):
     else:
         containment_index(*load)
     kinds = {(key[0], len(key[2]) > 1) for key, _ in two_tier_blocks()}
-    want = {("M", False), ("M", True), ("P", True)} if load == "differential" else {("M", False)}
+    want = {("M", False), ("P", True)}
+    if load == "differential":
+        want.add(("M", True))
     assert kinds == want
     assert assert_two_tiers_answer_as_completed(Random(str(load))) > 0
     side = [key for key in series._span_cache if key[0] == "G" and is_sorted(key[4])]
@@ -373,6 +405,55 @@ def test_relabelled_side_rows_of_an_unsorted_block(s):
     assert 0 < len(C) == extension_dim(M, C.values()) == extension_dim(M, L.int_rows())
     both = GradedSubspace.from_rows(n, d, [*M.int_rows(), *C.values()])
     assert all(both.contains_row(row) for row in L.int_rows())
+
+
+# every content, sorted or not, of these (n, largest degree)
+WORD_CLASS_CELLS = [(2, 9), (3, 7), (4, 6)]
+
+
+def test_word_class_blocks_match_the_reference_echelon():
+    # L_1, L_2 = [A, A] and M_2 are written down from their word classes;
+    # the reference echelonizes their candidate rows: the left pads and the
+    # letter brackets [V, L_1] for M_2, the letter brackets for L_2
+    series.clear_caches()
+    compared = 0
+    for n, d_max in WORD_CLASS_CELLS:
+        for d in range(d_max + 1):
+            for c in series.contents(n, d):
+                for kind, index in (("L", 1), ("L", 2), ("M", (2,))):
+                    if kind == "M" and d < 2:
+                        continue
+                    got = series._span(kind, n, index, d, c)
+                    assert got._ordered and not got._tiers[1], (kind, n, index, d, c)
+                    want = reference_block(kind, n, index, d, c)
+                    assert got._echelon() == want._echelon(), (kind, n, index, d, c)
+                    compared += 1
+    assert compared == 1143  # 385 contents, 12 of them below degree 2
+
+
+def test_j2_blocks_are_m2_blocks_with_their_side_tier():
+    # J_2 = M_2 + P is M_2, and the side tier of M_2 is its rows beside the
+    # left pads, those whose pivot is the least word x·u of a first letter x
+    series.clear_caches()
+    for n, d_max in WORD_CLASS_CELLS:
+        for d in range(2, d_max + 1):
+            for c in series.contents(n, d):
+                M = series._span("M", n, (2,), d, c)
+                for mod in ((2, 2), (2, 3)):
+                    J = series._span("M", n, (2,) + mod, d, c)
+                    assert J._echelon() == ref_j_block(n, 2, mod, d, c)._echelon(), (n, d, c, mod)
+                    assert J._echelon() == M._echelon() and J._side == M._side
+                assert dict(M._side) == taken_scan_side_rows(n, ("M", (2,)), d, c), (n, d, c)
+                assert len(M._side) == sum(1 for x in c if x) - 1
+
+
+def test_a_j2_block_builds_no_cone():
+    # no C, G, product or lower M_2 block, and no relabelling
+    for c in ((3, 2, 2), (1, 2, 4)):
+        series.clear_caches()
+        key = ("M", 3, (2, 2, 3), 7, c)
+        series._span(*key)
+        assert list(series._span_cache) == [key]
 
 
 def test_rank_tables_map_every_word_by_its_letters():
