@@ -6,8 +6,8 @@ holds.  Rows are sparse integer vectors, content-stripped with a positive
 coefficient at the pivot.  Every space built here is in reduced row echelon
 form, with pivot = maximal word in lexicographic order, which makes the
 basis unique; the rational rows with leading coefficient 1 are recovered on
-demand.  A relabelled block (from_reduced) and a union with such a part are
-reduced but not in that order until their rows are read in order.
+demand.  A basis taken as reduced (from_reduced), or a union with such a
+part, may be out of that order until its rows are first read in order.
 
 Against reduced rows, one pass over the pivots of a vector clears them all,
 in any order, because eliminating one pivot brings in no other.  That pass
@@ -117,12 +117,11 @@ class GradedSubspace:
     a pass over the pads and then one over the side rows clear a vector
     (_clear), and the dimension is the sum of the two.  The pair is one
     object, so a reader sees the two tiers or the completed rows, never a
-    mix.  _side keeps the side rows of a step after completion, or those
-    given to from_echelon.
-    _ordered says that the basis is the reduced echelon form (pivot =
-    largest word of its row); it is false only for from_reduced, for a step
-    with side rows apart, and for a direct_sum of parts of which one is
-    unordered, until _echelon.
+    mix.  _side keeps the side rows of a step after completion too.
+    _ordered true says that the basis is the reduced echelon form (pivot =
+    largest word of its row); false says only that this is not yet known:
+    for from_reduced, for a step with side rows apart, and for a direct_sum
+    of parts of which one is unordered, until _echelon.
     Mutable (single writer) until freeze(); frozen instances are immutable
     and safe to share: echelonizing swaps in a new pair, and concurrent
     readers see either basis.
@@ -173,24 +172,11 @@ class GradedSubspace:
     def from_reduced(cls, n: int, degree: int, rows: dict[int, IntRow]) -> "GradedSubspace":
         """Frozen span of a reduced basis that need not be in echelon order:
         rows maps pivot columns to rows, and no row holds the pivot of
-        another.  It is taken as it is, and echelonized by from_rows, in the
-        order of rows, when its rows are first read in order."""
+        another.  It is taken as it is until its rows are first read in
+        order (_echelon)."""
         S = cls(n, degree)
         S._tiers = (rows, _NO_SIDE)
         S._ordered = False
-        S._frozen = True
-        return S
-
-    @classmethod
-    def from_echelon(
-        cls, n: int, degree: int, rows: dict[int, IntRow], side: Mapping[int, IntRow] = _NO_SIDE
-    ) -> "GradedSubspace":
-        """Frozen span of rows in reduced echelon form, keyed by pivot, taken
-        as they are.  side, some of those rows, is kept as the rows that a
-        left-ideal step adds beside its pads (see from_pads)."""
-        S = cls(n, degree)
-        S._tiers = (rows, _NO_SIDE)
-        S._side = side
         S._frozen = True
         return S
 
@@ -208,10 +194,10 @@ class GradedSubspace:
         The left pads of b's reduced echelon rows (b is echelonized first
         if it is not) are reduced again, with distinct pivots
         i·n^(d-1) + pivot, so they go in as copies.  The residues of
-        rows modulo the pads are echelonized apart, as the side rows, and
-        kept apart: the block is returned in two tiers, unordered, and is
-        completed when its rows are first read in order (_echelon).  With no
-        side row the pads alone are the reduced echelon form.
+        rows modulo the pads, echelonized apart and in descending pivot
+        order, are the side rows: the block is returned in two tiers,
+        unordered, and completed when its rows are first read in order
+        (_echelon).  With no side row the pads are the reduced echelon form.
         """
         S = cls(n, degree)
         pad_rows = S._tiers[0]
@@ -220,7 +206,7 @@ class GradedSubspace:
             base = i * top
             for p, row in prev._echelon().items():
                 pad_rows[base + p] = {base + r: c for r, c in row.items()}
-        side = S.residues(rows)._tiers[0]
+        side = dict(sorted(S.residues(rows)._tiers[0].items(), reverse=True))
         if side:
             S._side = side
             S._tiers = (pad_rows, side)
@@ -235,7 +221,8 @@ class GradedSubspace:
         s in it is below p and so is every word of the side row of s; then
         no row holds another's pivot and each pivot is its row's largest
         word, which is the reduced echelon form.  A union is ordered part
-        by part, any other basis by from_rows in the order of its rows.
+        by part; any other basis is kept if each pivot is its row's largest
+        word, else echelonized by from_rows in the order of its rows.
         The new rows are swapped in with an empty side tier, as one pair,
         before the flag is set, and no row dict is edited in place, because
         unions and readers share them."""
@@ -252,7 +239,7 @@ class GradedSubspace:
                 rows = {}
                 for part in self._parts:
                     rows.update(part._echelon())
-            else:
+            elif any(p != max(row) for p, row in rows.items()):
                 rows = type(self).from_rows(self.n, self.degree, rows.values())._tiers[0]
             self._tiers = (rows, _NO_SIDE)
             self._ordered = True

@@ -29,11 +29,7 @@ is the least word of its class.
   the rows w - w_0 span.  Each factor of P is an M_i with i >= 2 and lies
   in the ideal M_2, so J_2 = M_2.
 Each row w - w_0 has pivot w > w_0, coefficient 1, and w_0 is no pivot, so
-no row holds the pivot of another: that is the reduced echelon form.  The
-left pads x·M_2(d-1)[c - e_x] of an M_2 block are the rows x·(u - u_0),
-with pivot x·u for every word u of content c - e_x but its least u_0; so
-the rows that the block adds beside its pads, its side tier (see m_span),
-are those whose pivot is x·u_0 for a letter x of c, other than w_0.
+no row holds the pivot of another: that is the reduced echelon form.
 
 Block c of L_k(d), k >= 3, is spanned by brackets [m, l] of one word m per
 necklace with l in block c - content(m) of L_{k-1}: the rows [V, L_{k-1}]
@@ -71,8 +67,10 @@ and its side rows in two tiers; membership, dimension and containment use
 either as it is, and it is put in echelon order once, when its rows are
 read in order: as left pads (from_pads copies those without elimination),
 as bracket or product rows, as the rows to relabel, in a whole-degree
-union, or by a caller of int_rows.  The side tier of a built M or P block
-is its G (see m_span), kept after that.
+union, or by a caller of int_rows; a written-down block is found in order.
+The span cache holds blocks of kind L, M and P, and the residues C (see
+m_span) of sorted contents only; the side tier G of a block is its _side.
+The G and C rows of an unsorted content are relabelled where read.
 
 Span closures of explicit generators, which need not be multihomogeneous,
 grow by left and right padding plus new rows over whole degrees
@@ -180,17 +178,20 @@ def _span(kind: str, n: int, index, d: int, c: Content | None):
     """Block c of the degree-d piece of L_index (kind "L"), of the product
     with factor indices index (kind "P") or of J = M_r + P (kind "M", index
     (r,) + the factors of P; J_r is P below degree r), cached; c None gives
-    the union of the degree's blocks, which shares their rows.  Kinds "G"
-    and "C" give side rows of the M or P block (kind, index) (_side_rows).
+    the union of the degree's blocks, which shares their rows.  Kind "C",
+    for a sorted c only, gives the residues C of the M block (_residues).
 
     The blocks of L_1, L_2 and J_2 are written down for every content
     (_word_class_block).  Of the others, only a sorted content
-    (c_1 >= ... >= c_n) is built from candidate rows; any other block, or
-    its side rows, is the relabelled image of those of sorted(c), the one
-    sorted content of its S_n orbit (see _relabel)."""
+    (c_1 >= ... >= c_n) is built from candidate rows; any other block is
+    the relabelled image of block sorted(c), the one sorted content of its
+    S_n orbit (see _relabel), and its G and C rows are relabelled where
+    read (_side_rows)."""
+    if kind == "M" and len(index) == 2:
+        # L_{k+1} ⊆ L_k gives M_{k+1} ⊆ M_k, so M_r + M_s = M_min(r, s)
+        index = (min(index),)
     if kind == "M" and d < index[0]:
-        mod = index[1:]
-        return _span(_kind(mod), n, mod, d, c) if mod else _empty(n, d)
+        return _span("P", n, index[1:], d, c) if index[1:] else _empty(n, d)
     key = (kind, n, index, d, c)
     got = _span_cache.get(key)
     if got is not None:
@@ -204,15 +205,12 @@ def _span(kind: str, n: int, index, d: int, c: Content | None):
             elif kind == "L" and index <= 2 or kind == "M" and index[0] == 2:
                 got = _word_class_block(kind, n, index, d, c)
             elif (top := tuple(sorted(c, reverse=True))) != c:
-                got = _span(kind, n, index, d, top)
-                if kind in ("G", "C"):
-                    got = _relabel(n, d, got.values(), c)
-                else:
-                    got = GradedSubspace.from_reduced(n, d, _relabel(n, d, got.int_rows(), c))
+                rows = _relabel(n, d, _span(kind, n, index, d, top).int_rows(), c)
+                got = GradedSubspace.from_reduced(n, d, rows)
             elif kind == "L":
                 got = _l_block(n, index, d, c)
-            elif kind in ("G", "C"):
-                got = _side_rows(kind, n, index, d, c)
+            elif kind == "C":
+                got = _residues(n, index, d, c)
             else:
                 got = _ideal_block(kind, n, index, d, c)
             _span_cache[key] = got
@@ -277,28 +275,25 @@ def l_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
 def _word_class_block(kind: str, n: int, index, d: int, c: Content) -> GradedSubspace:
     """Block c of L_1, of L_2 or of J_2 = M_2 + P (kind "M", index (2,) +
     the factors of P), written down in reduced echelon form from the words
-    of content c, with the side tier of a J_2 block (see the module
-    docstring)."""
+    of content c (see the module docstring)."""
     words = _content_words(c)
     if kind == "L" and index == 1:
-        return GradedSubspace.from_echelon(n, d, {w: {w: 1} for w in words})
+        return GradedSubspace.from_reduced(n, d, {w: {w: 1} for w in words})
     if max(c) == d:  # words in one letter commute
         return _empty(n, d)
+    if kind == "M":
+        least = words[0]
+        return GradedSubspace.from_reduced(n, d, {w: {w: 1, least: -1} for w in words[1:]})
     top = n ** (d - 1)
     rows: dict[int, IntRow] = {}
-    if kind == "L":
-        for w in words:
-            if w not in rows:  # w is least in its rotation class
-                turned = w
-                for _ in range(d - 1):
-                    turned = turned % top * n + turned // top
-                    if turned != w:
-                        rows[turned] = {turned: 1, w: -1}
-        return GradedSubspace.from_echelon(n, d, rows)
-    least = words[0]
-    rows = {w: {w: 1, least: -1} for w in words[1:]}
-    firsts = (x * top + _content_words(_less(c, x))[0] for x in range(n) if c[x])
-    return GradedSubspace.from_echelon(n, d, rows, {p: rows[p] for p in firsts if p != least})
+    for w in words:
+        if w not in rows:  # w is least in its rotation class
+            turned = w
+            for _ in range(d - 1):
+                turned = turned % top * n + turned // top
+                if turned != w:
+                    rows[turned] = {turned: 1, w: -1}
+    return GradedSubspace.from_reduced(n, d, rows)
 
 
 @cache
@@ -324,16 +319,12 @@ def _l_candidates(n: int, k: int, d: int, c: Content) -> Iterator[IntRow]:
     a, b ≠ 1, Jacobi gives [ab, l] - [ba, l] = [a, [b, l]] - [b, [a, l]]
     with [a, l], [b, l] in L_k ⊆ L_{k-1}: rotating m changes [m, l] only by
     brackets with shorter slots, so by induction on e one rotation per class
-    spans.  L_2 = [V, A] needs only e = 1: letter brackets span all monomial
-    brackets by telescoping m1 m2 - m2 m1 across one-letter rotations.  Its
-    blocks are written down (_word_class_block); these rows span them too.
+    spans.
 
     The slot e = 1 gives the rows [V, L_{k-1}(d-1)] of _letter_brackets,
     the new rows of M_k at d = k; the longer slots take the necklaces of
     _necklace_classes."""
     yield from _letter_brackets(n, k - 1, d, c)
-    if k == 2:
-        return
     for e in range(2, d - k + 2):
         for cm, ranks in _necklace_classes(n, e).items():
             rest = tuple(map(sub, c, cm))
@@ -417,7 +408,7 @@ def m_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
     so G(k-1)·V lies in P(k) and is left out.  Every step keeps letter
     contents, and a letter permutation fixes J, L_{k-1} and the left pads,
     so G, C and S relabel with their blocks.  The blocks of J_2 = M_2 are
-    written down instead (see the module docstring), with their side tier.
+    written down instead (see the module docstring).
     """
     if k < 1:
         raise ValueError("ideal index must be >= 1")
@@ -505,32 +496,37 @@ def _m_rows(n: int, index: tuple[int, ...], d: int, c: Content) -> Iterator[IntR
     """The rows that block c of J(d) = (M_r + P)(d), index (r,) + the
     factors of P, adds to its left pads: the right pads g·y of the rows g of
     G(d-1)[c - e_y], the brackets [y, r] with the rows r of C(d-1)[c - e_y],
-    and the side rows S(d)[c] of P (see m_span)."""
+    and the side rows S(d)[c] of P (see m_span), for a sorted c.  A mod of
+    one factor never comes here: _span routes M_r + M_s to M_min(r, s)."""
     if mod := index[1:]:
-        yield from _span("G", n, (_kind(mod), mod), d, c).values()
+        yield from _span("P", n, mod, d, c)._side.values()
     for y in range(n):
         if c[y]:
             b = _less(c, y)
             if d > index[0]:  # else G(d-1)·V lies in P(d) (see m_span)
-                for row in _span("G", n, ("M", index), d - 1, b).values():
+                for row in _side_rows("G", n, index, d - 1, b):
                     yield {r * n + y: v for r, v in row.items()}
-            residues = _span("C", n, ("M", index), d - 1, b)
-            yield from _bracket_rows(n, residues.values(), d - 1, y, 1)
+            yield from _bracket_rows(n, _side_rows("C", n, index, d - 1, b), d - 1, y, 1)
 
 
-def _side_rows(side: str, n: int, owner: tuple, d: int, c: Content) -> dict[int, IntRow]:
-    """The side rows of block c of the degree-d piece of owner = (kind,
-    index), keyed by pivot (see m_span).  G: the side tier of the block
-    (GradedSubspace.from_pads), the rows beside its left pads, in
-    descending order.  C (an M owner, index (r,) + ...): the residues of
-    L_{r-1}(d)[c] modulo the block."""
-    kind, index = owner
-    block = _span(kind, n, index, d, c)
-    if side == "C":
-        rows = _span("L", n, index[0] - 1, d, c).int_rows()
-        rows = block.residues(rows).int_rows() if block.dim else rows
-        return {max(row): row for row in rows}
-    return dict(sorted(block._side.items(), reverse=True))
+def _side_rows(side: str, n: int, index: tuple[int, ...], d: int, c: Content) -> Iterable[IntRow]:
+    """The side rows of block c of J(d), index (r,) + the factors of P (see
+    m_span): G, its side tier (GradedSubspace.from_pads), the rows beside
+    its left pads in descending pivot order, or C, the residues of
+    L_{r-1}(d)[c] modulo it (_residues).  Both are read off sorted(c), and
+    relabelled onto c if c is not sorted."""
+    top = tuple(sorted(c, reverse=True))
+    rows = _span("C", n, index, d, top) if side == "C" else _span("M", n, index, d, top)._side
+    return rows.values() if top == c else _relabel(n, d, rows.values(), c).values()
+
+
+def _residues(n: int, index: tuple[int, ...], d: int, c: Content) -> dict[int, IntRow]:
+    """C: the residues of L_{r-1}(d)[c] modulo block c of J(d), index (r,)
+    + the factors of P, keyed by pivot in descending order."""
+    block = _span("M", n, index, d, c)
+    rows = _span("L", n, index[0] - 1, d, c).int_rows()
+    rows = block.residues(rows).int_rows() if block.dim else rows
+    return {max(row): row for row in rows}
 
 
 # -- index tuples and ideal specifications ----------------------------------

@@ -120,7 +120,7 @@ def ref_l_candidates(n: int, k: int, d: int, c: Content):
     """Rows spanning block c of L_k(d): [m, l] with l in L_{k-1}(d-e) of
     content c - content(m), m one degree-e word per necklace, every slot
     length read off the rotation scan ref_necklace_classes."""
-    for e in range(1, 2 if k == 2 else d - k + 2):
+    for e in range(1, d - k + 2):
         for cm, ranks in ref_necklace_classes(n, e).items():
             rest = tuple(map(sub, c, cm))
             if min(rest) < 0:

@@ -338,11 +338,13 @@ def test_bases_with_no_side_rows_share_one_read_only_side_tier():
     step = GradedSubspace.from_pads(n, d, [(0, prev)], [{13: 1, 10: -1}])
     assert step._tiers[1]
     step._echelon()
+    ordered = GradedSubspace.from_reduced(n, d, {12: {12: 1, 5: -1}})
+    assert ordered._echelon() and ordered._ordered
     others = [
         prev,
         GradedSubspace(n, d),
         GradedSubspace.from_reduced(n, d, {9: {9: 1, 3: 1}}),
-        GradedSubspace.from_echelon(n, d, {9: {9: 1, 3: 1}}),
+        ordered,
         GradedSubspace.direct_sum(n, d, [step]),
     ]
     shared = step._tiers[1]

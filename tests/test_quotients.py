@@ -16,7 +16,7 @@ from lcsideals.quotients import (
 )
 from lcsideals import series
 from lcsideals.linalg import GradedSubspace, extension_dim
-from lcsideals.series import l_span, m_span, product_span
+from lcsideals.series import IdealSpec, l_span, m_span, orbit_sum, product_span, spec_dim
 
 from helpers import ref_quotient_dim, reference_block
 
@@ -120,12 +120,12 @@ def test_j_side_rows_complete_the_left_pads():
     n, index, d = 3, (3, 2, 2), 6
     for c in ((3, 2, 1), (1, 2, 3)):
         J = series._span("M", n, index, d, c)
-        G, C = series._span("G", n, ("M", index), d, c), series._span("C", n, ("M", index), d, c)
+        G, C = (list(series._side_rows(side, n, index, d, c)) for side in "GC")
         pads = series._pads("M", n, index, d, c)
         assert 0 < len(G) < J.dim
-        assert GradedSubspace.from_pads(n, d, pads, G.values())._echelon() == J._echelon()
+        assert GradedSubspace.from_pads(n, d, pads, G)._echelon() == J._echelon()
         L = l_span(n, 2, d, c)
-        assert 0 < len(C) == extension_dim(J, C.values()) == extension_dim(J, L.int_rows())
+        assert 0 < len(C) == extension_dim(J, C) == extension_dim(J, L.int_rows())
 
 
 def test_a_j_block_below_degree_r_is_the_product_block():
@@ -136,6 +136,30 @@ def test_a_j_block_below_degree_r_is_the_product_block():
         assert series._span("M", 3, (7, 2, 3), 5, c) is product_span(3, (2, 3), 5, c)
     assert series._span("M", 3, (6,), 5, (3, 2, 0)).dim == 0
     assert not [key for key in series._span_cache if key[0] == "M" and key[3] < key[2][0]]
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_a_one_factor_mod_makes_j_the_lower_m(s):
+    # M_{k+1} ⊆ M_k, so J_r = M_r + M_s is M_min(r, s): in A_n/M_s, M_r
+    # counts what block c of M_r adds to block c of M_s, and N_r the
+    # difference of that count and the one of M_{r+1}, with no J block
+    series.clear_caches()
+    for n, d_max in ((2, 8), (3, 6)):
+        for d in range(d_max + 1):
+
+            def added(k: int) -> int:
+                ext = lambda c: extension_dim(m_span(n, s, d, c), m_span(n, k, d, c).int_rows())
+                return orbit_sum(n, d, ext)
+
+            for r in range(1, 7):
+                want = added(r)
+                assert spec_dim(IdealSpec("M", n, index=r), d, (s,)) == want, (n, s, r, d)
+                want -= added(r + 1)
+                assert spec_dim(IdealSpec("N", n, index=r), d, (s,)) == want, (n, s, r, d)
+                if r > 1:  # J_1 = A is counted by its words, never built
+                    for c in series.contents(n, d):
+                        J = series._span("M", n, (r, s), d, c)
+                        assert J is series._span("M", n, (min(r, s),), d, c), (n, s, r, d, c)
 
 
 def test_layers_above_the_degree_build_nothing():

@@ -121,12 +121,12 @@ def test_l_candidates_match_the_rotation_scan_reference():
     cells = [
         (n, k, d, c)
         for n, d_max in ((2, 9), (3, 7), (4, 6))
-        for k in range(2, 6)
+        for k in range(3, 6)
         for d in range(k, d_max + 1)
         for c in series.contents(n, d)
         if max(c) < d
     ]
-    assert len(cells) == 1150
+    assert len(cells) == 831
     for cell in cells:
         assert list(series._l_candidates(*cell)) == list(ref_l_candidates(*cell)), cell
 
@@ -182,7 +182,7 @@ def test_block_unions_match_whole_degree_builds():
 
 
 def cached_blocks() -> list:
-    """The cached L, M and P blocks of one content, without the side rows."""
+    """The cached L, M and P blocks of one content, without the residues C."""
     return [(key, S) for key, S in series._span_cache.items() if key[0] in "LMP" and key[4]]
 
 
@@ -214,8 +214,8 @@ def test_blocks_of_the_differential_cells_match_the_reference_echelon():
             for t in DIFFERENTIAL_PRODUCTS:
                 product_span(n, t, d)
     kinds = {(key[0], key[2] == 1) for key in series._span_cache}
-    want = {("L", True), ("L", False), ("M", False), ("P", False), ("G", False), ("C", False)}
-    assert want <= kinds
+    assert kinds == {("L", True), ("L", False), ("M", False), ("P", False), ("C", False)}
+    assert all(is_sorted(key[4]) for key in series._span_cache if key[0] == "C")
     assert assert_cached_blocks_match_the_reference() > 100
 
 
@@ -266,6 +266,18 @@ def test_the_bench_containment_questions_take_at_most_91000_eliminations():
             report = containment_index(q["n"], tuple(q["tuple"]), q["cutoff"])
             assert report.index_observed == q["index"]
     assert 0 < work.calls <= 91_000
+
+
+def test_the_bench_membership_setup_takes_at_most_45000_eliminations():
+    # the set-up of membership_warm: whole degrees of M_2..M_6 and L_2..L_6
+    # of A_3, which read written-down blocks in order
+    series.clear_caches()
+    with count_eliminations() as work:
+        for d in (6, 7):
+            for k in range(2, 7):
+                m_span(3, k, d)
+                l_span(3, k, d)
+    assert 0 < work.calls <= 45_000
 
 
 @pytest.mark.parametrize("n,t,cutoff", CONE_QUESTIONS)
@@ -348,11 +360,17 @@ def test_two_tier_blocks_answer_as_their_completed_form(load):
         want.add(("M", True))
     assert kinds == want
     assert assert_two_tiers_answer_as_completed(Random(str(load))) > 0
-    side = [key for key in series._span_cache if key[0] == "G" and is_sorted(key[4])]
-    assert side
-    for _, n, owner, d, c in side:
-        got = series._span_cache["G", n, owner, d, c]
-        assert list(got.items()) == list(taken_scan_side_rows(n, owner, d, c).items())
+    # the side tier G of every block built by from_pads (sorted, and not a
+    # written-down J_2) is its rows beside its left pads, in descending order
+    built = [
+        (key, S)
+        for key, S in cached_blocks()
+        if (key[0] == "P" or key[0] == "M" and key[2][0] > 2) and is_sorted(key[4])
+    ]
+    assert any(S._side for _, S in built)
+    for (kind, n, index, d, c), S in built:
+        want = taken_scan_side_rows(n, (kind, index), d, c)
+        assert list(S._side.items()) == list(want.items()), (kind, n, index, d, c)
     assert assert_cached_blocks_match_the_reference()
 
 
@@ -362,7 +380,7 @@ def is_sorted(c) -> bool:
 
 def test_only_sorted_contents_are_built_from_candidate_rows(monkeypatch):
     built = []
-    for name in ("_l_block", "_ideal_block", "_side_rows"):
+    for name in ("_l_block", "_ideal_block", "_residues"):
         real = getattr(series, name)
 
         def spy(*args, real=real):
@@ -377,33 +395,40 @@ def test_only_sorted_contents_are_built_from_candidate_rows(monkeypatch):
     l_span(4, 3, 5)
     assert built and all(is_sorted(c) for c in built)
     relabelled = [key for key in series._span_cache if key[4] and not is_sorted(key[4])]
-    assert {key[0] for key in relabelled} == {"L", "M", "P", "G", "C"}
+    assert {key[0] for key in relabelled} == {"L", "M", "P"}
+    assert {key[0] for key in series._span_cache} == {"L", "M", "P", "C"}
 
 
 def test_clear_caches_leaves_no_side_rows():
     series.clear_caches()
     m_span(3, 4, 7, (1, 2, 4))
-    assert {key[0] for key in series._span_cache} == {"L", "M", "G", "C"}
+    assert {key[0] for key in series._span_cache} == {"L", "M", "C"}
+    assert all(is_sorted(key[4]) for key in series._span_cache if key[0] == "C")
     series.clear_caches()
-    assert not [key for key in series._span_cache if key[0] in "GC"]
+    assert not [key for key in series._span_cache if key[0] == "C"]
     assert series._rank_tables.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
 def test_relabelled_side_rows_of_an_unsorted_block(s):
     # G with the left pads spans block c of M_s, and C adds to it exactly
-    # what L_{s-1} adds, and all of L_{s-1}
+    # what L_{s-1} adds, and all of L_{s-1}; both are relabelled from the
+    # sorted content where they are read, and only the sorted C is cached.
+    # A written-down M_2 block has no side tier.
     series.clear_caches()
     n, d, c = 3, 7, (1, 2, 4)
-    owner = ("M", (s,))
-    G, C = series._span("G", n, owner, d, c), series._span("C", n, owner, d, c)
-    assert ("G", n, owner, d, (4, 2, 1)) in series._span_cache
+    G, C = (list(series._side_rows(side, n, (s,), d, c)) for side in "GC")
+    residues = [key for key in series._span_cache if key[0] == "C"]
+    assert ("C", n, (s,), d, (4, 2, 1)) in residues and all(is_sorted(key[4]) for key in residues)
     M, L = m_span(n, s, d, c), l_span(n, s - 1, d, c)
-    pads = series._pads("M", n, (s,), d, c)
-    assert 0 < len(G) < M.dim
-    assert GradedSubspace.from_pads(n, d, pads, G.values())._echelon() == M._echelon()
-    assert 0 < len(C) == extension_dim(M, C.values()) == extension_dim(M, L.int_rows())
-    both = GradedSubspace.from_rows(n, d, [*M.int_rows(), *C.values()])
+    if s == 2:
+        assert not G and not M._side
+    else:
+        pads = series._pads("M", n, (s,), d, c)
+        assert 0 < len(G) < M.dim
+        assert GradedSubspace.from_pads(n, d, pads, G)._echelon() == M._echelon()
+    assert 0 < len(C) == extension_dim(M, C) == extension_dim(M, L.int_rows())
+    both = GradedSubspace.from_rows(n, d, [*M.int_rows(), *C])
     assert all(both.contains_row(row) for row in L.int_rows())
 
 
@@ -411,11 +436,19 @@ def test_relabelled_side_rows_of_an_unsorted_block(s):
 WORD_CLASS_CELLS = [(2, 9), (3, 7), (4, 6)]
 
 
-def test_word_class_blocks_match_the_reference_echelon():
+def test_word_class_blocks_match_the_reference_echelon(monkeypatch):
     # L_1, L_2 = [A, A] and M_2 are written down from their word classes;
     # the reference echelonizes their candidate rows: the left pads and the
-    # letter brackets [V, L_1] for M_2, the letter brackets for L_2
+    # letter brackets [V, L_1] for M_2, the candidate rows for L_2.  The
+    # rows are written in order, so the first ordered read only finds that.
     series.clear_caches()
+    calls = []
+    real = vars(GradedSubspace)["from_rows"].__func__
+    monkeypatch.setattr(
+        GradedSubspace,
+        "from_rows",
+        classmethod(lambda cls, n, degree, rows: calls.append(degree) or real(cls, n, degree, rows)),
+    )
     compared = 0
     for n, d_max in WORD_CLASS_CELLS:
         for d in range(d_max + 1):
@@ -424,6 +457,10 @@ def test_word_class_blocks_match_the_reference_echelon():
                     if kind == "M" and d < 2:
                         continue
                     got = series._span(kind, n, index, d, c)
+                    made = len(calls)
+                    with count_eliminations() as work:
+                        got._echelon()
+                    assert len(calls) == made and work.calls == 0, (kind, n, index, d, c)
                     assert got._ordered and not got._tiers[1], (kind, n, index, d, c)
                     want = reference_block(kind, n, index, d, c)
                     assert got._echelon() == want._echelon(), (kind, n, index, d, c)
@@ -431,9 +468,8 @@ def test_word_class_blocks_match_the_reference_echelon():
     assert compared == 1143  # 385 contents, 12 of them below degree 2
 
 
-def test_j2_blocks_are_m2_blocks_with_their_side_tier():
-    # J_2 = M_2 + P is M_2, and the side tier of M_2 is its rows beside the
-    # left pads, those whose pivot is the least word x·u of a first letter x
+def test_j2_blocks_are_m2_blocks():
+    # J_2 = M_2 + P is M_2
     series.clear_caches()
     for n, d_max in WORD_CLASS_CELLS:
         for d in range(2, d_max + 1):
@@ -442,9 +478,7 @@ def test_j2_blocks_are_m2_blocks_with_their_side_tier():
                 for mod in ((2, 2), (2, 3)):
                     J = series._span("M", n, (2,) + mod, d, c)
                     assert J._echelon() == ref_j_block(n, 2, mod, d, c)._echelon(), (n, d, c, mod)
-                    assert J._echelon() == M._echelon() and J._side == M._side
-                assert dict(M._side) == taken_scan_side_rows(n, ("M", (2,)), d, c), (n, d, c)
-                assert len(M._side) == sum(1 for x in c if x) - 1
+                    assert J._echelon() == M._echelon()
 
 
 def test_a_j2_block_builds_no_cone():
@@ -511,7 +545,7 @@ def test_building_a_block_leaves_the_cached_blocks_as_they_were():
         key: {p: dict(row) for p, row in rows(S).items()}
         for key, S in series._span_cache.items()
     }
-    assert {key[0] for key in held} == {"L", "M", "G", "C"}
+    assert {key[0] for key in held} == {"L", "M", "C"}
     m_span(3, 3, 5, (2, 2, 1))
     assert {key: rows(series._span_cache[key]) for key in held} == held
 
