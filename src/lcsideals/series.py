@@ -31,12 +31,51 @@ is the least word of its class.
 Each row w - w_0 has pivot w > w_0, coefficient 1, and w_0 is no pivot, so
 no row holds the pivot of another: that is the reduced echelon form.
 
-Block c of L_k(d), k >= 3, is spanned by brackets [m, l] of one word m per
+The next layer, L_3, M_3 and J_3 = M_3 + P, is written down as kernels
+of a map to differential forms (_form_block).  By Feigin–Shoikhet, A/M_3
+is the algebra Ω^even of polynomial differential forms of even degree
+with the product a*b = ab + da∧db, x_i -> x_i; call the quotient map φ.
+Multiplied out, φ(w) is the sum over the even sets S of positions of w
+that carry distinct letters of ±x^(c - e_I)·dx_I, I the letters of S and
+the sign that of the permutation that sorts them in position order
+(_forms).  The forms dx_I, I an even set of the s letters of c, are a
+basis of block c of Ω^even: 2^(s-1) dimensions for s >= 1.
+- M_3: block c is the kernel of φ on the words of content c.
+- L_3 = L_2 ∩ M_3.  L_3 lies in both.  Conversely, for a = φ(u) and
+  b = φ(v), φ([u, v]) = a*b - b*a = 2·da∧db, as even forms commute and
+  odd ones anticommute.  φ is onto, and an exact form d(f·dx_J), J odd,
+  is df∧d(x_j·dx_J') for J = {j} ∪ J', so φ(L_2) is the exact even
+  forms of positive degree.  In a content c ≠ 0 the de Rham complex is
+  exact (Poincaré lemma), so these are the closed ones, which
+  Feigin–Shoikhet show to be as many as dim (L_2/L_3)[c].  So φ maps
+  L_2[c]/L_3[c] onto a space of its own dimension, injectively, and
+  block c of L_3 is the kernel of φ on the rows w - w_0 of L_2.
+- J_3 = M_3 + P.  M_3 = ker φ gives J_3 = φ^-1(φ(P)).  A factor M_i,
+  i >= 3, lies in M_3, so then φ(P) = 0 and J_3 = M_3.  φ(M_2) is the
+  ideal Ω^{>=2} of the forms of degree >= 2: it is generated by φ(L_2),
+  which lies in Ω^{>=2}, an ideal because deg a*b >= deg a + deg b; and
+  for closed ω, ω' a product f*ω is fω and ω*ω' is ω∧ω', so f·dx_I,
+  |I| >= 2 even, is f*(dx_i1∧dx_i2)*(dx_i3∧dx_i4)*···.  By the same two
+  facts, for P = M_2^k, φ(P) = φ(M_2)^k is Ω^{>=2k}, and block c of J_3
+  is the kernel of φ cut to the forms of degree below 2k.  When 2k > n
+  no such form is left, and _span routes J_3 to M_3, as for a factor >= 3.
+The pigeonhole bound follows: on A_n, n >= 2k, the product
+[x_1, x_2]···[x_{2k-1}, x_{2k}] of M_2^k maps to 2^k·dx_1∧···∧dx_{2k} ≠ 0,
+so (2, ..., 2) (k entries) has containment index exactly 2, the floor
+max t; for n < 2k, M_2^k ⊆ M_3 at every degree.  The kernel is read off
+the candidate rows (the words of c, or the rows of L_2) in ascending pivot
+order (_kernel_rows): a row whose image depends on those of the rows
+before it gives itself minus the combination of the earlier independent
+rows with the same image.  Its pivot is its largest word, and the
+independent rows hold no other such pivot, so that is again the reduced
+echelon form, found with no elimination in word space.
+
+Block c of L_k(d), k >= 4, is spanned by brackets [m, l] of one word m per
 necklace with l in block c - content(m) of L_{k-1}: the rows [V, L_{k-1}]
 that M_k adds for one-letter m, and for longer m the powers of Lyndon
 words (lyndon.lyndon_words), which are the necklaces.  M_k = A·L_k·A is the
 one-factor product ideal.  Every product P = M_{i1}···M_{ik}, and every sum
-J = M_r + P, r >= 3 (kind "M"; plain M_r is P = 0), is built as a left
+J = M_r + P, r >= 4 (kind "M"; plain M_r is P = 0), is built as a left
 ideal, P(d) = V·P(d-1) + new rows, V the span of the generators: block c
 takes the left pads x_i·P(d-1)[c - e_i] and the new rows of content c,
 merged by GradedSubspace.from_pads.  For a product of two or more factors
@@ -83,13 +122,13 @@ from __future__ import annotations
 import threading
 from functools import cache
 from itertools import product as iter_product
-from math import factorial, prod
-from operator import sub
+from math import factorial, gcd, prod
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exprs import count, read_indices
 from .freealg import Poly, Rational, Word, all_words, check_count, nested_word_chain
-from .linalg import GradedSubspace, IntRow, extension_dim, poly_to_introw, word_rank
+from .linalg import GradedSubspace, IntRow, _strip, extension_dim, poly_to_introw, word_rank
 from .lyndon import lyndon_words
 
 # Right-normed pure commutator, given by its letters; length 1 = generator.
@@ -106,6 +145,7 @@ def clear_caches() -> None:
         _span_cache.clear()
         _rank_tables.cache_clear()
         _content_words.cache_clear()
+        _forms.cache_clear()
     chain_poly.cache_clear()
 
 
@@ -181,17 +221,23 @@ def _span(kind: str, n: int, index, d: int, c: Content | None):
     the union of the degree's blocks, which shares their rows.  Kind "C",
     for a sorted c only, gives the residues C of the M block (_residues).
 
-    The blocks of L_1, L_2 and J_2 are written down for every content
-    (_word_class_block).  Of the others, only a sorted content
-    (c_1 >= ... >= c_n) is built from candidate rows; any other block is
-    the relabelled image of block sorted(c), the one sorted content of its
-    S_n orbit (see _relabel), and its G and C rows are relabelled where
-    read (_side_rows)."""
-    if kind == "M" and len(index) == 2:
-        # L_{k+1} ⊆ L_k gives M_{k+1} ⊆ M_k, so M_r + M_s = M_min(r, s)
-        index = (min(index),)
-    if kind == "M" and d < index[0]:
-        return _span("P", n, index[1:], d, c) if index[1:] else _empty(n, d)
+    The blocks of L_1, L_2, L_3, J_2 and J_3 are written down for every
+    content (_word_class_block, _form_block).  Of the others, only a sorted
+    content (c_1 >= ... >= c_n) is built from candidate rows; any other
+    block is the relabelled image of block sorted(c), the one sorted
+    content of its S_n orbit (see _relabel), and its G and C rows are
+    relabelled where read (_side_rows).  Kinds M and P take indices >= 2
+    only (ValueError): J_1 = A is no ideal these recursions build."""
+    if kind == "M":
+        if min(index) < 2:
+            raise ValueError(f"J takes indices >= 2, not {index}")
+        if len(index) == 2:
+            # L_{k+1} ⊆ L_k gives M_{k+1} ⊆ M_k, so M_r + M_s = M_min(r, s)
+            index = (min(index),)
+        elif index[0] == 3 and len(index) > 2 and (max(index[1:]) > 2 or 2 * len(index) - 2 > n):
+            index = (3,)  # P ⊆ M_3, so J_3 = M_3 (see the module docstring)
+        if d < index[0]:
+            return _span("P", n, index[1:], d, c) if index[1:] else _empty(n, d)
     key = (kind, n, index, d, c)
     got = _span_cache.get(key)
     if got is not None:
@@ -199,11 +245,15 @@ def _span(kind: str, n: int, index, d: int, c: Content | None):
     with _lock:
         got = _span_cache.get(key)
         if got is None:
+            if kind == "P" and min(index) < 2:
+                raise ValueError(f"a product takes factor indices >= 2, not {index}")
             if c is None:
                 blocks = [_span(kind, n, index, d, b) for b in contents(n, d)]
                 got = GradedSubspace.direct_sum(n, d, blocks)
             elif kind == "L" and index <= 2 or kind == "M" and index[0] == 2:
                 got = _word_class_block(kind, n, index, d, c)
+            elif kind == "L" and index == 3 or kind == "M" and index[0] == 3:
+                got = _form_block(kind, n, index, d, c)
             elif (top := tuple(sorted(c, reverse=True))) != c:
                 rows = _relabel(n, d, _span(kind, n, index, d, top).int_rows(), c)
                 got = GradedSubspace.from_reduced(n, d, rows)
@@ -307,6 +357,145 @@ def _content_words(c: Content) -> tuple[int, ...]:
     return tuple(x * top + r for x in range(len(c)) if c[x] for r in _content_words(_less(c, x)))
 
 
+def _form_block(kind: str, n: int, index, d: int, c: Content) -> GradedSubspace:
+    """Block c of L_3, or of J_3 = M_3 + P (kind "M", index (3,) + the k
+    factors of P, each 2), written down in reduced echelon form as the
+    kernel of φ on block c of L_2, or on block c of A cut to the forms of
+    degree below 2k (see the module docstring)."""
+    if max(c) == d:  # words in one letter commute
+        return _empty(n, d)
+    below = 2 * len(index) - 2 if kind == "M" and len(index) > 1 else d + 1
+    support = tuple(filter(None, c))
+    sets = range(1 << len(support))
+    even = itemgetter(*[T for T in sets if T.bit_count() % 2 == 0 and T.bit_count() < below])
+    forms = dict(zip(_content_words(c), map(even, _forms(support))))
+    if kind == "M":
+        pairs = (({w: 1}, image) for w, image in forms.items())
+    else:  # the rows w - w_0 of L_2, whose images are 0 at T = {}
+        rows = [row for _, row in sorted(_span("L", n, 2, d, c)._echelon().items())]
+        pairs = ((row, tuple(map(sub, forms[w], forms[w0]))[1:]) for row in rows for w, w0 in [row])
+    return GradedSubspace.from_reduced(n, d, _kernel_rows(pairs))
+
+
+@cache
+def _forms(c: Content) -> tuple[tuple[int, ...], ...]:
+    """The forms ψ(w) of the words w of a content c with no zero entry, in
+    ascending order of the words.  Entry T of ψ(w), T a set of letters given
+    as a bit mask over their places in c, is the signed count of the sets S
+    of positions of w that carry the letters of T, each once; the sign is
+    that of the permutation that sorts the letters of S read in position
+    order.  A set S of x·u either lies in u, or takes the first position
+    and a set of u without x, which puts x before the letters of T - {x}
+    and costs a sign for each of them below x (_prepend).  φ(w) is the part
+    of ψ(w) on the even T.  A content with zero entries has the forms of
+    its nonzero part, which _form_block reads: they depend only on the
+    order of the letters, so a form costs the same in every A_n."""
+    if not c:
+        return ((1,),)
+    out: list[tuple[int, ...]] = []
+    for p, a in enumerate(c):
+        signs, take = _prepend(len(c), p, a > 1)
+        if a > 1:
+            rest = _forms(c[:p] + (a - 1,) + c[p + 1 :])
+            out += [tuple(map(add, v, map(mul, signs, take(v)))) for v in rest]
+        else:
+            out += [tuple(map(mul, signs, take(v))) for v in _forms(c[:p] + c[p + 1 :])]
+    return tuple(out)
+
+
+@cache
+def _prepend(s: int, p: int, stays: bool) -> tuple[list[int], Callable]:
+    """The tables that give ψ(x·u) from v = ψ(u), x the letter at place p of
+    the s in the support of c: the sign of T ∋ x, and a map picking v at
+    T - {x}.  If x stays in the support of u, ψ(x·u)[T] = v[T] +
+    sign·v[T - {x}], T ∋ x (signs 0 elsewhere); if it leaves, the places
+    of u above p are one lower, and ψ(x·u)[T] = sign·v[T - {x}] (signs 1
+    for T ∌ x)."""
+    bit, low = 1 << p, (1 << p) - 1
+    Ts = range(1 << s)
+    signs = [(-1) ** (T & low).bit_count() if T & bit else int(not stays) for T in Ts]
+    at = [T ^ bit if stays else T & low | T >> 1 & ~low for T in Ts]
+    return signs, itemgetter(*at)
+
+
+def _kernel_rows(pairs: Iterable[tuple[IntRow, tuple[int, ...]]]) -> dict[int, IntRow]:
+    """The kernel of row -> image on the span of the rows of pairs, given in
+    ascending pivot order with images of one width, keyed by pivot: for
+    each row whose image depends on the images before it, that row minus
+    the combination of the independent rows before it, free, with the same
+    image.  Each is in the kernel, its pivot is its largest word, and it
+    holds no other such pivot, so the rows are reduced; there is one for
+    each dimension of the kernel.
+
+    A first pass finds free by a fraction-free echelon of their images.
+    The images of free are independent, so the combination of free with
+    the image of a later row is unique, and takes no row of free after it.
+    Fraction-free Gauss–Jordan on the images of free, each with the unit
+    vector of its slot appended, then gives basis[j]: lead times the j-th
+    reduced echelon image, lead at its pivot column qs[j] and 0 at the
+    other columns qs, with the combination of free that gives it.  lead is
+    the determinant of the images of free at the columns qs, so by
+    Cramer's rule every entry is an integer and each division by the old
+    lead is exact.  A row with image t takes lead times itself minus
+    Σ_j t[qs[j]]·(the combination of basis[j]), a sum over the words of
+    free that depends on t alone (tails, kept divided by its content
+    together with lead)."""
+    echelon: list[tuple[int, list[int]]] = []
+    free: list[tuple[IntRow, tuple[int, ...]]] = []
+    rest: list[tuple[IntRow, tuple[int, ...]]] = []
+    seen: set[tuple[int, ...]] = set()
+    for row, image in pairs:
+        if len(echelon) < len(image) and image not in seen:
+            seen.add(image)
+            left = list(image)
+            for q, e in echelon:
+                if b := left[q]:
+                    left = [e[q] * x - b * y for x, y in zip(left, e)]
+            if any(left):
+                echelon.append((next(q for q, x in enumerate(left) if x), left))
+                free.append((row, image))
+                continue
+        rest.append((row, image))
+    if not rest:
+        return {}
+    width, rank = len(rest[0][1]), len(free)
+    lead, basis = 1, []
+    for j, (_, image) in enumerate(free):
+        left = [lead * v for v in image] + [0] * rank
+        left[width + j] = lead
+        for (q, _), aug in zip(echelon, basis):
+            if a := image[q]:
+                left = [x - a * y for x, y in zip(left, aug)]
+        q = echelon[j][0]
+        e = left[q]
+        basis = [[(e * x - aug[q] * y) // lead for x, y in zip(aug, left)] for aug in basis]
+        basis.append(left)
+        lead = e
+    slots: dict[int, list[int]] = {}
+    for j, (row, _) in enumerate(free):
+        for u, v in row.items():
+            slots.setdefault(u, [0] * rank)[j] = v
+    words = [(u, [sum(map(mul, vs, aug[width:])) for aug in basis]) for u, vs in slots.items()]
+    qs = [q for q, _ in echelon]
+    out: dict[int, IntRow] = {}
+    tails: dict[tuple[int, ...], tuple[int, IntRow]] = {}
+    for row, image in rest:
+        got = tails.get(image)
+        if got is None:
+            t = [image[q] for q in qs]
+            tail = {u: -a for u, col in words if (a := sum(map(mul, col, t)))}
+            g = gcd(lead, *tail.values()) if lead > 0 else -gcd(lead, *tail.values())
+            got = tails[image] = lead // g, {u: a // g for u, a in tail.items()}
+        scale, tail = got
+        vec = dict(tail)
+        for u, v in row.items():
+            vec[u] = vec.get(u, 0) + scale * v
+        if not tail.keys().isdisjoint(row):
+            vec = _strip({u: v for u, v in vec.items() if v})
+        out[max(row)] = vec
+    return out
+
+
 def _l_block(n: int, k: int, d: int, c: Content) -> GradedSubspace:
     if d < k or max(c) == d:  # words in one letter commute
         return _empty(n, d)
@@ -407,8 +596,8 @@ def m_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
     j·x = Σ y·(j'·x) + g·x in V·J(d-1) + G(d-1)·V.  Below degree k, J = P,
     so G(k-1)·V lies in P(k) and is left out.  Every step keeps letter
     contents, and a letter permutation fixes J, L_{k-1} and the left pads,
-    so G, C and S relabel with their blocks.  The blocks of J_2 = M_2 are
-    written down instead (see the module docstring).
+    so G, C and S relabel with their blocks.  The blocks of J_2 = M_2 and
+    of J_3 are written down instead (see the module docstring).
     """
     if k < 1:
         raise ValueError("ideal index must be >= 1")
@@ -485,7 +674,7 @@ def product_span(
 
 
 def _ideal_block(kind: str, n: int, index: tuple[int, ...], d: int, c: Content) -> GradedSubspace:
-    """Block c of a product (kind "P") or of J (kind "M", d >= r >= 3)."""
+    """Block c of a product (kind "P") or of J (kind "M", d >= r >= 4)."""
     if kind == "P" and d < sum(index) or max(c) == d:  # words in one letter commute
         return _empty(n, d)
     rows = _m_rows(n, index, d, c) if kind == "M" else _generator_rows(n, index, d, c)

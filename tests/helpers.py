@@ -26,12 +26,16 @@ and a back-eliminating freeze), the reference for the reduced insert_row of
 linalg; _left_ideal_step is the pad merge of series on it, the reference for
 GradedSubspace.from_pads, and reference_block rebuilds any cached block of
 series on the two, from the block's own candidate rows, the reference for the
-blocks that series relabels; ref_j_block echelonizes the rows of M_r and of a
-product ideal P, the reference for the blocks of J = M_r + P.  even_forms_dim
-and closed_even_forms_dim are the Feigin–Shoikhet theorems
-dim (A/M_3)[c] = 2^(s-1) and
+blocks that series relabels, and for the blocks that it writes down: L_3
+from its candidate rows (_l_candidates, which series calls only from L_4 on)
+and M_3 as a left ideal from the brackets [V, L_2], where series takes the
+kernel of the map to even differential forms; ref_j_block echelonizes the
+rows of M_r and of a product ideal P, the reference for the blocks of
+J = M_r + P, J_3 among them.  even_forms_dim and closed_even_forms_dim are
+the Feigin–Shoikhet theorems dim (A/M_3)[c] = 2^(s-1) and
 dim (L_2/L_3)[c] = 2^(s-2), s the number of letters in c: closed forms that
-share no code with series and reach past the brute-force oracles, and
+share no code with series and reach past the brute-force oracles and past
+reference_block (the written L_3 and M_3 blocks of A_5 and A_6), and
 gl_multiplicities solves the block dimensions for the multiplicities of the
 irreducible GL_n-modules with a Kostka counter (kostka), which must be
 counts and independent of n.  The builders that a shared builder of the

@@ -51,11 +51,11 @@ def test_from_rows_takes_the_rows_fourth():
 
 
 def test_reading_an_unordered_block_in_order_calls_from_rows_once():
-    # a relabelled block is echelonized by from_rows once; a written-down
-    # block (here of L_2) is found in order and offers no row
+    # a relabelled block (here of M_4) is echelonized by from_rows once; a
+    # written-down block (here of L_2) is found in order and offers no row
     series.clear_caches()
     written = series.l_span(3, 2, 6, (1, 2, 3))
-    S = series.m_span(3, 3, 6, (1, 2, 3))
+    S = series.m_span(3, 4, 6, (1, 2, 3))
     assert not S._ordered and not written._ordered
     tracer = _load_tracer().Tracer()
     tracer.install()

@@ -115,16 +115,17 @@ def test_j_blocks_are_the_echelon_form_of_m_r_plus_the_product():
 
 def test_j_side_rows_complete_the_left_pads():
     # G with the left pads spans each J block, and C adds to it exactly what
-    # L_{r-1} adds, on a sorted and an unsorted content
+    # L_{r-1} adds, on a sorted and an unsorted content (J_4: the blocks of
+    # J_3 are written down)
     series.clear_caches()
-    n, index, d = 3, (3, 2, 2), 6
+    n, index, d = 3, (4, 2, 2), 6
     for c in ((3, 2, 1), (1, 2, 3)):
         J = series._span("M", n, index, d, c)
         G, C = (list(series._side_rows(side, n, index, d, c)) for side in "GC")
         pads = series._pads("M", n, index, d, c)
         assert 0 < len(G) < J.dim
         assert GradedSubspace.from_pads(n, d, pads, G)._echelon() == J._echelon()
-        L = l_span(n, 2, d, c)
+        L = l_span(n, 3, d, c)
         assert 0 < len(C) == extension_dim(J, C) == extension_dim(J, L.int_rows())
 
 

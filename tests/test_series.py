@@ -26,6 +26,7 @@ from lcsideals.series import (
     m_span,
     product_generators,
     product_span,
+    pure_product_poly,
     shapes_for_index,
     spec_contains,
     spec_dim,
@@ -245,7 +246,7 @@ def test_the_cone_questions_are_the_bench_questions():
     assert asked == BENCH_QUESTIONS
 
 
-def test_the_bench_quotient_cells_take_at_most_78000_eliminations():
+def test_the_bench_quotient_cells_take_at_most_60000_eliminations():
     # each cell asked from empty caches, as the bench asks it
     cells = bench_references()["quotient_dims"]
     assert len(cells) == 41
@@ -253,10 +254,10 @@ def test_the_bench_quotient_cells_take_at_most_78000_eliminations():
         for q in cells:
             series.clear_caches()
             assert quotient_dim(QuotientSpec(q["n"], *q["mod"]), "N", q["r"], q["d"]) == q["dim"]
-    assert 0 < work.calls <= 78_000
+    assert 0 < work.calls <= 60_000
 
 
-def test_the_bench_containment_questions_take_at_most_91000_eliminations():
+def test_the_bench_containment_questions_take_at_most_83000_eliminations():
     # each question asked from empty caches, as a fresh interpreter asks it
     questions = bench_references()["containment"]
     assert len(questions) == 13
@@ -265,10 +266,10 @@ def test_the_bench_containment_questions_take_at_most_91000_eliminations():
             series.clear_caches()
             report = containment_index(q["n"], tuple(q["tuple"]), q["cutoff"])
             assert report.index_observed == q["index"]
-    assert 0 < work.calls <= 91_000
+    assert 0 < work.calls <= 83_000
 
 
-def test_the_bench_membership_setup_takes_at_most_45000_eliminations():
+def test_the_bench_membership_setup_takes_at_most_36000_eliminations():
     # the set-up of membership_warm: whole degrees of M_2..M_6 and L_2..L_6
     # of A_3, which read written-down blocks in order
     series.clear_caches()
@@ -277,7 +278,7 @@ def test_the_bench_membership_setup_takes_at_most_45000_eliminations():
             for k in range(2, 7):
                 m_span(3, k, d)
                 l_span(3, k, d)
-    assert 0 < work.calls <= 45_000
+    assert 0 < work.calls <= 36_000
 
 
 @pytest.mark.parametrize("n,t,cutoff", CONE_QUESTIONS)
@@ -285,8 +286,12 @@ def test_balanced_blocks_and_cones_match_the_reference_echelon(n, t, cutoff):
     series.clear_caches()
     containment_index(n, t, cutoff)
     assert assert_cached_blocks_match_the_reference()
-    side = [key for key in series._span_cache if key[0] in "GC"]
-    assert side and any(key[0] == "M" and key[3] > key[2][0] for key, _ in cached_blocks())
+    side = [key for key in series._span_cache if key[0] == "C"]
+    built = [key for key, _ in cached_blocks() if key[0] == "M" and key[2][0] > 3]
+    if (n, t) == (4, (2, 2)):  # index 2: only the written-down M_3 blocks are asked
+        assert not side and not built and any(key[0] == "M" for key, _ in cached_blocks())
+    else:
+        assert side and any(key[3] > key[2][0] for key in built)
 
 
 def two_tier_blocks() -> list:
@@ -336,7 +341,7 @@ def assert_two_tiers_answer_as_completed(rng: Random) -> int:
     return len(blocks)
 
 
-# the blocks of the differential cells, one content at a time, and J = M_3 + P
+# the blocks of the differential cells, one content at a time, and J = M_4 + P
 TWO_TIER_LOADS = ["differential", *BENCH_QUESTIONS, (4, (2, 2, 2), 8)]
 
 
@@ -351,7 +356,7 @@ def test_two_tier_blocks_answer_as_their_completed_form(load):
                         m_span(n, k, d, c)
                     for t in DIFFERENTIAL_PRODUCTS:
                         product_span(n, t, d, c)
-                        series._span("M", n, (3,) + t, d, c)
+                        series._span("M", n, (4,) + t, d, c)
     else:
         containment_index(*load)
     kinds = {(key[0], len(key[2]) > 1) for key, _ in two_tier_blocks()}
@@ -361,11 +366,12 @@ def test_two_tier_blocks_answer_as_their_completed_form(load):
     assert kinds == want
     assert assert_two_tiers_answer_as_completed(Random(str(load))) > 0
     # the side tier G of every block built by from_pads (sorted, and not a
-    # written-down J_2) is its rows beside its left pads, in descending order
+    # written-down J_2 or J_3) is its rows beside its left pads, in
+    # descending order
     built = [
         (key, S)
         for key, S in cached_blocks()
-        if (key[0] == "P" or key[0] == "M" and key[2][0] > 2) and is_sorted(key[4])
+        if (key[0] == "P" or key[0] == "M" and key[2][0] > 3) and is_sorted(key[4])
     ]
     assert any(S._side for _, S in built)
     for (kind, n, index, d, c), S in built:
@@ -414,14 +420,14 @@ def test_relabelled_side_rows_of_an_unsorted_block(s):
     # G with the left pads spans block c of M_s, and C adds to it exactly
     # what L_{s-1} adds, and all of L_{s-1}; both are relabelled from the
     # sorted content where they are read, and only the sorted C is cached.
-    # A written-down M_2 block has no side tier.
+    # A written-down M_2 or M_3 block has no side tier.
     series.clear_caches()
     n, d, c = 3, 7, (1, 2, 4)
     G, C = (list(series._side_rows(side, n, (s,), d, c)) for side in "GC")
     residues = [key for key in series._span_cache if key[0] == "C"]
     assert ("C", n, (s,), d, (4, 2, 1)) in residues and all(is_sorted(key[4]) for key in residues)
     M, L = m_span(n, s, d, c), l_span(n, s - 1, d, c)
-    if s == 2:
+    if s <= 3:
         assert not G and not M._side
     else:
         pads = series._pads("M", n, (s,), d, c)
@@ -519,7 +525,9 @@ def assert_feigin_shoikhet(n: int, d: int, c) -> None:
 
 
 def test_a_mod_m3_and_l2_mod_l3_blocks_have_the_feigin_shoikhet_dims():
-    for n, d_max in ((2, 8), (3, 6), (4, 5)):
+    # A_5 and A_6 reach past the reference builds of the written blocks
+    series.clear_caches()
+    for n, d_max in ((2, 8), (3, 6), (4, 5), (5, 6), (6, 6)):
         for d in range(d_max + 1):
             for c in series.contents(n, d):
                 assert_feigin_shoikhet(n, d, c)
@@ -534,10 +542,94 @@ def test_feigin_shoikhet_dims_on_a_balanced_and_an_unsorted_block(n, d):
         assert_feigin_shoikhet(n, d, c)
 
 
+# the mods of J_3 = M_3 + P: cut forms for (2,)*k, routed to M_3 otherwise
+FORM_MODS = [(2, 2), (2, 3), (2, 2, 2), (2, 2, 2, 2)]
+
+
+def test_form_blocks_match_the_built_reference_echelon(monkeypatch):
+    # L_3, M_3 and J_3 are written down as kernels of the map to even forms,
+    # for every content, with no elimination and no block of L_3 or M_3
+    # below them; the reference builds L_3 from its candidate rows
+    # (_l_candidates), M_3 as a left ideal from the brackets [V, L_2], and
+    # J_3 from the rows of M_3 and P (reference_block).  L_4, M_4 and
+    # J_4 = M_4 + M_2·M_2 read them as candidate rows, pads and residues.
+    series.clear_caches()
+    calls = []
+    real = vars(GradedSubspace)["from_rows"].__func__
+    monkeypatch.setattr(
+        GradedSubspace,
+        "from_rows",
+        classmethod(lambda cls, n, degree, rows: calls.append(degree) or real(cls, n, degree, rows)),
+    )
+    written = [("L", 3), ("M", (3,))] + [("M", (3,) + t) for t in FORM_MODS]
+    compared = 0
+    for n, d_max in WORD_CLASS_CELLS:
+        for d in range(3, d_max + 1):
+            for c in series.contents(n, d):
+                for kind, index in written:
+                    calls.clear()
+                    with count_eliminations() as work:
+                        got = series._span(kind, n, index, d, c)
+                    assert (work.calls, calls) == (0, []), (kind, n, index, d, c)
+                    assert got._echelon() == reference_block(kind, n, index, d, c)._echelon()
+                    compared += 1
+                for kind, index in (("L", 4), ("M", (4,)), ("M", (4, 2, 2))):
+                    got = series._span(kind, n, index, d, c)
+                    assert got._echelon() == reference_block(kind, n, index, d, c)._echelon()
+    assert compared == 2124
+
+
+def test_j3_is_m3_for_a_factor_above_2_or_more_factors_than_forms():
+    # _span routes J_3 = M_3 + P to M_3 when P has a factor >= 3 or k
+    # factors 2 with 2k > n; else J_3 is written with the forms cut below 2k
+    series.clear_caches()
+    for n, d_max in ((2, 8), (3, 6), (4, 6)):
+        for d in range(3, d_max + 1):
+            for c in series.sorted_contents(n, d):
+                M = series._span("M", n, (3,), d, c)
+                for mod in ((2, 3), (3, 3), (2, 2, 4), (2, 2, 2), (2, 2)):
+                    J = series._span("M", n, (3,) + mod, d, c)
+                    cut = mod == (2, 2) and n >= 4
+                    assert (("M", n, (3,) + mod, d, c) in series._span_cache) == cut
+                    assert J is M or cut, (n, d, c, mod)
+
+
+def test_span_refuses_an_index_below_2():
+    # J_1 = A and a factor M_1 = A are no ideals of the J and P recursions
+    series.clear_caches()
+    for kind, index in (("M", (1,)), ("M", (3, 1)), ("M", (3, 1, 2)), ("P", (1, 2)), ("P", (2, 1))):
+        with pytest.raises(ValueError, match="indices >= 2"):
+            series._span(kind, 2, index, 3, (2, 1))
+    assert not series._span_cache
+    assert series._span("L", 2, 1, 3, (2, 1)).dim == 3
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_pigeonhole_bound_for_products_of_m2(k):
+    # φ(M_2^k) is the even forms of degree >= 2k.  On A_2k the product
+    # [x1,x2]···[x_{2k-1},x_{2k}] lies in M_2^k and maps to
+    # 2^k·dx_1∧···∧dx_2k ≠ 0, so (2,)*k has index exactly 2, the floor
+    # max t; on A_{2k-1} there is no such form, and J_3 = M_3 + M_2^k is
+    # M_3 at every degree: the rows of the product block lie in M_3
+    n = 2 * k
+    witness = pure_product_poly(n, [(2 * i + 1, 2 * i + 2) for i in range(k)])
+    assert spec_contains(IdealSpec("P", n, factors=(2,) * k), witness)
+    assert not spec_contains(IdealSpec("M", n, index=3), witness)
+    series.clear_caches()
+    report = containment_index(n, (2,) * k, n + 1)
+    assert report.index_observed == 2 and set(report.per_degree.values()) == {2}
+    n -= 1
+    for d in range(2 * k, 8):
+        for c in series.sorted_contents(n, d):
+            M = series._span("M", n, (3,), d, c)
+            assert series._span("M", n, (3,) + (2,) * k, d, c) is M
+            assert ref_j_block(n, 3, (2,) * k, d, c)._echelon() == M._echelon(), (n, d, c)
+
+
 def test_building_a_block_leaves_the_cached_blocks_as_they_were():
     series.clear_caches()
-    for c in series.contents(3, 4):
-        m_span(3, 3, 4, c)
+    for c in series.contents(3, 5):
+        m_span(3, 4, 5, c)
     def rows(S):  # a block's ordered rows, or side rows
         return S if isinstance(S, dict) else S._echelon()
 
@@ -546,7 +638,7 @@ def test_building_a_block_leaves_the_cached_blocks_as_they_were():
         for key, S in series._span_cache.items()
     }
     assert {key[0] for key in held} == {"L", "M", "C"}
-    m_span(3, 3, 5, (2, 2, 1))
+    m_span(3, 4, 6, (2, 2, 2))
     assert {key: rows(series._span_cache[key]) for key in held} == held
 
 
@@ -560,13 +652,14 @@ def test_union_shares_the_block_rows():
 
 def test_membership_leaves_the_relabelled_blocks_unordered(monkeypatch):
     # membership in a whole degree and in the blocks of unsorted content
-    # parts works on the relabelled blocks as they are
+    # parts works on the relabelled blocks as they are (of M_4 and L_4: the
+    # blocks of M_3 and L_3 are written down)
     series.clear_caches()
     inside = nested_word_chain(3, [(3, 3), (2,), (3, 2, 3), (1,)])  # content (1, 2, 4), in L_4
-    also = nested_word_chain(3, [(1,), (3,), (1, 3, 3, 2, 3)])  # content (2, 1, 4), in L_3
+    also = nested_word_chain(3, [(1,), (3,), (1, 3, 3, 2, 3)])  # content (2, 1, 4), in L_3, not M_4
     outside = Poly.monomial(3, (2, 3, 1, 3, 1, 3, 3))  # content (2, 1, 4), not in M_2
-    whole = m_span(3, 3, 7)
-    spec = IdealSpec("L", 3, index=3)
+    whole = m_span(3, 4, 7)
+    spec = IdealSpec("L", 3, index=4)
     for c in series.sorted_contents(3, 7):
         spec_span(spec, 7, c)
     calls = []
@@ -576,16 +669,17 @@ def test_membership_leaves_the_relabelled_blocks_unordered(monkeypatch):
         "from_rows",
         classmethod(lambda cls, n, degree, rows: calls.append(degree) or real(cls, n, degree, rows)),
     )
-    assert whole.contains(inside) and whole.contains(also) and not whole.contains(outside)
-    assert spec_contains(spec, inside + also)
+    assert whole.contains(inside) and not whole.contains(also) and not whole.contains(outside)
+    assert spec_contains(spec, inside) and not spec_contains(spec, inside + also)
     assert not spec_contains(spec, inside + outside)
+    assert l_span(3, 3, 7).contains(inside + also)
     assert calls == []
     relabelled = [
         S
         for (kind, _, index, d, c), S in series._span_cache.items()
-        if d == 7 and (kind, index) in (("M", (3,)), ("L", 3)) and c and not is_sorted(c)
+        if d == 7 and (kind, index) in (("M", (4,)), ("L", 4)) and c and not is_sorted(c)
     ]
-    assert l_span(3, 3, 7, (1, 2, 4)) in relabelled and l_span(3, 3, 7, (2, 1, 4)) in relabelled
+    assert l_span(3, 4, 7, (1, 2, 4)) in relabelled and l_span(3, 4, 7, (2, 1, 4)) in relabelled
     assert not whole._ordered and not any(S._ordered for S in relabelled)
 
 
@@ -649,9 +743,9 @@ def test_threads_asking_one_two_tier_block_while_it_completes_agree():
     # tier are swapped in as one pair, so every reader sees one whole form
     series.clear_caches()
     n, d, c = 3, 7, (3, 2, 2)
-    S = m_span(n, 3, d, c)
+    S = m_span(n, 4, d, c)
     assert S._tiers[1] and not S._ordered
-    want = reference_block("M", n, (3,), d, c)
+    want = reference_block("M", n, (4,), d, c)
     rows = list(want.int_rows())
     probes = rows + random_probes(Random(31), rows, 60)
     expected = ([want.contains_row(v) for v in probes], {want.dim}, rows)
