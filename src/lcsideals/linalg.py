@@ -7,7 +7,9 @@ coefficient at the pivot.  Every space built here is in reduced row echelon
 form, with pivot = maximal word in lexicographic order, which makes the
 basis unique; the rational rows with leading coefficient 1 are recovered on
 demand.  A basis taken as reduced (from_reduced), or a union with such a
-part, may be out of that order until its rows are first read in order.
+part, may be out of that order until its rows are first read in order.  A
+written basis (WrittenSubspace) knows its dimension before its rows, and
+writes them the first time any reader needs them.
 
 Against reduced rows, one pass over the pivots of a vector clears them all,
 in any order, because eliminating one pivot brings in no other.  That pass
@@ -40,10 +42,11 @@ the side tier is the set of rows that the block adds beside its pads.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .freealg import Poly, Word
 
@@ -122,6 +125,11 @@ class GradedSubspace:
     largest word of its row); false says only that this is not yet known:
     for from_reduced, for a step with side rows apart, and for a direct_sum
     of parts of which one is unordered, until _echelon.
+    A written block (WrittenSubspace) knows its dimension from the count or
+    rank pass that made it, and writes its rows into _tiers on the first
+    read of any reader of rows: _clear (membership, residues,
+    extension_dim), _echelon (int_rows, pivot_words, row_polys, the pads
+    of from_pads, relabelling) and direct_sum; dim alone writes none.
     Mutable (single writer) until freeze(); frozen instances are immutable
     and safe to share: echelonizing swaps in a new pair, and concurrent
     readers see either basis.
@@ -381,6 +389,67 @@ class GradedSubspace:
             f"GradedSubspace(n={self.n}, degree={self.degree}, "
             f"dim={self.dim}, {state})"
         )
+
+
+# The lock under which a WrittenSubspace writes its rows.
+_write_lock = threading.RLock()
+
+
+class WrittenSubspace(GradedSubspace):
+    """Frozen reduced basis whose dimension is known before its rows:
+    write() gives them, in reduced echelon form, once, when _tiers is
+    first read.
+
+    Until then the _tiers slot is unset and the instance is an _Unwritten,
+    so a read of _tiers falls through to __getattr__, which writes the rows
+    under one lock and sets them, as one pair with an empty side tier,
+    before write is dropped: a reader sees no rows or all of them, and they
+    are written once.  Every reader of rows goes through _tiers: _clear
+    (membership, residues and so extension_dim), _echelon (int_rows,
+    pivot_words, row_polys, the pads of from_pads) and direct_sum; dim
+    never does.  The instance is then a WrittenSubspace again, whose
+    attributes are read at slot speed: a class with __getattr__ routes
+    every attribute read through a slower hook.  Like from_reduced, the
+    basis is unordered until _echelon, which finds it in order.
+    """
+
+    __slots__ = ("_dim", "_write")
+
+    def __init__(self, n: int, degree: int, dim: int, write: Callable[[], dict[int, IntRow]]):
+        super().__init__(n, degree)
+        del self._tiers
+        self._dim = dim
+        self._write: Callable[[], dict[int, IntRow]] | None = write
+        self._ordered = False
+        self._frozen = True
+        self.__class__ = _Unwritten
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    def _echelon(self) -> dict[int, IntRow]:
+        """The rows, written in reduced echelon form: no check is needed."""
+        rows = self._tiers[0]
+        self._ordered = True
+        return rows
+
+
+class _Unwritten(WrittenSubspace):
+    """A WrittenSubspace before its rows are written (same slots)."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: _tiers before the rows are written
+        if name != "_tiers":
+            raise AttributeError(name)
+        with _write_lock:
+            if self._write is not None:
+                self._tiers = (self._write(), _NO_SIDE)
+                self._write = None
+                self.__class__ = WrittenSubspace
+        return self._tiers
 
 
 def extension_dim(base: GradedSubspace, rows: Iterable[IntRow | Poly]) -> int:

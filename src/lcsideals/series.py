@@ -70,6 +70,24 @@ rows with the same image.  Its pivot is its largest word, and the
 independent rows hold no other such pivot, so that is again the reduced
 echelon form, found with no elimination in word space.
 
+A written block knows its dimension when it is made and writes its rows
+only the first time a reader needs them (linalg.WrittenSubspace).  L_1,
+L_2 and M_2 count their words: N, N minus the rotation classes (by
+Burnside, _necklace_count) and N - 1.  L_3, M_3 and J_3 run only the
+rank pass of _kernel_rows (_rank_pass), which makes a form only for each
+word it reads and stops at full rank; the dimension is the number of
+candidate rows less that rank (for L_3, the rows of L_2, which its pass
+reads).  The rows are written by reading on from where the pass
+stopped, so no form or rank is found twice.  The readers
+that write them are membership and residues (extension_dim, the rows C),
+any ordered read (int_rows: the left pads of from_pads, bracket and
+product rows, the rows to relabel, the L and P blocks of spec_dim in a
+quotient) and a whole-degree union; dim never writes them.  So spec_dim
+writes no rows for M_2, M_3, N_1 and N_2 in A_n, nor for N_1 and N_2 in
+A_n/I.  The written blocks of the degree asked stay unwritten in every
+case: only a built block (J_4 for N_3, the product I for M_k in A_n/I)
+reads rows, those of written blocks of lower degrees.
+
 Block c of L_k(d), k >= 4, is spanned by brackets [m, l] of one word m per
 necklace with l in block c - content(m) of L_{k-1}: the rows [V, L_{k-1}]
 that M_k adds for one-letter m, and for longer m the powers of Lyndon
@@ -121,6 +139,7 @@ from __future__ import annotations
 
 import threading
 from functools import cache
+from itertools import chain
 from itertools import product as iter_product
 from math import factorial, gcd, prod
 from operator import add, itemgetter, mul, sub
@@ -128,7 +147,15 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exprs import count, read_indices
 from .freealg import Poly, Rational, Word, all_words, check_count, nested_word_chain
-from .linalg import GradedSubspace, IntRow, _strip, extension_dim, poly_to_introw, word_rank
+from .linalg import (
+    GradedSubspace,
+    IntRow,
+    WrittenSubspace,
+    _strip,
+    extension_dim,
+    poly_to_introw,
+    word_rank,
+)
 from .lyndon import lyndon_words
 
 # Right-normed pure commutator, given by its letters; length 1 = generator.
@@ -145,7 +172,7 @@ def clear_caches() -> None:
         _span_cache.clear()
         _rank_tables.cache_clear()
         _content_words.cache_clear()
-        _forms.cache_clear()
+        _form_table.cache_clear()
     chain_poly.cache_clear()
 
 
@@ -324,26 +351,50 @@ def l_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
 
 def _word_class_block(kind: str, n: int, index, d: int, c: Content) -> GradedSubspace:
     """Block c of L_1, of L_2 or of J_2 = M_2 + P (kind "M", index (2,) +
-    the factors of P), written down in reduced echelon form from the words
-    of content c (see the module docstring)."""
-    words = _content_words(c)
+    the factors of P), counted from the words of content c and written on
+    first read in reduced echelon form (see the module docstring)."""
     if kind == "L" and index == 1:
-        return GradedSubspace.from_reduced(n, d, {w: {w: 1} for w in words})
+        return WrittenSubspace(n, d, word_count(c), lambda: {w: {w: 1} for w in _content_words(c)})
     if max(c) == d:  # words in one letter commute
         return _empty(n, d)
     if kind == "M":
-        least = words[0]
-        return GradedSubspace.from_reduced(n, d, {w: {w: 1, least: -1} for w in words[1:]})
+
+        def write() -> dict[int, IntRow]:
+            least, *words = _content_words(c)
+            return {w: {w: 1, least: -1} for w in words}
+
+        return WrittenSubspace(n, d, word_count(c) - 1, write)
+    dim = word_count(c) - _necklace_count(c)
+    return WrittenSubspace(n, d, dim, lambda: _rotation_rows(n, d, c))
+
+
+def _necklace_count(c: Content) -> int:
+    """The number of rotation classes of the words of content c, by
+    Burnside: the rotation by j letters fixes the words that repeat
+    m = d / gcd(j, d) times, word_count(c / m) of them if m divides every
+    entry of c, that is their gcd g, else none."""
+    d, g = sum(c), gcd(*c)
+    fixed = 0
+    for j in range(d):
+        m = d // gcd(j, d)
+        if g % m == 0:
+            fixed += word_count(tuple(x // m for x in c))
+    return fixed // d
+
+
+def _rotation_rows(n: int, d: int, c: Content) -> dict[int, IntRow]:
+    """The rows w - w_0 of block c of L_2, w_0 least in the rotation class
+    of w, keyed by w."""
     top = n ** (d - 1)
     rows: dict[int, IntRow] = {}
-    for w in words:
+    for w in _content_words(c):
         if w not in rows:  # w is least in its rotation class
             turned = w
             for _ in range(d - 1):
                 turned = turned % top * n + turned // top
                 if turned != w:
                     rows[turned] = {turned: 1, w: -1}
-    return GradedSubspace.from_reduced(n, d, rows)
+    return rows
 
 
 @cache
@@ -359,48 +410,78 @@ def _content_words(c: Content) -> tuple[int, ...]:
 
 def _form_block(kind: str, n: int, index, d: int, c: Content) -> GradedSubspace:
     """Block c of L_3, or of J_3 = M_3 + P (kind "M", index (3,) + the k
-    factors of P, each 2), written down in reduced echelon form as the
-    kernel of φ on block c of L_2, or on block c of A cut to the forms of
-    degree below 2k (see the module docstring)."""
+    factors of P, each 2): the kernel of φ on block c of L_2, or on block c
+    of A cut to the forms of degree below 2k (see the module docstring).
+    It is counted by the rank pass of _kernel_rows (_rank_pass), which
+    makes forms only for the words it reads (_forms), and its rows are
+    written on first read, in reduced echelon form, by reading on from
+    where that pass stopped (_kernel_rows)."""
     if max(c) == d:  # words in one letter commute
         return _empty(n, d)
     below = 2 * len(index) - 2 if kind == "M" and len(index) > 1 else d + 1
     support = tuple(filter(None, c))
     sets = range(1 << len(support))
     even = itemgetter(*[T for T in sets if T.bit_count() % 2 == 0 and T.bit_count() < below])
-    forms = dict(zip(_content_words(c), map(even, _forms(support))))
+    words = zip(_content_words(c), map(even, _forms(support)))
     if kind == "M":
-        pairs = (({w: 1}, image) for w, image in forms.items())
-    else:  # the rows w - w_0 of L_2, whose images are 0 at T = {}
-        rows = [row for _, row in sorted(_span("L", n, 2, d, c)._echelon().items())]
-        pairs = ((row, tuple(map(sub, forms[w], forms[w0]))[1:]) for row in rows for w, w0 in [row])
-    return GradedSubspace.from_reduced(n, d, _kernel_rows(pairs))
+        total = word_count(c)
+        pairs = (({w: 1}, image) for w, image in words)
+    else:
+        l2 = _span("L", n, 2, d, c)
+        total = l2.dim
+        pairs = _l2_pairs(l2._echelon(), words)
+    rank = _rank_pass(pairs)
+    dim = total - len(rank.free)
+    if not dim:
+        return _empty(n, d)
+    return WrittenSubspace(n, d, dim, lambda: _kernel_rows(rank))
 
 
-@cache
-def _forms(c: Content) -> tuple[tuple[int, ...], ...]:
+def _l2_pairs(
+    rows: dict[int, IntRow], words: Iterable[tuple[int, tuple[int, ...]]]
+) -> Iterator[tuple[IntRow, tuple[int, ...]]]:
+    """The rows w - w_0 of a block of L_2, ascending, each with its image
+    φ(w) - φ(w_0), which is 0 at T = {} and so dropped there, from the
+    words of the block and their images, ascending."""
+    before: dict[int, tuple[int, ...]] = {}
+    for w, image in words:
+        before[w] = image
+        if w in rows:
+            row = rows[w]
+            yield row, tuple(map(sub, image, before[min(row)]))[1:]
+
+
+def _forms(c: Content) -> Iterator[tuple[int, ...]]:
     """The forms ψ(w) of the words w of a content c with no zero entry, in
-    ascending order of the words.  Entry T of ψ(w), T a set of letters given
-    as a bit mask over their places in c, is the signed count of the sets S
-    of positions of w that carry the letters of T, each once; the sign is
-    that of the permutation that sorts the letters of S read in position
-    order.  A set S of x·u either lies in u, or takes the first position
-    and a set of u without x, which puts x before the letters of T - {x}
-    and costs a sign for each of them below x (_prepend).  φ(w) is the part
-    of ψ(w) on the even T.  A content with zero entries has the forms of
-    its nonzero part, which _form_block reads: they depend only on the
-    order of the letters, so a form costs the same in every A_n."""
+    ascending order of the words, made as they are read from the forms of
+    the contents one letter down (_form_table).  Entry T of ψ(w), T a set
+    of letters given as a bit mask over their places in c, is the signed
+    count of the sets S of positions of w that carry the letters of T, each
+    once; the sign is that of the permutation that sorts the letters of S
+    read in position order.  A set S of x·u either lies in u, or takes the
+    first position and a set of u without x, which puts x before the
+    letters of T - {x} and costs a sign for each of them below x
+    (_prepend).  φ(w) is the part of ψ(w) on the even T.  A content with
+    zero entries has the forms of its nonzero part, which _form_block
+    reads: they depend only on the order of the letters, so a form costs
+    the same in every A_n."""
     if not c:
-        return ((1,),)
-    out: list[tuple[int, ...]] = []
+        yield (1,)
+        return
     for p, a in enumerate(c):
         signs, take = _prepend(len(c), p, a > 1)
         if a > 1:
-            rest = _forms(c[:p] + (a - 1,) + c[p + 1 :])
-            out += [tuple(map(add, v, map(mul, signs, take(v)))) for v in rest]
+            for v in _form_table(c[:p] + (a - 1,) + c[p + 1 :]):
+                yield tuple(map(add, v, map(mul, signs, take(v))))
         else:
-            out += [tuple(map(mul, signs, take(v))) for v in _forms(c[:p] + c[p + 1 :])]
-    return tuple(out)
+            for v in _form_table(c[:p] + c[p + 1 :]):
+                yield tuple(map(mul, signs, take(v)))
+
+
+@cache
+def _form_table(c: Content) -> tuple[tuple[int, ...], ...]:
+    """The forms of the words of content c, ascending (_forms)."""
+    return tuple(_forms(c))
 
 
 @cache
@@ -418,16 +499,53 @@ def _prepend(s: int, p: int, stays: bool) -> tuple[list[int], Callable]:
     return signs, itemgetter(*at)
 
 
-def _kernel_rows(pairs: Iterable[tuple[IntRow, tuple[int, ...]]]) -> dict[int, IntRow]:
-    """The kernel of row -> image on the span of the rows of pairs, given in
-    ascending pivot order with images of one width, keyed by pivot: for
-    each row whose image depends on the images before it, that row minus
-    the combination of the independent rows before it, free, with the same
-    image.  Each is in the kernel, its pivot is its largest word, and it
-    holds no other such pivot, so the rows are reduced; there is one for
-    each dimension of the kernel.
+class _Rank(NamedTuple):
+    """The state of a rank pass: the fraction-free echelon of the images of
+    free, the rows read that were independent, rest, those that were not,
+    in the order read, and later, the pairs it left unread."""
 
-    A first pass finds free by a fraction-free echelon of their images.
+    echelon: list[tuple[int, list[int]]]
+    free: list[tuple[IntRow, tuple[int, ...]]]
+    rest: list[tuple[IntRow, tuple[int, ...]]]
+    later: Iterator[tuple[IntRow, tuple[int, ...]]]
+
+
+def _rank_pass(pairs: Iterator[tuple[IntRow, tuple[int, ...]]]) -> _Rank:
+    """The rank pass of _kernel_rows over pairs (row, image), given in
+    ascending pivot order with images of one width: free takes each row
+    whose image is independent of those before it, found by a fraction-free
+    echelon of the images.  It stops at full rank, where every later row is
+    dependent, and leaves them unread, so the kernel has one dimension for
+    each row of pairs but those of free."""
+    echelon: list[tuple[int, list[int]]] = []
+    free: list[tuple[IntRow, tuple[int, ...]]] = []
+    rest: list[tuple[IntRow, tuple[int, ...]]] = []
+    seen: set[tuple[int, ...]] = set()
+    for row, image in pairs:
+        if image not in seen:
+            seen.add(image)
+            left = list(image)
+            for q, e in echelon:
+                if b := left[q]:
+                    left = [e[q] * x - b * y for x, y in zip(left, e)]
+            if any(left):
+                echelon.append((next(q for q, x in enumerate(left) if x), left))
+                free.append((row, image))
+                if len(echelon) == len(image):
+                    break
+                continue
+        rest.append((row, image))
+    return _Rank(echelon, free, rest, pairs)
+
+
+def _kernel_rows(state: _Rank) -> dict[int, IntRow]:
+    """The kernel of row -> image on the span of the rows of a rank pass
+    (_rank_pass), keyed by pivot: for each row of rest and of later, read
+    on from where the pass stopped, that row minus the combination of the
+    rows of free before it with the same image.  Each is in the kernel,
+    its pivot is its largest word, and it holds no other such pivot, so
+    the rows are reduced; there is one for each dimension of the kernel.
+
     The images of free are independent, so the combination of free with
     the image of a later row is unique, and takes no row of free after it.
     Fraction-free Gauss–Jordan on the images of free, each with the unit
@@ -440,25 +558,8 @@ def _kernel_rows(pairs: Iterable[tuple[IntRow, tuple[int, ...]]]) -> dict[int, I
     Σ_j t[qs[j]]·(the combination of basis[j]), a sum over the words of
     free that depends on t alone (tails, kept divided by its content
     together with lead)."""
-    echelon: list[tuple[int, list[int]]] = []
-    free: list[tuple[IntRow, tuple[int, ...]]] = []
-    rest: list[tuple[IntRow, tuple[int, ...]]] = []
-    seen: set[tuple[int, ...]] = set()
-    for row, image in pairs:
-        if len(echelon) < len(image) and image not in seen:
-            seen.add(image)
-            left = list(image)
-            for q, e in echelon:
-                if b := left[q]:
-                    left = [e[q] * x - b * y for x, y in zip(left, e)]
-            if any(left):
-                echelon.append((next(q for q, x in enumerate(left) if x), left))
-                free.append((row, image))
-                continue
-        rest.append((row, image))
-    if not rest:
-        return {}
-    width, rank = len(rest[0][1]), len(free)
+    echelon, free, rest, later = state
+    width, rank = (len(free[0][1]) if free else 0), len(free)
     lead, basis = 1, []
     for j, (_, image) in enumerate(free):
         left = [lead * v for v in image] + [0] * rank
@@ -479,7 +580,7 @@ def _kernel_rows(pairs: Iterable[tuple[IntRow, tuple[int, ...]]]) -> dict[int, I
     qs = [q for q, _ in echelon]
     out: dict[int, IntRow] = {}
     tails: dict[tuple[int, ...], tuple[int, IntRow]] = {}
-    for row, image in rest:
+    for row, image in chain(rest, later):
         got = tails.get(image)
         if got is None:
             t = [image[q] for q in qs]

@@ -49,7 +49,8 @@ largest-first straightening loop, and ref_swap_pair, which multiplies out
 [b_u, b_v] and peels it (lyndon_coefficients), for the one word vu that
 the loop merges a first descent u > v into.  left_ideal_span closes
 generators under left multiplication only.  count_eliminations counts the
-row eliminations that a computation makes, the unit of echelon work.
+row eliminations that a computation makes, the unit of echelon work, and
+count_written_rows the rows that the written blocks write when first read.
 """
 
 from contextlib import contextmanager
@@ -68,6 +69,7 @@ from lcsideals.freealg import Poly, Word, all_words, bracket, nested, nested_wor
 from lcsideals.linalg import (
     GradedSubspace,
     IntRow,
+    WrittenSubspace,
     _strip,
     extension_dim,
     introw_to_poly,
@@ -976,3 +978,26 @@ def count_eliminations() -> Iterator[SimpleNamespace]:
         yield count
     finally:
         GradedSubspace._eliminate = real
+
+
+@contextmanager
+def count_written_rows() -> Iterator[SimpleNamespace]:
+    """Count the rows that the written blocks (WrittenSubspace) made while
+    the block runs write, each when its rows are first read; yields a
+    namespace whose rows grows as they are written."""
+    real = WrittenSubspace.__init__
+    count = SimpleNamespace(rows=0)
+
+    def init(self, n: int, degree: int, dim: int, write) -> None:
+        def counted() -> dict:
+            rows = write()
+            count.rows += len(rows)
+            return rows
+
+        real(self, n, degree, dim, counted)
+
+    WrittenSubspace.__init__ = init
+    try:
+        yield count
+    finally:
+        WrittenSubspace.__init__ = real

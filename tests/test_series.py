@@ -14,7 +14,7 @@ import pytest
 from lcsideals import series
 from lcsideals.containment import bound_report, containment_index, pbw_witness, sl2_witness
 from lcsideals.freealg import Poly, all_words, bracket, nested_word_chain
-from lcsideals.linalg import GradedSubspace, extension_dim, rank_word, word_rank
+from lcsideals.linalg import GradedSubspace, WrittenSubspace, extension_dim, rank_word, word_rank
 from lcsideals.quotients import QuotientSpec, quotient_dim
 from lcsideals.series import (
     DimTable,
@@ -41,6 +41,7 @@ from helpers import (
     commutative_monomial_count,
     composed_product_span,
     count_eliminations,
+    count_written_rows,
     even_forms_dim,
     full_slot_l_candidates,
     gl_multiplicities,
@@ -257,6 +258,18 @@ def test_the_bench_quotient_cells_take_at_most_60000_eliminations():
     assert 0 < work.calls <= 60_000
 
 
+def test_the_bench_quotient_cells_write_at_most_4550_rows():
+    # the rows of written blocks are written only when read: the cells
+    # write 4,413 of the 7,233 rows of the written blocks that they make,
+    # as the N_2 cells read dims alone and the others what built blocks read
+    cells = bench_references()["quotient_dims"]
+    with count_written_rows() as work:
+        for q in cells:
+            series.clear_caches()
+            assert quotient_dim(QuotientSpec(q["n"], *q["mod"]), "N", q["r"], q["d"]) == q["dim"]
+    assert 0 < work.rows <= 4_550
+
+
 def test_the_bench_containment_questions_take_at_most_83000_eliminations():
     # each question asked from empty caches, as a fresh interpreter asks it
     questions = bench_references()["containment"]
@@ -446,7 +459,8 @@ def test_word_class_blocks_match_the_reference_echelon(monkeypatch):
     # L_1, L_2 = [A, A] and M_2 are written down from their word classes;
     # the reference echelonizes their candidate rows: the left pads and the
     # letter brackets [V, L_1] for M_2, the candidate rows for L_2.  The
-    # rows are written in order, so the first ordered read only finds that.
+    # rows are written in order on their first read, with no elimination
+    # and no from_rows, and that read finds them ordered.
     series.clear_caches()
     calls = []
     real = vars(GradedSubspace)["from_rows"].__func__
@@ -462,14 +476,15 @@ def test_word_class_blocks_match_the_reference_echelon(monkeypatch):
                 for kind, index in (("L", 1), ("L", 2), ("M", (2,))):
                     if kind == "M" and d < 2:
                         continue
-                    got = series._span(kind, n, index, d, c)
                     made = len(calls)
                     with count_eliminations() as work:
+                        got = series._span(kind, n, index, d, c)
                         got._echelon()
                     assert len(calls) == made and work.calls == 0, (kind, n, index, d, c)
                     assert got._ordered and not got._tiers[1], (kind, n, index, d, c)
                     want = reference_block(kind, n, index, d, c)
                     assert got._echelon() == want._echelon(), (kind, n, index, d, c)
+                    assert got.dim == want.dim, (kind, n, index, d, c)
                     compared += 1
     assert compared == 1143  # 385 contents, 12 of them below degree 2
 
@@ -549,7 +564,8 @@ FORM_MODS = [(2, 2), (2, 3), (2, 2, 2), (2, 2, 2, 2)]
 def test_form_blocks_match_the_built_reference_echelon(monkeypatch):
     # L_3, M_3 and J_3 are written down as kernels of the map to even forms,
     # for every content, with no elimination and no block of L_3 or M_3
-    # below them; the reference builds L_3 from its candidate rows
+    # below them, when made and when their rows are first read; the
+    # reference builds L_3 from its candidate rows
     # (_l_candidates), M_3 as a left ideal from the brackets [V, L_2], and
     # J_3 from the rows of M_3 and P (reference_block).  L_4, M_4 and
     # J_4 = M_4 + M_2·M_2 read them as candidate rows, pads and residues.
@@ -570,13 +586,48 @@ def test_form_blocks_match_the_built_reference_echelon(monkeypatch):
                     calls.clear()
                     with count_eliminations() as work:
                         got = series._span(kind, n, index, d, c)
+                        rows = got._echelon()
                     assert (work.calls, calls) == (0, []), (kind, n, index, d, c)
-                    assert got._echelon() == reference_block(kind, n, index, d, c)._echelon()
+                    want = reference_block(kind, n, index, d, c)
+                    assert rows == want._echelon() and got.dim == want.dim, (kind, n, index, d, c)
                     compared += 1
                 for kind, index in (("L", 4), ("M", (4,)), ("M", (4, 2, 2))):
                     got = series._span(kind, n, index, d, c)
                     assert got._echelon() == reference_block(kind, n, index, d, c)._echelon()
     assert compared == 2124
+
+
+def unwritten(S) -> bool:
+    return isinstance(S, WrittenSubspace) and S._write is not None
+
+
+# the dimensions that read written blocks: J_1, J_2 and J_3 of the degree
+# asked, beside the built J_4 (N_3) and product I (M_k in a quotient)
+DIM_SPECS = [("N", 1), ("N", 2), ("N", 3), ("M", 2), ("M", 3)]
+DIM_MODS = [(), (2, 2), (2, 3), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("kind,k", DIM_SPECS)
+def test_dimensions_write_no_rows(kind, k):
+    # spec_dim reads only the dim of a written block, which its count or
+    # rank pass gives, so no written block of the degree asked is written;
+    # below it, only the rows that the built J_4 and I read are written,
+    # and with neither nothing is
+    for n, d_max in WORD_CLASS_CELLS:
+        for mod in DIM_MODS:
+            series.clear_caches()
+            builds = kind == "N" and k == 3 or kind == "M" and mod
+            for d in range(d_max + 1):
+                got = spec_dim(IdealSpec(kind, n, index=k), d, mod)
+                if len(mod) == 2:
+                    assert quotient_dim(QuotientSpec(n, *mod), kind, k, d) == got
+                written = [
+                    key for key, S in series._span_cache.items()
+                    if isinstance(S, WrittenSubspace) and not unwritten(S)
+                ]
+                assert not [key for key in written if key[3] == d], (n, mod, d)
+                assert not written or builds, (n, mod, d, written)
+            assert any(unwritten(S) for S in series._span_cache.values()), (n, mod)
 
 
 def test_j3_is_m3_for_a_factor_above_2_or_more_factors_than_forms():
@@ -710,18 +761,16 @@ def test_a_relabelled_block_and_its_ordered_form_agree(label):
         assert raw._ordered and ordered._ordered
 
 
-def test_threads_reading_one_unordered_block_get_the_same_rows():
-    series.clear_caches()
-    S = m_span(3, 3, 6, (1, 2, 3))
-    assert not S._ordered
+def in_four_threads(work) -> None:
+    """Run work(i), i = 0..3, in four threads that start together, with a
+    short switch interval so that they interleave."""
     barrier = threading.Barrier(4, timeout=30)
-    got = [None] * 4
 
-    def read(i: int) -> None:
+    def run(i: int) -> None:
         barrier.wait()
-        got[i] = list(S.int_rows())
+        work(i)
 
-    threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -732,9 +781,39 @@ def test_threads_reading_one_unordered_block_get_the_same_rows():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+
+
+def test_threads_reading_one_unordered_block_get_the_same_rows():
+    series.clear_caches()
+    S = m_span(3, 3, 6, (1, 2, 3))
+    assert not S._ordered
+    got = [None] * 4
+
+    def read(i: int) -> None:
+        got[i] = list(S.int_rows())
+
+    in_four_threads(read)
     assert S._ordered and got[0]
     assert all(rows == got[0] for rows in got)
     assert got[0] == list(reference_block("M", 3, (3,), 6, (1, 2, 3)).int_rows())
+
+
+def test_threads_reading_one_unwritten_block_get_the_same_rows():
+    # the rows are written once, under one lock, and set as one pair
+    series.clear_caches()
+    got = [None] * 4
+    with count_written_rows() as work:
+        S = m_span(3, 3, 7, (3, 2, 2))
+        assert isinstance(S, WrittenSubspace) and S._write is not None
+        assert work.rows == 0
+
+        def read(i: int) -> None:
+            got[i] = list(S.int_rows())
+
+        in_four_threads(read)
+    assert S._write is None and work.rows == S.dim == len(got[0])
+    assert all(rows == got[0] for rows in got)
+    assert got[0] == list(reference_block("M", 3, (3,), 7, (3, 2, 2)).int_rows())
 
 
 def test_threads_asking_one_two_tier_block_while_it_completes_agree():
@@ -750,11 +829,9 @@ def test_threads_asking_one_two_tier_block_while_it_completes_agree():
     probes = rows + random_probes(Random(31), rows, 60)
     expected = ([want.contains_row(v) for v in probes], {want.dim}, rows)
     assert not all(expected[0])
-    barrier = threading.Barrier(4, timeout=30)
     got = [None] * 4
 
     def ask(i: int) -> None:
-        barrier.wait()
         ordered = list(S.int_rows()) if i < 2 else None
         answers, dims = [], set()
         for v in probes:
@@ -762,17 +839,7 @@ def test_threads_asking_one_two_tier_block_while_it_completes_agree():
             dims.update(S.dim for _ in range(20))
         got[i] = (answers, dims, ordered if ordered is not None else list(S.int_rows()))
 
-    threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    in_four_threads(ask)
     assert S._ordered and not S._tiers[1]
     assert all(answer == expected for answer in got)
 
