@@ -404,10 +404,12 @@ class WrittenSubspace(GradedSubspace):
     so a read of _tiers falls through to __getattr__, which writes the rows
     under one lock and sets them, as one pair with an empty side tier,
     before write is dropped: a reader sees no rows or all of them, and they
-    are written once.  Every reader of rows goes through _tiers: _clear
-    (membership, residues and so extension_dim), _echelon (int_rows,
-    pivot_words, row_polys, the pads of from_pads) and direct_sum; dim
-    never does.  The instance is then a WrittenSubspace again, whose
+    are written once.  Rows that do not number dim raise RuntimeError and
+    are not set: a write that was cut short may have used up what it read,
+    so that the next gives fewer rows.  Every reader of rows goes through
+    _tiers: _clear (membership, residues and so extension_dim), _echelon
+    (int_rows, pivot_words, row_polys, the pads of from_pads) and
+    direct_sum; dim never does.  The instance is then a WrittenSubspace again, whose
     attributes are read at slot speed: a class with __getattr__ routes
     every attribute read through a slower hook.  Like from_reduced, the
     basis is unordered until _echelon, which finds it in order.
@@ -446,7 +448,13 @@ class _Unwritten(WrittenSubspace):
             raise AttributeError(name)
         with _write_lock:
             if self._write is not None:
-                self._tiers = (self._write(), _NO_SIDE)
+                rows = self._write()
+                if len(rows) != self._dim:
+                    # a writer cut short (say by an exception) may not replay
+                    raise RuntimeError(
+                        f"a written basis of dimension {self._dim} wrote {len(rows)} rows"
+                    )
+                self._tiers = (rows, _NO_SIDE)
                 self._write = None
                 self.__class__ = WrittenSubspace
         return self._tiers

@@ -71,14 +71,15 @@ independent rows hold no other such pivot, so that is again the reduced
 echelon form, found with no elimination in word space.
 
 A written block knows its dimension when it is made and writes its rows
-only the first time a reader needs them (linalg.WrittenSubspace).  L_1,
-L_2 and M_2 count their words: N, N minus the rotation classes (by
-Burnside, _necklace_count) and N - 1.  L_3, M_3 and J_3 run only the
-rank pass of _kernel_rows (_rank_pass), which makes a form only for each
-word it reads and stops at full rank; the dimension is the number of
-candidate rows less that rank (for L_3, the rows of L_2, which its pass
-reads).  The rows are written by reading on from where the pass
-stopped, so no form or rank is found twice.  The readers
+only the first time a reader needs them (linalg.WrittenSubspace).  L_1
+and M_2 count their words: N and N - 1.  L_2 is written at once, as the
+L_3 block above it reads its rows.  L_3, M_3 and J_3 run only the rank
+pass of _kernel_rows (_rank_pass), which makes a form only for each word
+it reads and stops at full rank; the dimension is the number of
+candidate rows less that rank (for L_3, the rows of L_2).  The rows are
+written by reading on from where the pass stopped, so no rank is found
+twice, and the forms of a content are kept once some pass or write has
+read them all, for the next block of that content.  The readers
 that write them are membership and residues (extension_dim, the rows C),
 any ordered read (int_rows: the left pads of from_pads, bracket and
 product rows, the rows to relabel, the L and P blocks of spec_dim in a
@@ -172,7 +173,7 @@ def clear_caches() -> None:
         _span_cache.clear()
         _rank_tables.cache_clear()
         _content_words.cache_clear()
-        _form_table.cache_clear()
+        _form_tables.clear()
     chain_poly.cache_clear()
 
 
@@ -351,8 +352,9 @@ def l_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
 
 def _word_class_block(kind: str, n: int, index, d: int, c: Content) -> GradedSubspace:
     """Block c of L_1, of L_2 or of J_2 = M_2 + P (kind "M", index (2,) +
-    the factors of P), counted from the words of content c and written on
-    first read in reduced echelon form (see the module docstring)."""
+    the factors of P), in reduced echelon form from the words of content c
+    (see the module docstring): L_1 and J_2 are counted and written on
+    first read, L_2, whose rows the L_3 block above it reads, at once."""
     if kind == "L" and index == 1:
         return WrittenSubspace(n, d, word_count(c), lambda: {w: {w: 1} for w in _content_words(c)})
     if max(c) == d:  # words in one letter commute
@@ -364,27 +366,6 @@ def _word_class_block(kind: str, n: int, index, d: int, c: Content) -> GradedSub
             return {w: {w: 1, least: -1} for w in words}
 
         return WrittenSubspace(n, d, word_count(c) - 1, write)
-    dim = word_count(c) - _necklace_count(c)
-    return WrittenSubspace(n, d, dim, lambda: _rotation_rows(n, d, c))
-
-
-def _necklace_count(c: Content) -> int:
-    """The number of rotation classes of the words of content c, by
-    Burnside: the rotation by j letters fixes the words that repeat
-    m = d / gcd(j, d) times, word_count(c / m) of them if m divides every
-    entry of c, that is their gcd g, else none."""
-    d, g = sum(c), gcd(*c)
-    fixed = 0
-    for j in range(d):
-        m = d // gcd(j, d)
-        if g % m == 0:
-            fixed += word_count(tuple(x // m for x in c))
-    return fixed // d
-
-
-def _rotation_rows(n: int, d: int, c: Content) -> dict[int, IntRow]:
-    """The rows w - w_0 of block c of L_2, w_0 least in the rotation class
-    of w, keyed by w."""
     top = n ** (d - 1)
     rows: dict[int, IntRow] = {}
     for w in _content_words(c):
@@ -394,7 +375,7 @@ def _rotation_rows(n: int, d: int, c: Content) -> dict[int, IntRow]:
                 turned = turned % top * n + turned // top
                 if turned != w:
                     rows[turned] = {turned: 1, w: -1}
-    return rows
+    return GradedSubspace.from_reduced(n, d, rows)
 
 
 @cache
@@ -413,7 +394,7 @@ def _form_block(kind: str, n: int, index, d: int, c: Content) -> GradedSubspace:
     factors of P, each 2): the kernel of φ on block c of L_2, or on block c
     of A cut to the forms of degree below 2k (see the module docstring).
     It is counted by the rank pass of _kernel_rows (_rank_pass), which
-    makes forms only for the words it reads (_forms), and its rows are
+    reads forms only for the words it reaches (_forms), and its rows are
     written on first read, in reduced echelon form, by reading on from
     where that pass stopped (_kernel_rows)."""
     if max(c) == d:  # words in one letter commute
@@ -422,14 +403,16 @@ def _form_block(kind: str, n: int, index, d: int, c: Content) -> GradedSubspace:
     support = tuple(filter(None, c))
     sets = range(1 << len(support))
     even = itemgetter(*[T for T in sets if T.bit_count() % 2 == 0 and T.bit_count() < below])
-    words = zip(_content_words(c), map(even, _forms(support)))
+    # the forms are read first, so that a write that reads on to the last
+    # word also runs _forms to its end, which keeps their table
+    images = zip(map(even, _forms(support)), _content_words(c))
     if kind == "M":
         total = word_count(c)
-        pairs = (({w: 1}, image) for w, image in words)
+        pairs = (({w: 1}, image) for image, w in images)
     else:
         l2 = _span("L", n, 2, d, c)
         total = l2.dim
-        pairs = _l2_pairs(l2._echelon(), words)
+        pairs = _l2_pairs(l2._echelon(), images)
     rank = _rank_pass(pairs)
     dim = total - len(rank.free)
     if not dim:
@@ -438,13 +421,13 @@ def _form_block(kind: str, n: int, index, d: int, c: Content) -> GradedSubspace:
 
 
 def _l2_pairs(
-    rows: dict[int, IntRow], words: Iterable[tuple[int, tuple[int, ...]]]
+    rows: dict[int, IntRow], images: Iterable[tuple[tuple[int, ...], int]]
 ) -> Iterator[tuple[IntRow, tuple[int, ...]]]:
     """The rows w - w_0 of a block of L_2, ascending, each with its image
     φ(w) - φ(w_0), which is 0 at T = {} and so dropped there, from the
-    words of the block and their images, ascending."""
+    images of the words of the block with their words, ascending."""
     before: dict[int, tuple[int, ...]] = {}
-    for w, image in words:
+    for image, w in images:
         before[w] = image
         if w in rows:
             row = rows[w]
@@ -453,35 +436,49 @@ def _l2_pairs(
 
 def _forms(c: Content) -> Iterator[tuple[int, ...]]:
     """The forms ψ(w) of the words w of a content c with no zero entry, in
-    ascending order of the words, made as they are read from the forms of
-    the contents one letter down (_form_table).  Entry T of ψ(w), T a set
-    of letters given as a bit mask over their places in c, is the signed
-    count of the sets S of positions of w that carry the letters of T, each
-    once; the sign is that of the permutation that sorts the letters of S
-    read in position order.  A set S of x·u either lies in u, or takes the
-    first position and a set of u without x, which puts x before the
-    letters of T - {x} and costs a sign for each of them below x
+    ascending order of the words: read from their table (_form_tables) if
+    it is kept, else made as they are read from the tables of the contents
+    one letter down, and the table kept once the last is read.  Entry T of
+    ψ(w), T a set of letters given as a bit mask over their places in c, is
+    the signed count of the sets S of positions of w that carry the letters
+    of T, each once; the sign is that of the permutation that sorts the
+    letters of S read in position order.  A set S of x·u either lies in u,
+    or takes the first position and a set of u without x, which puts x
+    before the letters of T - {x} and costs a sign for each of them below x
     (_prepend).  φ(w) is the part of ψ(w) on the even T.  A content with
     zero entries has the forms of its nonzero part, which _form_block
     reads: they depend only on the order of the letters, so a form costs
     the same in every A_n."""
+    table = _form_tables.get(c)
+    if table is not None:
+        yield from table
+        return
     if not c:
+        _form_tables[c] = ((1,),)
         yield (1,)
         return
+    made: list[tuple[int, ...]] = []
     for p, a in enumerate(c):
         signs, take = _prepend(len(c), p, a > 1)
         if a > 1:
             for v in _form_table(c[:p] + (a - 1,) + c[p + 1 :]):
-                yield tuple(map(add, v, map(mul, signs, take(v))))
+                made.append(form := tuple(map(add, v, map(mul, signs, take(v)))))
+                yield form
         else:
             for v in _form_table(c[:p] + c[p + 1 :]):
-                yield tuple(map(mul, signs, take(v)))
+                made.append(form := tuple(map(mul, signs, take(v))))
+                yield form
+    _form_tables[c] = tuple(made)
 
 
-@cache
+# The forms of the contents whose forms were all read (_forms); a table is
+# kept whole or not at all, so a reader never sees part of one.
+_form_tables: dict[Content, tuple[tuple[int, ...], ...]] = {}
+
+
 def _form_table(c: Content) -> tuple[tuple[int, ...], ...]:
     """The forms of the words of content c, ascending (_forms)."""
-    return tuple(_forms(c))
+    return _form_tables.get(c) or tuple(_forms(c))
 
 
 @cache

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lcsideals.freealg import Poly, bracket
 from lcsideals.linalg import (
     GradedSubspace,
+    WrittenSubspace,
     extension_dim,
     poly_to_introw,
     rank_word,
@@ -359,3 +360,39 @@ def test_from_pads_with_no_side_row_is_ordered_at_once():
     S = GradedSubspace.from_pads(n, d, [(0, prev), (1, prev)], [{13: 1, 10: -1}])
     assert S._ordered and not S._tiers[1] and not S._side and S.dim == 4
     assert_echelon(S)
+
+
+def test_a_written_basis_writes_its_rows_once_on_first_read():
+    n, d = 2, 3
+    rows = {5: {5: 1, 3: -1}, 6: {6: 1, 3: -1}}
+    writes = []
+    S = WrittenSubspace(n, d, 2, lambda: writes.append(1) or dict(rows))
+    assert S.dim == 2 and not writes
+    assert S.contains_row({6: 2, 5: -1, 3: -1}) and not S.contains_row({3: 1})
+    assert S._echelon() == rows and S._ordered and writes == [1]
+    assert list(S.int_rows()) == [rows[6], rows[5]] and writes == [1]
+
+
+def test_a_written_basis_cut_short_in_its_write_raises_on_every_read():
+    # the writer reads on from a one-shot source, as the written blocks of
+    # series do, and is cut short once: the rows left are too few, which
+    # must raise rather than give a basis smaller than its dim
+    n, d = 2, 3
+    source = iter([(5, {5: 1, 3: -1}), (6, {6: 1, 3: -1})])
+    cut = [True]
+
+    def write() -> dict:
+        out = {}
+        for pivot, row in source:
+            if cut.pop() if cut else False:
+                raise KeyboardInterrupt
+            out[pivot] = row
+        return out
+
+    S = WrittenSubspace(n, d, 2, write)
+    with pytest.raises(KeyboardInterrupt):
+        S.contains_row({3: 1})
+    for read in (lambda: S.contains_row({3: 1}), S._echelon):
+        with pytest.raises(RuntimeError, match="of dimension 2 wrote [01] rows"):
+            read()
+    assert S.dim == 2
