@@ -70,24 +70,17 @@ rows with the same image.  Its pivot is its largest word, and the
 independent rows hold no other such pivot, so that is again the reduced
 echelon form, found with no elimination in word space.
 
-A written block knows its dimension when it is made and writes its rows
-only the first time a reader needs them (linalg.WrittenSubspace).  L_1
-and M_2 count their words: N and N - 1.  L_2 is written at once, as the
-L_3 block above it reads its rows.  L_3, M_3 and J_3 run only the rank
-pass of _kernel_rows (_rank_pass), which makes a form only for each word
-it reads and stops at full rank; the dimension is the number of
-candidate rows less that rank (for L_3, the rows of L_2).  The rows are
-written by reading on from where the pass stopped, so no rank is found
-twice, and the forms of a content are kept once some pass or write has
-read them all, for the next block of that content.  The readers
-that write them are membership and residues (extension_dim, the rows C),
-any ordered read (int_rows: the left pads of from_pads, bracket and
-product rows, the rows to relabel, the L and P blocks of spec_dim in a
-quotient) and a whole-degree union; dim never writes them.  So spec_dim
-writes no rows for M_2, M_3, N_1 and N_2 in A_n, nor for N_1 and N_2 in
-A_n/I.  The written blocks of the degree asked stay unwritten in every
-case: only a built block (J_4 for N_3, the product I for M_k in A_n/I)
-reads rows, those of written blocks of lower degrees.
+A written-down block is built whole, with all its rows, and cached only
+then.  A dimension needs no rows, so spec_dim counts a written-down block
+that is not cached without building it (_block_dim): L_1 has one row per
+word of c, J_2 one fewer, and L_3 and J_3 have their candidate rows (the
+words of c, or the rows of L_2) less the rank of their images, found by
+the rank pass of _kernel_rows (_rank_pass), which makes a form only for
+each word it reads and stops at full rank.  A build reads the forms of
+its content to the end and keeps them for the next block of that
+content; a count keeps none.  So spec_dim of M_k or N_k builds no
+written-down block of the degree asked: only a built block (J_4 for N_3,
+the product I in A_n/I) reads the rows of those of lower degrees.
 
 Block c of L_k(d), k >= 4, is spanned by brackets [m, l] of one word m per
 necklace with l in block c - content(m) of L_{k-1}: the rows [V, L_{k-1}]
@@ -148,15 +141,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exprs import count, read_indices
 from .freealg import Poly, Rational, Word, all_words, check_count, nested_word_chain
-from .linalg import (
-    GradedSubspace,
-    IntRow,
-    WrittenSubspace,
-    _strip,
-    extension_dim,
-    poly_to_introw,
-    word_rank,
-)
+from .linalg import GradedSubspace, IntRow, _strip, extension_dim, poly_to_introw, word_rank
 from .lyndon import lyndon_words
 
 # Right-normed pure commutator, given by its letters; length 1 = generator.
@@ -166,11 +151,14 @@ Content = tuple[int, ...]
 
 _lock = threading.RLock()
 _span_cache: dict[tuple, GradedSubspace | dict[int, IntRow]] = {}
+# The dimensions of the written-down blocks that _block_dim counted.
+_dim_cache: dict[tuple, int] = {}
 
 
 def clear_caches() -> None:
     with _lock:
         _span_cache.clear()
+        _dim_cache.clear()
         _rank_tables.cache_clear()
         _content_words.cache_clear()
         _form_tables.clear()
@@ -256,17 +244,10 @@ def _span(kind: str, n: int, index, d: int, c: Content | None):
     content of its S_n orbit (see _relabel), and its G and C rows are
     relabelled where read (_side_rows).  Kinds M and P take indices >= 2
     only (ValueError): J_1 = A is no ideal these recursions build."""
-    if kind == "M":
-        if min(index) < 2:
-            raise ValueError(f"J takes indices >= 2, not {index}")
-        if len(index) == 2:
-            # L_{k+1} ⊆ L_k gives M_{k+1} ⊆ M_k, so M_r + M_s = M_min(r, s)
-            index = (min(index),)
-        elif index[0] == 3 and len(index) > 2 and (max(index[1:]) > 2 or 2 * len(index) - 2 > n):
-            index = (3,)  # P ⊆ M_3, so J_3 = M_3 (see the module docstring)
-        if d < index[0]:
-            return _span("P", n, index[1:], d, c) if index[1:] else _empty(n, d)
-    key = (kind, n, index, d, c)
+    key = _route(kind, n, index, d, c)
+    if key is None:
+        return _empty(n, d)
+    kind, n, index, d, c = key
     got = _span_cache.get(key)
     if got is not None:
         return got
@@ -293,6 +274,52 @@ def _span(kind: str, n: int, index, d: int, c: Content | None):
                 got = _ideal_block(kind, n, index, d, c)
             _span_cache[key] = got
         return got
+
+
+def _route(kind: str, n: int, index, d: int, c: Content | None) -> tuple | None:
+    """The cache key of the block that _span gives: J = M_r + P (kind "M")
+    is routed to the block that it equals, and None stands for J_r = 0
+    below degree r with P = 0.  Kind M takes indices >= 2 only."""
+    if kind == "M":
+        if min(index) < 2:
+            raise ValueError(f"J takes indices >= 2, not {index}")
+        if len(index) == 2:
+            # L_{k+1} ⊆ L_k gives M_{k+1} ⊆ M_k, so M_r + M_s = M_min(r, s)
+            index = (min(index),)
+        elif index[0] == 3 and len(index) > 2 and (max(index[1:]) > 2 or 2 * len(index) - 2 > n):
+            index = (3,)  # P ⊆ M_3, so J_3 = M_3 (see the module docstring)
+        if d < index[0]:  # J_r = P below degree r
+            return ("P", n, index[1:], d, c) if index[1:] else None
+    return kind, n, index, d, c
+
+
+def _block_dim(kind: str, n: int, index, d: int, c: Content) -> int:
+    """The dimension of _span(kind, n, index, d, c), counted without the
+    block where it is written down and not yet cached: L_1 has one row per
+    word of c, J_2 one fewer, and L_3 and J_3 the candidate rows less their
+    rank (_rank_pass, which stops at full rank).  Counts are kept in
+    _dim_cache; every other block is built."""
+    key = _route(kind, n, index, d, c)
+    if key is None:
+        return 0
+    got = _span_cache.get(key)
+    if got is not None:
+        return got.dim
+    got = _dim_cache.get(key)
+    if got is None:
+        kind, _, index, _, _ = key
+        if kind == "L" and index == 1:
+            got = word_count(c)
+        elif kind == "M" and index[0] == 2:
+            got = word_count(c) - 1
+        elif kind == "L" and index == 3 or kind == "M" and index[0] == 3:
+            with _lock:
+                total, pairs = _form_pairs(kind, n, index, d, c)
+                got = total - len(_rank_pass(pairs).free)
+        else:
+            return _span(*key).dim
+        _dim_cache[key] = got
+    return got
 
 
 def _kind(indices: tuple[int, ...]) -> str:
@@ -353,22 +380,18 @@ def l_span(n: int, k: int, d: int, content: Content | None = None) -> GradedSubs
 def _word_class_block(kind: str, n: int, index, d: int, c: Content) -> GradedSubspace:
     """Block c of L_1, of L_2 or of J_2 = M_2 + P (kind "M", index (2,) +
     the factors of P), in reduced echelon form from the words of content c
-    (see the module docstring): L_1 and J_2 are counted and written on
-    first read, L_2, whose rows the L_3 block above it reads, at once."""
+    (see the module docstring)."""
+    words = _content_words(c)
     if kind == "L" and index == 1:
-        return WrittenSubspace(n, d, word_count(c), lambda: {w: {w: 1} for w in _content_words(c)})
+        return GradedSubspace.from_reduced(n, d, {w: {w: 1} for w in words})
     if max(c) == d:  # words in one letter commute
         return _empty(n, d)
     if kind == "M":
-
-        def write() -> dict[int, IntRow]:
-            least, *words = _content_words(c)
-            return {w: {w: 1, least: -1} for w in words}
-
-        return WrittenSubspace(n, d, word_count(c) - 1, write)
+        least = words[0]
+        return GradedSubspace.from_reduced(n, d, {w: {w: 1, least: -1} for w in words[1:]})
     top = n ** (d - 1)
     rows: dict[int, IntRow] = {}
-    for w in _content_words(c):
+    for w in words:
         if w not in rows:  # w is least in its rotation class
             turned = w
             for _ in range(d - 1):
@@ -392,32 +415,31 @@ def _content_words(c: Content) -> tuple[int, ...]:
 def _form_block(kind: str, n: int, index, d: int, c: Content) -> GradedSubspace:
     """Block c of L_3, or of J_3 = M_3 + P (kind "M", index (3,) + the k
     factors of P, each 2): the kernel of φ on block c of L_2, or on block c
-    of A cut to the forms of degree below 2k (see the module docstring).
-    It is counted by the rank pass of _kernel_rows (_rank_pass), which
-    reads forms only for the words it reaches (_forms), and its rows are
-    written on first read, in reduced echelon form, by reading on from
-    where that pass stopped (_kernel_rows)."""
+    of A cut to the forms of degree below 2k (see the module docstring), in
+    reduced echelon form (_kernel_rows)."""
+    rows = _kernel_rows(_rank_pass(_form_pairs(kind, n, index, d, c)[1]))
+    return GradedSubspace.from_reduced(n, d, rows) if rows else _empty(n, d)
+
+
+def _form_pairs(
+    kind: str, n: int, index, d: int, c: Content
+) -> tuple[int, Iterator[tuple[IntRow, tuple[int, ...]]]]:
+    """The number of candidate rows of block c of L_3 or J_3 (_form_block),
+    and the pairs (row, image) of those rows with their forms, made as they
+    are read (_forms): the words of c, or the rows of L_2."""
     if max(c) == d:  # words in one letter commute
-        return _empty(n, d)
+        return 0, iter(())
     below = 2 * len(index) - 2 if kind == "M" and len(index) > 1 else d + 1
     support = tuple(filter(None, c))
     sets = range(1 << len(support))
     even = itemgetter(*[T for T in sets if T.bit_count() % 2 == 0 and T.bit_count() < below])
-    # the forms are read first, so that a write that reads on to the last
+    # the forms are read first, so that a pass that reads on to the last
     # word also runs _forms to its end, which keeps their table
     images = zip(map(even, _forms(support)), _content_words(c))
     if kind == "M":
-        total = word_count(c)
-        pairs = (({w: 1}, image) for image, w in images)
-    else:
-        l2 = _span("L", n, 2, d, c)
-        total = l2.dim
-        pairs = _l2_pairs(l2._echelon(), images)
-    rank = _rank_pass(pairs)
-    dim = total - len(rank.free)
-    if not dim:
-        return _empty(n, d)
-    return WrittenSubspace(n, d, dim, lambda: _kernel_rows(rank))
+        return word_count(c), (({w: 1}, image) for image, w in images)
+    l2 = _span("L", n, 2, d, c)
+    return l2.dim, _l2_pairs(l2._echelon(), images)
 
 
 def _l2_pairs(
@@ -917,13 +939,16 @@ def spec_dim(spec: IdealSpec, d: int, mod: tuple[int, ...] = ()) -> int:
     counts dim J_k[c] - dim J_{k+1}[c], from the blocks of the two-sided
     ideals J_k = M_k + I (see m_span): J_1 = A, and J_k(d) = I(d) for
     k > d >= 0, k >= 2.  L_k + I is no ideal, so in A_n/I an L or P block
-    counts what it adds to I[c] (extension_dim)."""
+    counts what it adds to I[c] (extension_dim).  Every other block is
+    counted by _block_dim, which builds no written-down block."""
     n, k = spec.n, spec.index
     if spec.kind in ("L", "P"):
+        kind, index = ("L", k) if spec.kind == "L" else (_kind(spec.factors), spec.factors)
 
         def block_dim(c: Content) -> int:
-            S = spec_span(spec, d, c)
-            return extension_dim(product_span(n, mod, d, c), S.int_rows()) if mod else S.dim
+            if not mod:
+                return _block_dim(kind, n, index, d, c)
+            return extension_dim(product_span(n, mod, d, c), spec_span(spec, d, c).int_rows())
 
         return orbit_sum(n, d, block_dim)
     mod = factor_indices(mod) if mod else ()
@@ -931,9 +956,7 @@ def spec_dim(spec: IdealSpec, d: int, mod: tuple[int, ...] = ()) -> int:
         return 0
 
     def j_dim(s: int, c: Content) -> int:
-        if s == 1:  # the words of content c
-            return word_count(c)
-        return _span("M", n, (s,) + mod, d, c).dim
+        return _block_dim("L", n, 1, d, c) if s == 1 else _block_dim("M", n, (s,) + mod, d, c)
 
     low = k + 1 if spec.kind == "N" else d + 2  # J_{d+2}(d) = I(d)
     return orbit_sum(n, d, lambda c: j_dim(k, c) - j_dim(low, c))

@@ -50,7 +50,7 @@ largest-first straightening loop, and ref_swap_pair, which multiplies out
 the loop merges a first descent u > v into.  left_ideal_span closes
 generators under left multiplication only.  count_eliminations counts the
 row eliminations that a computation makes, the unit of echelon work, and
-count_written_rows the rows that the written blocks write when first read.
+count_written_rows the rows of the written-down blocks that it builds.
 """
 
 from contextlib import contextmanager
@@ -69,13 +69,13 @@ from lcsideals.freealg import Poly, Word, all_words, bracket, nested, nested_wor
 from lcsideals.linalg import (
     GradedSubspace,
     IntRow,
-    WrittenSubspace,
     _strip,
     extension_dim,
     introw_to_poly,
     poly_to_introw,
     rank_word,
 )
+from lcsideals import series
 from lcsideals.lyndon import PbwMonomial, _bracketing_cached
 from lcsideals.quotients import SERIES_KINDS, QuotientSpec
 from lcsideals.series import (
@@ -982,22 +982,25 @@ def count_eliminations() -> Iterator[SimpleNamespace]:
 
 @contextmanager
 def count_written_rows() -> Iterator[SimpleNamespace]:
-    """Count the rows that the written blocks (WrittenSubspace) made while
-    the block runs write, each when its rows are first read; yields a
-    namespace whose rows grows as they are written."""
-    real = WrittenSubspace.__init__
+    """Count the rows of the blocks that series writes down
+    (_word_class_block, _form_block), L_2 left out, built while the block
+    runs; yields a namespace whose rows grows as they are built."""
     count = SimpleNamespace(rows=0)
+    reals = {name: getattr(series, name) for name in ("_word_class_block", "_form_block")}
 
-    def init(self, n: int, degree: int, dim: int, write) -> None:
-        def counted() -> dict:
-            rows = write()
-            count.rows += len(rows)
-            return rows
+    def counted(real):
+        def build(kind: str, n: int, index, d: int, c: tuple[int, ...]) -> GradedSubspace:
+            S = real(kind, n, index, d, c)
+            if (kind, index) != ("L", 2):
+                count.rows += S.dim
+            return S
 
-        real(self, n, degree, dim, counted)
+        return build
 
-    WrittenSubspace.__init__ = init
+    for name, real in reals.items():
+        setattr(series, name, counted(real))
     try:
         yield count
     finally:
-        WrittenSubspace.__init__ = real
+        for name, real in reals.items():
+            setattr(series, name, real)

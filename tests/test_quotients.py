@@ -89,9 +89,9 @@ def test_quotient_dim_matches_the_orbit_loop_reference(n, mods, d_max):
 
 
 def test_j_blocks_are_the_echelon_form_of_m_r_plus_the_product():
-    # every cached J block, built or relabelled, read in order, is the
-    # reference echelon form of the rows of its M_r block and its product
-    # block (helpers.ref_j_block)
+    # every J block that the questions count or build, built, relabelled
+    # or written down, read in order, is the reference echelon form of the
+    # rows of its M_r block and its product block (helpers.ref_j_block)
     n, compared = 3, 0
     for mod in ((2, 2), (2, 3), (3, 2)):
         series.clear_caches()
@@ -100,15 +100,15 @@ def test_j_blocks_are_the_echelon_form_of_m_r_plus_the_product():
             for r in range(1, d + 2):
                 quotient_dim(spec, "N", r, d)
                 quotient_dim(spec, "M", r, d)
-        blocks = [
-            (key, S)
-            for key, S in series._span_cache.items()
+        keys = {
+            key
+            for key in (*series._span_cache, *series._dim_cache)
             if key[0] == "M" and len(key[2]) > 1 and key[4] is not None
-        ]
-        assert any(list(key[4]) != sorted(key[4], reverse=True) for key, _ in blocks)
-        for key, S in blocks:
+        }
+        assert any(list(key[4]) != sorted(key[4], reverse=True) for key in keys)
+        for key in keys:
             assert key[2][1:] == mod
-            assert S._echelon() == reference_block(*key)._echelon(), key
+            assert series._span(*key)._echelon() == reference_block(*key)._echelon(), key
             compared += 1
     assert compared > 300
 

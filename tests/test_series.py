@@ -14,7 +14,7 @@ import pytest
 from lcsideals import series
 from lcsideals.containment import bound_report, containment_index, pbw_witness, sl2_witness
 from lcsideals.freealg import Poly, all_words, bracket, nested_word_chain
-from lcsideals.linalg import GradedSubspace, WrittenSubspace, extension_dim, rank_word, word_rank
+from lcsideals.linalg import GradedSubspace, extension_dim, rank_word, word_rank
 from lcsideals.quotients import QuotientSpec, quotient_dim
 from lcsideals.series import (
     DimTable,
@@ -259,9 +259,9 @@ def test_the_bench_quotient_cells_take_at_most_60000_eliminations():
 
 
 def test_the_bench_quotient_cells_write_at_most_2940_rows():
-    # the rows of written blocks are written only when read: the cells
-    # write 2,826 of the 5,646 rows of the written blocks that they make,
-    # as the N_2 cells read dims alone and the others what built blocks read
+    # a dimension counts a written-down block without building it: the
+    # cells build 2,826 rows of written-down blocks (L_2 left out), as the
+    # N_2 cells count alone and the others build what built blocks read
     cells = bench_references()["quotient_dims"]
     with count_written_rows() as work:
         for q in cells:
@@ -459,8 +459,9 @@ def test_word_class_blocks_match_the_reference_echelon(monkeypatch):
     # L_1, L_2 = [A, A] and M_2 are written down from their word classes;
     # the reference echelonizes their candidate rows: the left pads and the
     # letter brackets [V, L_1] for M_2, the candidate rows for L_2.  The
-    # rows are written in order on their first read, with no elimination
-    # and no from_rows, and that read finds them ordered.
+    # rows are made in order, with no elimination and no from_rows, and
+    # the first ordered read finds them so; the count of spec_dim
+    # (_block_dim) gives the dimension of the reference.
     series.clear_caches()
     calls = []
     real = vars(GradedSubspace)["from_rows"].__func__
@@ -478,13 +479,14 @@ def test_word_class_blocks_match_the_reference_echelon(monkeypatch):
                         continue
                     made = len(calls)
                     with count_eliminations() as work:
+                        counted = series._block_dim(kind, n, index, d, c)
                         got = series._span(kind, n, index, d, c)
                         got._echelon()
                     assert len(calls) == made and work.calls == 0, (kind, n, index, d, c)
                     assert got._ordered and not got._tiers[1], (kind, n, index, d, c)
                     want = reference_block(kind, n, index, d, c)
                     assert got._echelon() == want._echelon(), (kind, n, index, d, c)
-                    assert got.dim == want.dim, (kind, n, index, d, c)
+                    assert counted == got.dim == want.dim, (kind, n, index, d, c)
                     compared += 1
     assert compared == 1143  # 385 contents, 12 of them below degree 2
 
@@ -564,8 +566,8 @@ FORM_MODS = [(2, 2), (2, 3), (2, 2, 2), (2, 2, 2, 2)]
 def test_form_blocks_match_the_built_reference_echelon(monkeypatch):
     # L_3, M_3 and J_3 are written down as kernels of the map to even forms,
     # for every content, with no elimination and no block of L_3 or M_3
-    # below them, when made and when their rows are first read; the
-    # reference builds L_3 from its candidate rows
+    # below them, and counted (_block_dim) so too; the reference builds L_3
+    # from its candidate rows
     # (_l_candidates), M_3 as a left ideal from the brackets [V, L_2], and
     # J_3 from the rows of M_3 and P (reference_block).  L_4, M_4 and
     # J_4 = M_4 + M_2·M_2 read them as candidate rows, pads and residues.
@@ -585,11 +587,13 @@ def test_form_blocks_match_the_built_reference_echelon(monkeypatch):
                 for kind, index in written:
                     calls.clear()
                     with count_eliminations() as work:
+                        counted = series._block_dim(kind, n, index, d, c)
                         got = series._span(kind, n, index, d, c)
                         rows = got._echelon()
                     assert (work.calls, calls) == (0, []), (kind, n, index, d, c)
                     want = reference_block(kind, n, index, d, c)
-                    assert rows == want._echelon() and got.dim == want.dim, (kind, n, index, d, c)
+                    assert rows == want._echelon(), (kind, n, index, d, c)
+                    assert counted == got.dim == want.dim, (kind, n, index, d, c)
                     compared += 1
                 for kind, index in (("L", 4), ("M", (4,)), ("M", (4, 2, 2))):
                     got = series._span(kind, n, index, d, c)
@@ -597,22 +601,23 @@ def test_form_blocks_match_the_built_reference_echelon(monkeypatch):
     assert compared == 2124
 
 
-def unwritten(S) -> bool:
-    return isinstance(S, WrittenSubspace) and S._write is not None
+def written_down(key: tuple) -> bool:
+    """Whether a _span_cache key is that of a block series writes down."""
+    kind, _, index, _, _ = key
+    return kind == "L" and index <= 3 or kind == "M" and index[0] <= 3
 
 
-# the dimensions that read written blocks: J_1, J_2 and J_3 of the degree
-# asked, beside the built J_4 (N_3) and product I (M_k in a quotient)
+# the dimensions that count written-down blocks: J_1, J_2 and J_3 of the
+# degree asked, beside the built J_4 (N_3) and product I (M_k in a quotient)
 DIM_SPECS = [("N", 1), ("N", 2), ("N", 3), ("M", 2), ("M", 3)]
 DIM_MODS = [(), (2, 2), (2, 3), (2, 2, 2)]
 
 
 @pytest.mark.parametrize("kind,k", DIM_SPECS)
 def test_dimensions_write_no_rows(kind, k):
-    # spec_dim reads only the dim of a written block, which its count or
-    # rank pass gives, so no written block of the degree asked is written;
-    # below it, only the rows that the built J_4 and I read are written,
-    # and with neither nothing is
+    # spec_dim counts a written-down block without building it, so none of
+    # the degree asked is built; below it, only those whose rows the built
+    # J_4 and I read are, and with neither none is
     for n, d_max in WORD_CLASS_CELLS:
         for mod in DIM_MODS:
             series.clear_caches()
@@ -621,13 +626,10 @@ def test_dimensions_write_no_rows(kind, k):
                 got = spec_dim(IdealSpec(kind, n, index=k), d, mod)
                 if len(mod) == 2:
                     assert quotient_dim(QuotientSpec(n, *mod), kind, k, d) == got
-                written = [
-                    key for key, S in series._span_cache.items()
-                    if isinstance(S, WrittenSubspace) and not unwritten(S)
-                ]
-                assert not [key for key in written if key[3] == d], (n, mod, d)
-                assert not written or builds, (n, mod, d, written)
-            assert any(unwritten(S) for S in series._span_cache.values()), (n, mod)
+                built = [key for key in series._span_cache if written_down(key)]
+                assert not [key for key in built if key[3] == d], (n, mod, d)
+                assert not built or builds, (n, mod, d, built)
+            assert series._dim_cache, (n, mod)
 
 
 def test_j3_is_m3_for_a_factor_above_2_or_more_factors_than_forms():
@@ -798,38 +800,97 @@ def test_threads_reading_one_unordered_block_get_the_same_rows():
     assert got[0] == list(reference_block("M", 3, (3,), 6, (1, 2, 3)).int_rows())
 
 
-def test_threads_reading_one_unwritten_block_get_the_same_rows():
-    # the rows are written once, under one lock, and set as one pair
-    series.clear_caches()
-    got = [None] * 4
-    with count_written_rows() as work:
-        S = m_span(3, 3, 7, (3, 2, 2))
-        assert isinstance(S, WrittenSubspace) and S._write is not None
-        assert work.rows == 0
-
-        def read(i: int) -> None:
-            got[i] = list(S.int_rows())
-
-        in_four_threads(read)
-    assert S._write is None and work.rows == S.dim == len(got[0])
-    assert all(rows == got[0] for rows in got)
-    assert got[0] == list(reference_block("M", 3, (3,), 7, (3, 2, 2)).int_rows())
-
-
 def test_a_written_form_block_keeps_the_forms_of_its_content():
     # a count reads the forms only up to full rank and keeps none of its
-    # content; the write reads them all and keeps them, and the next block
+    # content; a build reads them all and keeps them, and the next block
     # of that content reads the kept table instead of making it again
     series.clear_caches()
     c = (3, 2, 1)
+    assert series._block_dim("M", 3, (3,), 6, c) and c not in series._form_tables
     S = m_span(3, 3, 6, c)
-    assert S.dim and c not in series._form_tables
     assert list(S.int_rows()) == list(reference_block("M", 3, (3,), 6, c).int_rows())
     table = series._form_tables[c]
     assert len(table) == series.word_count(c)
     L = series._span("L", 3, 3, 6, c)
     assert list(L.int_rows()) == list(reference_block("L", 3, 3, 6, c).int_rows())
     assert series._form_tables[c] is table
+
+
+def interrupt_forms(monkeypatch, c: tuple[int, ...], at: int) -> list:
+    """Patch series._forms to raise KeyboardInterrupt once, at form number
+    at of the content c; the list returned is emptied when it does."""
+    real, cut = series._forms, [True]
+
+    def forms(support: tuple[int, ...]):
+        for i, form in enumerate(real(support)):
+            if support == c and i == at and cut:
+                cut.clear()
+                raise KeyboardInterrupt
+            yield form
+
+    monkeypatch.setattr(series, "_forms", forms)
+    return cut
+
+
+def test_a_form_block_cut_short_in_its_build_is_built_whole_when_asked_again(monkeypatch):
+    # an interrupt at the 20th form of the content leaves no block cached,
+    # so the next ask builds the block whole rather than keeping a part
+    series.clear_caches()
+    n, d, c = 3, 7, (3, 2, 2)
+    cut = interrupt_forms(monkeypatch, c, 19)
+    with pytest.raises(KeyboardInterrupt):
+        list(m_span(n, 3, d, c).int_rows())
+    assert not cut
+    want = reference_block("M", n, (3,), d, c)
+    got = m_span(n, 3, d, c)
+    assert list(got.int_rows()) == list(want.int_rows()) and got.dim == want.dim
+
+
+def test_a_count_cut_short_keeps_nothing_and_counts_whole_when_asked_again(monkeypatch):
+    # an interrupt in the rank pass of a count keeps no count and no forms
+    series.clear_caches()
+    n, d, c = 3, 7, (3, 2, 2)
+    cut = interrupt_forms(monkeypatch, c, 2)
+    with pytest.raises(KeyboardInterrupt):
+        series._block_dim("M", n, (3,), d, c)
+    assert not cut and not series._dim_cache and c not in series._form_tables
+    assert series._block_dim("M", n, (3,), d, c) == reference_block("M", n, (3,), d, c).dim
+
+
+def test_a_count_is_kept_until_the_caches_are_cleared(monkeypatch):
+    # N_2 = J_2 - J_3 and M_3 = J_3 count the same blocks of M_3: a count is
+    # kept (_dim_cache), so each rank pass runs once, until clear_caches
+    real, passes = series._rank_pass, []
+    monkeypatch.setattr(series, "_rank_pass", lambda pairs: passes.append(1) or real(pairs))
+    series.clear_caches()
+    n2, m3 = IdealSpec("N", 3, index=2), IdealSpec("M", 3, index=3)
+    dim_table([n2], 7)
+    counted = [key for key in series._dim_cache if key[:3] == ("M", 3, (3,))]
+    assert len(passes) == len(counted) > 0
+    table = dim_table([m3], 7)
+    assert len(passes) == len(counted) and not series._span_cache
+    series.clear_caches()
+    assert dim_table([m3], 7) == table and len(passes) == 2 * len(counted)
+
+
+def test_threads_counting_and_building_one_form_block_agree():
+    # two threads count block c of M_3 (_block_dim) while two build it and
+    # read its rows: the counts, dims and rows are the reference's
+    n, d, c = 3, 7, (3, 2, 2)
+    want = reference_block("M", n, (3,), d, c)
+    rows = list(want.int_rows())
+    series.clear_caches()
+    got = [None] * 4
+
+    def ask(i: int) -> None:
+        if i < 2:
+            got[i] = series._block_dim("M", n, (3,), d, c)
+        else:
+            S = m_span(n, 3, d, c)
+            got[i] = (S.dim, list(S.int_rows()))
+
+    in_four_threads(ask)
+    assert got == [want.dim, want.dim, (want.dim, rows), (want.dim, rows)]
 
 
 def test_threads_asking_one_two_tier_block_while_it_completes_agree():
